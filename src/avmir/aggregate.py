@@ -1,6 +1,10 @@
 """Statistical-moment aggregation of vector sequences into fixed-length
-track vectors, including the EN0..EN5/TEN preset family and the seven-moment
-aggregation used for per-frame visual features."""
+track vectors.
+
+_moment_columns is the toolkit's only moment arithmetic.  It serves the
+EN0..EN5/TEN preset family, the seven-moment aggregation of per-frame visual
+features, the statistical spectrum descriptors of module audio and the
+concept-score moments of module concepts."""
 
 import warnings
 from dataclasses import dataclass
@@ -14,6 +18,11 @@ TEN_MOMENTS = ("mean", "median", "variance", "min", "max", "range",
 # seven-moment order used to aggregate per-frame visual features
 VISUAL_MOMENTS = ("mean", "median", "std", "min", "max", "skewness",
                   "kurtosis")
+
+# seven-moment order of the statistical spectrum descriptors (SSD, MVD and
+# the temporal TSSD/TRH) in module audio
+SSD_MOMENTS = ("min", "max", "mean", "median", "variance", "skewness",
+               "kurtosis")
 
 _KNOWN_MOMENTS = frozenset(TEN_MOMENTS) | {"std"}
 

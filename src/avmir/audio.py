@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import aggregate
+
 ANALYSIS_RATE = 22050
 DB_FLOOR = -72.0
 
@@ -227,50 +229,22 @@ def rhythm_histogram(rp):
     return rp.sum(axis=0)
 
 
-def seven_statistics(data, axis):
-    """min, max, mean, median, variance, skewness, kurtosis along an axis.
-
-    Population variance; skewness/kurtosis are standardized third/fourth
-    central moments (kurtosis not excess) and are defined as 0 for
-    zero-variance input.
-    """
-    data = np.asarray(data, dtype=np.float64)
-    mean = data.mean(axis=axis)
-    centered = data - np.expand_dims(mean, axis)
-    # magnitude-normalized dispersion: immune to subnormal squares under
-    # extreme data scales; rounding-level relative spread counts as zero
-    # variance (skew = kurt = 0 by convention)
-    scale = np.abs(data).max(axis=axis)
-    safe_scale = np.expand_dims(np.where(scale > 0, scale, 1.0), axis)
-    c = centered / safe_scale
-    var_rel = (c ** 2).mean(axis=axis)
-    sd_rel = np.sqrt(var_rel)
-    var = var_rel * np.squeeze(safe_scale * safe_scale, axis)
-    degenerate = sd_rel <= 1e-12
-    z = np.where(np.expand_dims(degenerate, axis), 0.0,
-                 c / np.expand_dims(np.where(degenerate, 1.0, sd_rel), axis))
-    skew = (z ** 3).mean(axis=axis)
-    kurt = (z ** 4).mean(axis=axis)
-    return np.stack([data.min(axis=axis), data.max(axis=axis), mean,
-                     np.median(data, axis=axis), var, skew, kurt], axis=-1)
-
-
 def ssd(son_values):
-    """Statistical spectrum descriptor: the seven statistics per Bark band
-    over time, shape (24, 7)."""
+    """Statistical spectrum descriptor: the SSD moments per Bark band over
+    time, shape (24, 7)."""
     son_values = np.asarray(son_values, dtype=np.float64)
     if son_values.shape[0] != 24 or son_values.shape[1] < 2:
         raise ValueError("expected (24, T>=2) sonogram values")
-    return seven_statistics(son_values, axis=1)
+    return aggregate.moments(son_values.T, aggregate.SSD_MOMENTS).reshape(24, 7)
 
 
 def modvar(rp):
-    """Modulation-frequency variance descriptor: the seven statistics per
+    """Modulation-frequency variance descriptor: the SSD moments per
     modulation frequency across the 24 bands, shape (60, 7)."""
     rp = np.asarray(rp)
     if rp.shape != (24, N_MOD_FREQS):
         raise ValueError("expected a 24x60 rhythm pattern")
-    return seven_statistics(rp.T, axis=1)
+    return aggregate.moments(rp, aggregate.SSD_MOMENTS).reshape(N_MOD_FREQS, 7)
 
 
 def track_features(clip, window=None, overlap=0.0):
@@ -279,7 +253,7 @@ def track_features(clip, window=None, overlap=0.0):
     The clip is resampled to 22.05 kHz mono, cut into non-overlapping 6 s
     sonogram segments (skipping the first and last segment when at least 4
     exist) and per-segment features are aggregated: element-wise median for
-    RP/RH, mean for SSD/MVD; the temporal variants take the seven statistics
+    RP/RH, mean for SSD/MVD; the temporal variants take the SSD moments
     over the per-segment SSD and RH vectors.
 
     Returns a dict of flat float arrays:
@@ -311,8 +285,8 @@ def track_features(clip, window=None, overlap=0.0):
         "rh": np.median(rhs, axis=0),
         "ssd": ssd_flat.mean(axis=0),
         "mvd": mvd_flat.mean(axis=0),
-        "tssd": seven_statistics(ssd_flat, axis=0).ravel(),
-        "trh": seven_statistics(rhs, axis=0).ravel(),
+        "tssd": aggregate.moments(ssd_flat, aggregate.SSD_MOMENTS),
+        "trh": aggregate.moments(rhs, aggregate.SSD_MOMENTS),
     }
 
 

@@ -1,9 +1,19 @@
 """Command-line surface.
 
-Every command writes its artifacts under the requested output location plus
-a run.json recording the full resolved configuration (seed included), so any
-run can be reproduced byte-identically.  Exit codes: 0 success, 2 input
-error, 3 internal invariant violation.
+Every command writes its artifacts under the requested output location;
+main() then adds a run.json beside them (in --out-dir, or the directory of
+--out / --out-train) recording the command and its full resolved
+configuration (seed included), so any run can be reproduced byte-identically.
+
+The manifest commands (extract-audio, extract-visual, aggregate,
+ingest-concepts, salience) share one runner, _source_rows: it checks every
+entry's input path before computing anything, computes one feature row per
+path (in --jobs worker processes where the command offers them) and returns
+the rows in track-id order, whatever the order of the manifest entries.  The
+single-source flags (--wav, --frames, --scores with --label) give the same
+row the file would get as a manifest entry.
+
+Exit codes: 0 success, 2 input error, 3 internal invariant violation.
 """
 
 import argparse
@@ -11,6 +21,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +54,15 @@ def write_run_config(out_dir, command, args):
                {"command": command, "config": config, "version": __version__})
 
 
+def _run_dir(args):
+    """Where a command's run.json goes: its output directory, or the
+    directory of its (first) output file."""
+    options = vars(args)
+    if "out_dir" in options:
+        return options["out_dir"]
+    return (options.get("out") or options["out_train"]).parent
+
+
 def _parse_feature_list(raw, allowed):
     features = [f.strip().lower() for f in raw.split(",") if f.strip()]
     unknown = [f for f in features if f not in allowed]
@@ -58,30 +78,52 @@ def _parse_feature_list(raw, allowed):
 # feature extraction
 # ---------------------------------------------------------------------------
 
+def _source_rows(manifest_path, source, label, field, row_fn, jobs=1):
+    """Labels and feature rows for every manifest entry, or for one source.
+
+    With a manifest, each entry's `field` path (audio, frames or concepts) is
+    checked before any row is computed; rows come back in track-id order,
+    computed by a pool of `jobs` processes when jobs > 1 (row_fn must then
+    pickle: a module-level function or a functools.partial of one).
+    Without one, the single `source` file gives one row labelled `label`.
+    """
+    if manifest_path is None:
+        return [label], [row_fn(source)]
+    manifest = avio.load_manifest(manifest_path)
+    entries = sorted(manifest, key=lambda e: e.track_id)
+    for e in entries:
+        if getattr(e, field) is None:
+            raise InputError(f"entry {e.track_id!r} has no {field} path")
+    paths = [str(manifest.resolve(getattr(e, field))) for e in entries]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            rows = list(pool.map(row_fn, paths))
+    else:
+        rows = [row_fn(p) for p in paths]
+    return [e.label for e in entries], rows
+
+
+# dims of one track's audio features; mfcc and chroma are the mean and std
+# of 13 coefficients and 12 pitch classes
+_AUDIO_DIMS = {**audio.TRACK_FEATURE_DIMS, "mfcc": 26, "chroma": 24}
+
+
 def _audio_feature_vector(wav_path, features):
     clip = avio.read_wav(wav_path)
-    vector, schema = [], []
+    vector = []
     track = None
     for name in features:
         if name in audio.TRACK_FEATURE_DIMS:
             if track is None:
                 track = audio.track_features(clip)
-            values = track[name]
+            vector.append(track[name])
         elif name == "mfcc":
             frames = audio.mfcc(audio.resample(clip))
-            values = aggregate.moments(frames, ("mean", "std"))
+            vector.append(aggregate.moments(frames, ("mean", "std")))
         elif name == "chroma":
             frames, _ = audio.chroma(audio.resample(clip))
-            values = aggregate.moments(frames, ("mean", "std"))
-        vector.append(values)
-        schema.extend(f"{name}_{i}" for i in range(values.size))
-    return np.concatenate(vector), schema
-
-
-def _audio_worker(task):
-    track_id, label, wav_path, features = task
-    vector, schema = _audio_feature_vector(wav_path, features)
-    return track_id, label, vector, schema
+            vector.append(aggregate.moments(frames, ("mean", "std")))
+    return np.concatenate(vector)
 
 
 def _visual_feature_vector(frames_path, features, fps, lfp_preset,
@@ -90,24 +132,26 @@ def _visual_feature_vector(frames_path, features, fps, lfp_preset,
     matrices, lfp_pattern = visual.extract_video_features(
         stream, features, fps=stream.fps, lfp_preset=lfp_preset,
         crop_letterbox=crop_letterbox)
-
-    vector, schema = [], []
-    for name in features:
-        if name == "lfp":
-            values = visual.lfp_feature(lfp_pattern, lfp_preset)
-            vector.append(values)
-            schema.extend(f"lfp_{i}" for i in range(values.size))
-        else:
-            agg = aggregate.moments(matrices[name], aggregate.VISUAL_MOMENTS)
-            vector.append(agg)
-            schema.extend(
-                f"{name}_{d}_{m}"
-                for d in range(matrices[name].shape[1])
-                for m in aggregate.VISUAL_MOMENTS)
     if dump_csv is not None:
         _dump_frame_features(dump_csv, matrices,
                              [f for f in features if f != "lfp"])
-    return np.concatenate(vector), schema
+    return np.concatenate([
+        visual.lfp_feature(lfp_pattern, lfp_preset) if name == "lfp"
+        else aggregate.moments(matrices[name], aggregate.VISUAL_MOMENTS)
+        for name in features])
+
+
+def _visual_schema(features, lfp_preset):
+    schema = []
+    for name in features:
+        if name == "lfp":
+            dims = visual.LFP_PRESET_DIMS[lfp_preset]
+            schema.extend(f"lfp_{i}" for i in range(dims))
+        else:
+            dims = visual.FRAME_FEATURE_DIMS[name]
+            schema.extend(aggregate.moment_schema(
+                [f"{name}_{d}" for d in range(dims)], aggregate.VISUAL_MOMENTS))
+    return schema
 
 
 def _dump_frame_features(path, matrices, features):
@@ -125,105 +169,59 @@ def _dump_frame_features(path, matrices, features):
             writer.writerow(row)
 
 
-def _visual_worker(task):
-    track_id, label, frames_path, features, fps, preset, crop = task
-    vector, schema = _visual_feature_vector(frames_path, features, fps,
-                                            preset, crop)
-    return track_id, label, vector, schema
+def _segment_vector(wav_path, preset):
+    bundle = aggregate.segment_bundle_from_audio(avio.read_wav(wav_path))
+    return aggregate.preset(bundle, preset)
 
 
-def _run_tasks(worker, tasks, jobs):
-    if jobs <= 1:
-        results = [worker(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, tasks))
-    results.sort(key=lambda r: r[0])  # deterministic order by track id
-    return results
+def _concept_vector(scores_path, vocab, spec):
+    seq = concepts.read_concept_scores(scores_path, vocab)
+    return concepts.aggregate_concepts(seq, spec)
 
 
-def _dataset_from_results(results):
-    schema = results[0][3]
-    matrix = np.array([r[2] for r in results])
-    labels = [r[1] for r in results]
-    return ml.LabeledDataset(matrix, labels, schema)
+def _concept_means(scores_path, vocab):
+    return concepts.read_concept_scores(scores_path, vocab).rows.mean(axis=0)
 
 
 def cmd_extract_audio(args):
     features = _parse_feature_list(args.features, AUDIO_FEATURES)
-    out = Path(args.out)
-    if args.manifest:
-        manifest = avio.load_manifest(args.manifest)
-        tasks = []
-        for e in manifest:
-            if e.audio is None:
-                raise InputError(f"entry {e.track_id!r} has no audio path")
-            tasks.append((e.track_id, e.label, str(manifest.resolve(e.audio)),
-                          features))
-        results = _run_tasks(_audio_worker, tasks, args.jobs)
-        dataset = _dataset_from_results(results)
-    else:
-        vector, schema = _audio_feature_vector(args.wav, features)
-        dataset = ml.LabeledDataset(vector[None, :], [args.label], schema)
-    avio.write_arff(dataset, args.relation, out)
-    write_run_config(out.parent, "extract-audio", args)
-    print(f"wrote {dataset.n} x {len(dataset.schema)} features to {out}")
+    labels, rows = _source_rows(
+        args.manifest, args.wav, args.label, "audio",
+        partial(_audio_feature_vector, features=features), args.jobs)
+    schema = [f"{name}_{i}" for name in features
+              for i in range(_AUDIO_DIMS[name])]
+    dataset = ml.LabeledDataset(np.array(rows), labels, schema)
+    avio.write_arff(dataset, args.relation, args.out)
+    print(f"wrote {dataset.n} x {len(dataset.schema)} features to {args.out}")
     return 0
 
 
 def cmd_extract_visual(args):
     features = _parse_feature_list(args.features, VISUAL_FEATURES)
-    out = Path(args.out)
-    crop = not args.keep_letterbox
-    if args.manifest:
-        manifest = avio.load_manifest(args.manifest)
-        tasks = []
-        for e in manifest:
-            if e.frames is None:
-                raise InputError(f"entry {e.track_id!r} has no frames path")
-            tasks.append((e.track_id, e.label, str(manifest.resolve(e.frames)),
-                          features, args.fps, args.lfp_preset, crop))
-        results = _run_tasks(_visual_worker, tasks, args.jobs)
-        dataset = _dataset_from_results(results)
-    else:
-        vector, schema = _visual_feature_vector(
-            args.frames, features, args.fps, args.lfp_preset, crop,
-            dump_csv=args.dump_frames)
-        dataset = ml.LabeledDataset(vector[None, :], [args.label], schema)
-    avio.write_arff(dataset, args.relation, out)
-    write_run_config(out.parent, "extract-visual", args)
-    print(f"wrote {dataset.n} x {len(dataset.schema)} features to {out}")
+    row_fn = partial(_visual_feature_vector, features=features, fps=args.fps,
+                     lfp_preset=args.lfp_preset,
+                     crop_letterbox=not args.keep_letterbox,
+                     dump_csv=None if args.manifest else args.dump_frames)
+    labels, rows = _source_rows(args.manifest, args.frames, args.label,
+                                "frames", row_fn, args.jobs)
+    dataset = ml.LabeledDataset(np.array(rows), labels,
+                                _visual_schema(features, args.lfp_preset))
+    avio.write_arff(dataset, args.relation, args.out)
+    print(f"wrote {dataset.n} x {len(dataset.schema)} features to {args.out}")
     return 0
 
 
 def cmd_aggregate(args):
-    out = Path(args.out)
     preset = args.preset.upper()
     if preset not in aggregate.PRESET_DIMS:
         raise InputError(f"unknown preset {args.preset!r}")
-
-    def vector_for(wav_path):
-        clip = avio.read_wav(wav_path)
-        bundle = aggregate.segment_bundle_from_audio(clip)
-        return aggregate.preset(bundle, preset)
-
-    if args.manifest:
-        manifest = avio.load_manifest(args.manifest)
-        rows, labels = [], []
-        for e in sorted(manifest, key=lambda e: e.track_id):
-            if e.audio is None:
-                raise InputError(f"entry {e.track_id!r} has no audio path")
-            rows.append(vector_for(str(manifest.resolve(e.audio))))
-            labels.append(e.label)
-        matrix = np.array(rows)
-    else:
-        matrix = vector_for(args.wav)[None, :]
-        labels = [args.label]
-    schema = [f"{preset.lower()}_{i}" for i in range(matrix.shape[1])]
-    avio.write_arff(ml.LabeledDataset(matrix, labels, schema),
-                    args.relation, out)
-    write_run_config(out.parent, "aggregate", args)
-    print(f"wrote {preset} vectors ({matrix.shape[1]} dims) to {out}")
+    labels, rows = _source_rows(args.manifest, args.wav, args.label, "audio",
+                                partial(_segment_vector, preset=preset))
+    schema = [f"{preset.lower()}_{i}"
+              for i in range(aggregate.PRESET_DIMS[preset])]
+    avio.write_arff(ml.LabeledDataset(np.array(rows), labels, schema),
+                    args.relation, args.out)
+    print(f"wrote {preset} vectors ({len(schema)} dims) to {args.out}")
     return 0
 
 
@@ -232,28 +230,14 @@ def cmd_ingest_concepts(args):
     spec = args.moments.lower()
     if spec not in concepts.CONCEPT_PRESETS:
         spec = tuple(m.strip() for m in args.moments.split(",") if m.strip())
-    out = Path(args.out)
-    if args.manifest:
-        manifest = avio.load_manifest(args.manifest)
-        rows, labels = [], []
-        for e in sorted(manifest, key=lambda e: e.track_id):
-            if e.concepts is None:
-                raise InputError(f"entry {e.track_id!r} has no concepts path")
-            seq = concepts.read_concept_scores(
-                manifest.resolve(e.concepts), vocab)
-            rows.append(concepts.aggregate_concepts(seq, spec))
-            labels.append(e.label)
-        matrix = np.array(rows)
-    else:
-        seq = concepts.read_concept_scores(args.scores, vocab)
-        matrix = concepts.aggregate_concepts(seq, spec)[None, :]
-        labels = [args.label]
-    schema = concepts.concept_schema(vocab, spec)
-    avio.write_arff(ml.LabeledDataset(matrix, labels, schema),
-                    args.relation, out)
-    write_run_config(out.parent, "ingest-concepts", args)
-    print(f"wrote {matrix.shape[0]} x {matrix.shape[1]} concept features "
-          f"to {out}")
+    labels, rows = _source_rows(
+        args.manifest, args.scores, args.label, "concepts",
+        partial(_concept_vector, vocab=vocab, spec=spec))
+    dataset = ml.LabeledDataset(np.array(rows), labels,
+                                concepts.concept_schema(vocab, spec))
+    avio.write_arff(dataset, args.relation, args.out)
+    print(f"wrote {dataset.n} x {len(dataset.schema)} concept features "
+          f"to {args.out}")
     return 0
 
 
@@ -266,11 +250,9 @@ def cmd_fuse(args):
             name, path = Path(item).stem, item
         parts.append((name, avio.read_arff(path)))
     fused = ml.early_fuse(parts)
-    out = Path(args.out)
-    avio.write_arff(fused, args.relation, out)
-    write_run_config(out.parent, "fuse", args)
+    avio.write_arff(fused, args.relation, args.out)
     print(f"fused {len(parts)} parts into {fused.matrix.shape[1]} columns "
-          f"at {out}")
+          f"at {args.out}")
     return 0
 
 
@@ -321,7 +303,6 @@ def cmd_crossval(args):
         writer.writerow(["truth\\pred"] + result.classes)
         for label, row in zip(result.classes, result.confusion):
             writer.writerow([label] + [int(v) for v in row])
-    write_run_config(out_dir, "crossval", args)
 
     print(f"{args.clf}: mean accuracy {result.mean_accuracy:.4f} "
           f"(std {result.std_accuracy:.4f}) over "
@@ -383,7 +364,6 @@ def cmd_ensemble(args):
         "confidences": [[m.confidence for m in mod] for mod in modalities],
         "classes": classes,
     })
-    write_run_config(out_dir, "ensemble", args)
     print(f"ensemble accuracy {accuracy:.4f} on {len(test_idx)} held-out "
           f"rows ({len(datasets)} modalities x {args.n} members)")
     return 0
@@ -416,7 +396,6 @@ def cmd_faces(args):
                             "penalized": board.penalized[lb]}
                        for lb in sorted(board.counts)},
     })
-    write_run_config(out_dir, "faces", args)
     print(f"identified {board.winner} from {len(predictions)} probes")
     return 0
 
@@ -426,39 +405,27 @@ def cmd_salience(args):
     exclusions = set()
     if args.exclude:
         exclusions = set(concepts.read_vocabulary(args.exclude))
-    manifest = avio.load_manifest(args.manifest)
-
-    sums = {}
-    counts = {}
-    for e in manifest:
-        if e.concepts is None:
-            raise InputError(f"entry {e.track_id!r} has no concepts path")
-        seq = concepts.read_concept_scores(manifest.resolve(e.concepts), vocab)
-        mean = seq.rows.mean(axis=0)
-        if e.label not in sums:
-            sums[e.label] = np.zeros(len(vocab))
-            counts[e.label] = 0
-        sums[e.label] += mean
-        counts[e.label] += 1
+    labels, means = _source_rows(args.manifest, None, None, "concepts",
+                                 partial(_concept_means, vocab=vocab))
+    sums, counts = {}, {}
+    for label, mean in zip(labels, means):
+        sums[label] = sums.get(label, 0.0) + mean
+        counts[label] = counts.get(label, 0) + 1
 
     class_freqs = {lb: (vocab, sums[lb] / counts[lb]) for lb in sorted(sums)}
     ranked = concepts.salient_concepts(class_freqs, exclusions)
-    out = Path(args.out)
-    write_json(out, {lb: [[name, score] for name, score in rows[:args.top]]
-                     for lb, rows in ranked.items()})
-    write_run_config(out.parent, "salience", args)
+    write_json(args.out, {lb: [[name, score] for name, score in rows[:args.top]]
+                          for lb, rows in ranked.items()})
     print(f"ranked {len(vocab) - len(exclusions)} concepts for "
-          f"{len(class_freqs)} classes into {out}")
+          f"{len(class_freqs)} classes into {args.out}")
     return 0
 
 
 def cmd_meancolorbar(args):
     stream = avio.read_frames(args.frames, fps=args.fps)
     bar = shotviz.mean_color_bar(stream, resample_height=args.height)
-    out = Path(args.out)
-    avio.write_ppm(out, bar.columns)
-    write_run_config(out.parent, "meancolorbar", args)
-    print(f"wrote {bar.columns.shape[1]}-column mean-color bar to {out}")
+    avio.write_ppm(args.out, bar.columns)
+    print(f"wrote {bar.columns.shape[1]}-column mean-color bar to {args.out}")
     return 0
 
 
@@ -467,11 +434,9 @@ def cmd_cutscan(args):
     profile = shotviz.frame_activity(stream, args.metric)
     boundaries = shotviz.naive_cut_detect(profile, window=args.window,
                                           kappa=args.kappa)
-    out = Path(args.out)
-    write_json(out, {"metric": args.metric, "window": args.window,
-                     "kappa": args.kappa, "boundaries": boundaries})
-    write_run_config(out.parent, "cutscan", args)
-    print(f"{len(boundaries)} candidate cuts -> {out}")
+    write_json(args.out, {"metric": args.metric, "window": args.window,
+                          "kappa": args.kappa, "boundaries": boundaries})
+    print(f"{len(boundaries)} candidate cuts -> {args.out}")
     return 0
 
 
@@ -483,7 +448,6 @@ def cmd_splits(args):
     train, test = avio.make_splits(manifest, spec)
     avio.write_id_list(args.out_train, train)
     avio.write_id_list(args.out_test, test)
-    write_run_config(Path(args.out_train).parent, "splits", args)
     print(f"split {len(train)} train / {len(test)} test ids")
     return 0
 
@@ -515,10 +479,8 @@ def cmd_arff_export(args):
     if not rows:
         raise InputError(f"{args.csv}: no data rows")
     dataset = ml.LabeledDataset(np.array(rows), labels, schema)
-    out = Path(args.out)
-    avio.write_arff(dataset, args.relation, out)
-    write_run_config(out.parent, "arff-export", args)
-    print(f"exported {dataset.n} rows to {out}")
+    avio.write_arff(dataset, args.relation, args.out)
+    print(f"exported {dataset.n} rows to {args.out}")
     return 0
 
 
@@ -683,7 +645,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        if status == 0:
+            write_run_config(_run_dir(args), args.command, args)
+        return status
     except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

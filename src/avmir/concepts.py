@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, aggregate
 from .errors import InputError
 
 CONCEPT_PRESETS = {
@@ -56,52 +56,27 @@ class ArtistScoreBoard:
     winner: str
 
 
-def _concept_moment(rows, name):
-    if name == "mean":
-        return rows.mean(axis=0)
-    if name == "median":
-        return np.median(rows, axis=0)
-    if name == "min":
-        return rows.min(axis=0)
-    if name == "max":
-        return rows.max(axis=0)
-    if name == "std":
-        return rows.std(axis=0)
-    if name == "variance":
-        return rows.var(axis=0)
-    if name in ("skewness", "kurtosis"):
-        # concept scores live in [0, 1]; magnitude normalization only has to
-        # guard the rounding-level-spread convention (skew = kurt = 0)
-        mean = rows.mean(axis=0)
-        sd = rows.std(axis=0)
-        degenerate = sd <= np.abs(rows).max(axis=0) * 1e-12
-        z = np.where(degenerate, 0.0,
-                     (rows - mean) / np.where(degenerate, 1.0, sd))
-        return (z ** (3 if name == "skewness" else 4)).mean(axis=0)
-    raise ValueError(f"unknown concept moment: {name!r}")
-
-
 def aggregate_concepts(seq, spec=("max", "mean")):
     """Aggregate a concept-score sequence into a fixed vector.
 
-    spec is an ordered subset of the statistical moments (or one of the
-    preset names in CONCEPT_PRESETS); the output is block-major, one block
-    of vocabulary-size values per moment.
+    spec is an ordered subset of CONCEPT_MOMENTS (or one of the preset
+    names in CONCEPT_PRESETS); the moments follow the aggregate module's
+    convention.  The output is block-major, one block of vocabulary-size
+    values per moment.
     """
     if isinstance(spec, str):
         try:
             spec = CONCEPT_PRESETS[spec.lower()]
         except KeyError:
             raise ValueError(f"unknown concept preset: {spec!r}") from None
-    spec = tuple(spec)
-    if not spec or len(set(spec)) != len(spec):
-        raise ValueError("moment spec must be non-empty without duplicates")
+    spec = aggregate.validate_moment_spec(spec)
     unknown = set(spec) - set(CONCEPT_MOMENTS)
     if unknown:
         raise ValueError(f"unknown moments: {sorted(unknown)}")
     if seq.rows.shape[0] == 0:
         raise ValueError("empty concept sequence")
-    return np.concatenate([_concept_moment(seq.rows, name) for name in spec])
+    cols = aggregate._moment_columns(seq.rows, spec)
+    return np.concatenate([cols[name] for name in spec])
 
 
 def concept_schema(vocabulary, spec):
@@ -257,7 +232,11 @@ def read_concept_scores(path, vocabulary):
                 if ln == 1:
                     continue  # header
                 raise InputError(f"{path}:{ln}: non-numeric frame index")
-            values = [float(c) for c in cells[1:]]
+            try:
+                values = [float(c) for c in cells[1:]]
+            except ValueError:
+                raise InputError(
+                    f"{path}:{ln}: non-numeric concept score") from None
             if len(values) != len(vocabulary):
                 raise InputError(
                     f"{path}:{ln}: expected {len(vocabulary)} scores, "

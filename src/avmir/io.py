@@ -145,9 +145,15 @@ def _read_raw_stream(path):
     header = fh.readline()
     try:
         meta = json.loads(header.decode("ascii"))
+        if not isinstance(meta, dict):
+            raise ValueError("not a JSON object")
         width, height = int(meta["width"]), int(meta["height"])
         fps = float(meta.get("fps", 25.0))
-    except (ValueError, KeyError) as exc:
+        if width < 1 or height < 1:
+            raise ValueError(f"frame size {width}x{height} is not positive")
+        if not (np.isfinite(fps) and fps > 0):
+            raise ValueError(f"fps {fps} is not finite and positive")
+    except (ValueError, KeyError, TypeError) as exc:
         fh.close()
         raise InputError(f"bad raw-stream preamble in {path}: {exc}") from None
     frame_bytes = width * height * 3
@@ -205,7 +211,11 @@ def _read_pnm_header(data, path, magic):
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
-        fields.append(int(data[start:pos]))
+        try:
+            fields.append(int(data[start:pos]))
+        except ValueError:
+            raise InputError(f"{path}: truncated or malformed {magic.decode()} "
+                             f"header at byte {start}") from None
     return fields, pos + 1  # single whitespace after maxval
 
 
@@ -310,7 +320,10 @@ def read_arff(path):
                     body = line[len("@ATTRIBUTE"):].strip()
                     if body.startswith(("'", '"')):
                         quote = body[0]
-                        end = body.index(quote, 1)
+                        end = body.find(quote, 1)
+                        if end < 0:
+                            raise ArffFormatError(
+                                "unterminated quoted attribute name", ln)
                         name, rest = body[1:end], body[end + 1:].strip()
                     else:
                         parts = body.split(None, 1)
@@ -398,11 +411,15 @@ def load_manifest(path, check_paths=True):
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict) or "entries" not in raw:
         raise InputError(f"{path}: manifest must be an object with 'entries'")
+    if not isinstance(raw["entries"], list):
+        raise InputError(f"{path}: 'entries' must be a list")
 
     base = path.parent
     entries = []
     seen = set()
     for i, item in enumerate(raw["entries"]):
+        if not isinstance(item, dict):
+            raise InputError(f"{path}: entry {i} is not an object")
         try:
             entry = ManifestEntry(track_id=str(item["track_id"]),
                                   label=str(item["label"]),

@@ -335,3 +335,69 @@ class TestExitCodes:
         assert run("extract-audio", "--manifest", workspace / "manifest.json",
                    "--features", "rh", "--jobs", "2", "--out", parallel) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+
+class TestManifestRunner:
+    def test_rows_follow_track_ids_not_manifest_order(self, workspace):
+        entries = json.loads((workspace / "manifest.json").read_text())
+        shuffled = workspace / "shuffled.json"
+        # rock1, pop0, rock2, pop2, rock0, pop1: summing the class means in
+        # this order would move the last bits of the salience scores
+        shuffled.write_text(json.dumps({"entries": [
+            entries["entries"][i] for i in (1, 3, 2, 5, 0, 4)]}))
+        outputs = []
+        for manifest in (workspace / "manifest.json", shuffled):
+            out = workspace / manifest.stem
+            out.mkdir()
+            assert run("aggregate", "--manifest", manifest,
+                       "--out", out / "ten.arff") == 0
+            assert run("ingest-concepts", "--manifest", manifest,
+                       "--vocab", workspace / "vocab.txt",
+                       "--moments", "max,std,skewness",
+                       "--out", out / "concepts.arff") == 0
+            assert run("salience", "--manifest", manifest,
+                       "--vocab", workspace / "vocab.txt",
+                       "--out", out / "salience.json") == 0
+            outputs.append([(out / name).read_bytes() for name in
+                            ("ten.arff", "concepts.arff", "salience.json")])
+        assert outputs[0] == outputs[1]
+        labels = avio.read_arff(workspace / "shuffled" / "ten.arff").labels
+        assert labels == ["pop"] * 3 + ["rock"] * 3
+
+    @pytest.mark.parametrize("argv", [
+        ("extract-audio", "--features", "rh,tssd,mfcc,chroma",
+         "--wav", "rock1.wav"),
+        ("extract-visual", "--features", "gev,ic,lfp",
+         "--frames", "rock1.rgb"),
+        ("aggregate", "--preset", "EN4", "--wav", "rock1.wav"),
+        ("ingest-concepts", "--vocab", "vocab.txt",
+         "--moments", "variance,kurtosis", "--scores", "rock1.csv"),
+    ], ids=lambda argv: argv[0])
+    def test_single_source_row_equals_manifest_row(self, workspace,
+                                                   monkeypatch, argv):
+        monkeypatch.chdir(workspace)
+        *options, flag, source = argv
+        assert run(*options, "--manifest", "manifest.json",
+                   "--out", "many.arff") == 0
+        assert run(*options, flag, source, "--label", "rock",
+                   "--out", "one.arff") == 0
+        assert avio.read_arff("one.arff").schema == \
+            avio.read_arff("many.arff").schema
+        # track-id order is pop0..pop2, rock0..rock2: rock1 is row 5 of 6
+        one = (workspace / "one.arff").read_text().splitlines()
+        many = (workspace / "many.arff").read_text().splitlines()
+        assert one[-1] == many[-2]
+
+    def test_entries_checked_before_any_row(self, workspace, monkeypatch,
+                                            capsys):
+        manifest = json.loads((workspace / "manifest.json").read_text())
+        del manifest["entries"][2]["audio"]           # rock2, last by id
+        (workspace / "gap.json").write_text(json.dumps(manifest))
+
+        def no_rows(path):
+            raise AssertionError(f"computed a row for {path}")
+
+        monkeypatch.setattr(avio, "read_wav", no_rows)
+        assert run("aggregate", "--manifest", workspace / "gap.json",
+                   "--out", workspace / "ten.arff") == 2
+        assert "'rock2' has no audio path" in capsys.readouterr().err

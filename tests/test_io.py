@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from avmir import concepts
 from avmir import io as avio
 from avmir.audio import AudioClip
 from avmir.errors import ArffFormatError, InputError, WavFormatError
@@ -113,6 +114,22 @@ class TestFrameStreams:
         np.testing.assert_array_equal(got[0], a)
         np.testing.assert_array_equal(got[1], b)
 
+    @pytest.mark.parametrize("preamble", [
+        "[1, 2]",
+        '{"width": -2, "height": 2}',
+        '{"width": 2, "height": 0}',
+        '{"width": 2, "height": 2, "fps": NaN}',
+        '{"width": 2, "height": 2, "fps": Infinity}',
+        '{"width": 2, "height": 2, "fps": 0}',
+        '{"width": 2, "height": 2, "fps": -25}',
+    ])
+    def test_bad_preamble_names_file(self, tmp_path, preamble):
+        path = tmp_path / "bad.rgb"
+        path.write_bytes(preamble.encode() + b"\n" + bytes(12 * 3))
+        with pytest.raises(InputError, match="preamble") as err:
+            avio.read_frames(path)
+        assert str(path) in str(err.value)
+
     def test_pgm_roundtrip(self, tmp_path, rng):
         img = rng.integers(0, 256, size=(9, 7), dtype=np.uint8)
         avio.write_pgm(tmp_path / "x.pgm", img)
@@ -199,6 +216,42 @@ class TestManifest:
         ]}))
         with pytest.raises(InputError, match="missing"):
             avio.load_manifest(path)
+
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"entries": 5}, "'entries' must be a list"),
+        ({"entries": "a"}, "'entries' must be a list"),
+        ({"entries": {"track_id": "a"}}, "'entries' must be a list"),
+        ({"entries": [1, 2]}, "entry 0 is not an object"),
+        ({"entries": [{"track_id": "a", "label": "x"}, ["b"]]},
+         "entry 1 is not an object"),
+    ])
+    def test_malformed_shape_names_file_and_entry(self, tmp_path, payload,
+                                                 message):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InputError, match=message) as err:
+            avio.load_manifest(path)
+        assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("name, blob, reader, error, location", [
+    ("quote.arff", b"@RELATION x\n@ATTRIBUTE 'f0 NUMERIC\n@DATA\n",
+     avio.read_arff, ArffFormatError, "(line 2)"),
+    ("short.ppm", b"P6\n4 4\n", avio.read_ppm, InputError, "short.ppm"),
+    ("short.pgm", b"P5\n4 # comment to the end", avio.read_pgm, InputError,
+     "short.pgm"),
+    ("scores.csv", b"frame_index,a,b\n0,0.5,0.5\n1,0.5,high\n",
+     lambda p: concepts.read_concept_scores(p, ["a", "b"]), InputError,
+     "scores.csv:3"),
+], ids=["arff-quoted-name", "ppm-header", "pgm-header", "concept-score"])
+def test_parse_errors_are_located(tmp_path, name, blob, reader, error,
+                                  location):
+    path = tmp_path / name
+    path.write_bytes(blob)
+    with pytest.raises(error) as err:
+        reader(path)
+    assert location in str(err.value)
 
 
 class TestMakeSplits:
