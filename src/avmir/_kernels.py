@@ -1,41 +1,17 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels: LBP codes, CLAHE, ordered dithering and the exact
+earth mover's distance.
 
-Every kernel exists twice: a loop version compiled with numba's @njit and a
-vectorized pure-numpy version.  The active backend is chosen at import time;
-set AVMIR_PURE_NUMPY=1 to force the numpy path (or it is used automatically
-when numba is not installed).  Both variants of a kernel compute bit-identical
-results; tests/test_kernels.py asserts the parity and benchmarks/bench_kernels.py
-compares their speed.
-
-The min-cost-flow solver for the earth mover's distance has no vectorized
-form; its "numpy" fallback is the same loop code running uncompiled, which is
-slow but correct.
+LBP, CLAHE interpolation and dithering are vectorized numpy.  The per-pixel
+loops they replace live in tests/test_kernels.py as reference oracles, and
+the kernel tests require equal results from both.  The earth mover's
+distance is a successive-shortest-path min-cost-flow solver running as a
+plain Python loop; tests check it against scipy's LP solver.
 """
-
-import os
 
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("AVMIR_PURE_NUMPY", "").strip() not in ("", "0")
-
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _FORCE_NUMPY = True
-
-NUMBA_ENABLED = not _FORCE_NUMPY
-
-if not NUMBA_ENABLED:
-    def njit(*args, **kwargs):
-        # identity decorator so the loop kernels stay importable without numba
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+# perfbench/passes.py reports the backend from this flag; numpy is the only one
+NUMBA_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
@@ -47,26 +23,10 @@ _LBP_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, 1),
                 (1, 1), (1, 0), (1, -1), (0, -1))
 
 
-@njit(cache=True)
-def _lbp_codes_loop(gray):
-    h, w = gray.shape
-    codes = np.zeros((h, w), dtype=np.uint8)
-    for y in range(h):
-        for x in range(w):
-            c = gray[y, x]
-            code = 0
-            for k in range(8):
-                dy, dx = _LBP_OFFSETS[k]
-                ny = min(max(y + dy, 0), h - 1)
-                nx = min(max(x + dx, 0), w - 1)
-                code = code << 1
-                if gray[ny, nx] >= c:
-                    code |= 1
-            codes[y, x] = code
-    return codes
-
-
-def _lbp_codes_numpy(gray):
+def lbp_codes(gray):
+    """8-bit LBP code per pixel (neighbor >= center sets the bit, clockwise
+    from top-left, borders edge-replicated)."""
+    gray = np.ascontiguousarray(gray, dtype=np.int32)
     padded = np.pad(gray, 1, mode="edge")
     h, w = gray.shape
     codes = np.zeros((h, w), dtype=np.uint8)
@@ -76,21 +36,16 @@ def _lbp_codes_numpy(gray):
     return codes
 
 
-def lbp_codes(gray):
-    """8-bit LBP code per pixel (neighbor >= center sets the bit, clockwise
-    from top-left, borders edge-replicated)."""
-    gray = np.ascontiguousarray(gray, dtype=np.int32)
-    if NUMBA_ENABLED:
-        return _lbp_codes_loop(gray)
-    return _lbp_codes_numpy(gray)
-
-
 # ---------------------------------------------------------------------------
 # CLAHE
 # ---------------------------------------------------------------------------
 
 def _clahe_maps(img, n_ty, n_tx, tile_h, tile_w, clip_limit):
-    """Per-tile 256-entry lookup tables from clipped, equalized histograms."""
+    """Per-tile 256-entry lookup tables from clipped, equalized histograms.
+
+    Levels below a tile's first occupied bin map to 0, so blending with a
+    neighboring tile never yields a negative value.
+    """
     h, w = img.shape
     maps = np.zeros((n_ty, n_tx, 256), dtype=np.float64)
     for ty in range(n_ty):
@@ -112,43 +67,21 @@ def _clahe_maps(img, n_ty, n_tx, tile_h, tile_w, clip_limit):
                 hist = np.minimum(hist, limit) + excess / 256.0
             cdf = np.cumsum(hist) / hist.sum()
             cdf_min = cdf[np.nonzero(hist)[0][0]]
-            maps[ty, tx] = (cdf - cdf_min) / (1.0 - cdf_min) * 255.0
+            maps[ty, tx] = (np.maximum(cdf - cdf_min, 0.0) / (1.0 - cdf_min)
+                            * 255.0)
     return maps
 
 
-@njit(cache=True)
-def _clahe_interp_loop(img, maps, n_ty, n_tx, tile_h, tile_w):
+def clahe_u8(img, tile_w, tile_h, clip_limit):
+    """Contrast-limited adaptive histogram equalization of a uint8 raster."""
+    img = np.ascontiguousarray(img, dtype=np.uint8)
     h, w = img.shape
-    out = np.empty((h, w), dtype=np.uint8)
-    for y in range(h):
-        fy = (y + 0.5) / tile_h - 0.5
-        ty0 = int(np.floor(fy))
-        wy = fy - ty0
-        if ty0 < 0:
-            ty0, wy = 0, 0.0
-        ty1 = ty0 + 1
-        if ty1 >= n_ty:
-            ty1, wy = n_ty - 1, 0.0 if ty0 == n_ty - 1 else wy
-        for x in range(w):
-            fx = (x + 0.5) / tile_w - 0.5
-            tx0 = int(np.floor(fx))
-            wx = fx - tx0
-            if tx0 < 0:
-                tx0, wx = 0, 0.0
-            tx1 = tx0 + 1
-            if tx1 >= n_tx:
-                tx1, wx = n_tx - 1, 0.0 if tx0 == n_tx - 1 else wx
-            v = img[y, x]
-            m = ((1.0 - wy) * (1.0 - wx) * maps[ty0, tx0, v]
-                 + (1.0 - wy) * wx * maps[ty0, tx1, v]
-                 + wy * (1.0 - wx) * maps[ty1, tx0, v]
-                 + wy * wx * maps[ty1, tx1, v])
-            out[y, x] = np.uint8(int(m + 0.5))
-    return out
+    tile_h = min(tile_h, h)
+    tile_w = min(tile_w, w)
+    n_ty = (h + tile_h - 1) // tile_h
+    n_tx = (w + tile_w - 1) // tile_w
+    maps = _clahe_maps(img, n_ty, n_tx, tile_h, tile_w, clip_limit)
 
-
-def _clahe_interp_numpy(img, maps, n_ty, n_tx, tile_h, tile_w):
-    h, w = img.shape
     fy = (np.arange(h) + 0.5) / tile_h - 0.5
     ty0 = np.floor(fy).astype(np.int64)
     wy = fy - ty0
@@ -179,59 +112,9 @@ def _clahe_interp_numpy(img, maps, n_ty, n_tx, tile_h, tile_w):
     return np.floor(m + 0.5).astype(np.uint8)
 
 
-def clahe_u8(img, tile_w, tile_h, clip_limit):
-    """Contrast-limited adaptive histogram equalization of a uint8 raster."""
-    img = np.ascontiguousarray(img, dtype=np.uint8)
-    h, w = img.shape
-    tile_h = min(tile_h, h)
-    tile_w = min(tile_w, w)
-    n_ty = (h + tile_h - 1) // tile_h
-    n_tx = (w + tile_w - 1) // tile_w
-    maps = _clahe_maps(img, n_ty, n_tx, tile_h, tile_w, clip_limit)
-    if NUMBA_ENABLED:
-        return _clahe_interp_loop(img, maps, n_ty, n_tx, tile_h, tile_w)
-    return _clahe_interp_numpy(img, maps, n_ty, n_tx, tile_h, tile_w)
-
-
 # ---------------------------------------------------------------------------
 # ordered dithering
 # ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _dither_loop(rgb, palette, tmap, spread):
-    h, w, _ = rgb.shape
-    n = tmap.shape[0]
-    p = palette.shape[0]
-    out = np.empty((h, w), dtype=np.int32)
-    for y in range(h):
-        for x in range(w):
-            off = spread * (tmap[y % n, x % n] - 0.5)
-            r = rgb[y, x, 0] + off
-            g = rgb[y, x, 1] + off
-            b = rgb[y, x, 2] + off
-            best = 0
-            best_d = (r - palette[0, 0]) ** 2 + (g - palette[0, 1]) ** 2 \
-                + (b - palette[0, 2]) ** 2
-            for k in range(1, p):
-                d = (r - palette[k, 0]) ** 2 + (g - palette[k, 1]) ** 2 \
-                    + (b - palette[k, 2]) ** 2
-                if d < best_d:
-                    best_d = d
-                    best = k
-            out[y, x] = best
-    return out
-
-
-def _dither_numpy(rgb, palette, tmap, spread):
-    h, w, _ = rgb.shape
-    n = tmap.shape[0]
-    reps = ((h + n - 1) // n, (w + n - 1) // n)
-    tiled = np.tile(tmap, reps)[:h, :w]
-    perturbed = rgb + (spread * (tiled - 0.5))[:, :, None]
-    diff = perturbed[:, :, None, :] - palette[None, None, :, :]
-    dist = (diff ** 2).sum(axis=-1)
-    return dist.argmin(axis=-1).astype(np.int32)
-
 
 def dither_indices(rgb, palette, tmap, spread):
     """Ordered-dither quantization: per-pixel threshold offset, then nearest
@@ -239,16 +122,20 @@ def dither_indices(rgb, palette, tmap, spread):
     rgb = np.ascontiguousarray(rgb, dtype=np.float64)
     palette = np.ascontiguousarray(palette, dtype=np.float64)
     tmap = np.ascontiguousarray(tmap, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _dither_loop(rgb, palette, tmap, float(spread))
-    return _dither_numpy(rgb, palette, tmap, float(spread))
+    h, w, _ = rgb.shape
+    n = tmap.shape[0]
+    reps = ((h + n - 1) // n, (w + n - 1) // n)
+    tiled = np.tile(tmap, reps)[:h, :w]
+    perturbed = rgb + (float(spread) * (tiled - 0.5))[:, :, None]
+    diff = perturbed[:, :, None, :] - palette[None, None, :, :]
+    dist = (diff ** 2).sum(axis=-1)
+    return dist.argmin(axis=-1).astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
 # earth mover's distance (transportation problem)
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
 def _emd_ssp(supply, demand, cost):
     """Exact EMD by successive shortest augmenting paths with potentials.
 

@@ -219,18 +219,27 @@ def _read_pnm_header(data, path, magic):
     return fields, pos + 1  # single whitespace after maxval
 
 
-def read_ppm(path):
-    """Binary PPM (P6, maxval 255) -> (H, W, 3) uint8."""
+def _read_pnm(path, magic, channels):
+    """Binary PNM with maxval 255 -> (H, W, channels) uint8."""
     data = Path(path).read_bytes()
-    (w, h, maxval), offset = _read_pnm_header(data, path, b"P6")
+    (w, h, maxval), offset = _read_pnm_header(data, path, magic)
+    for field, value in (("width", w), ("height", h)):
+        if value <= 0:
+            raise InputError(f"{path}: {magic.decode()} {field} must be "
+                             f"positive, got {value}")
     if maxval != 255:
         raise InputError(f"{path}: only maxval 255 supported")
-    need = w * h * 3
+    need = w * h * channels
     payload = data[offset:offset + need]
     if len(payload) != need:
         raise InputError(f"{path}: expected {need} payload bytes, "
                          f"got {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, channels)
+
+
+def read_ppm(path):
+    """Binary PPM (P6, maxval 255) -> (H, W, 3) uint8."""
+    return _read_pnm(path, b"P6", 3)
 
 
 def write_ppm(path, image):
@@ -243,16 +252,7 @@ def write_ppm(path, image):
 
 def read_pgm(path):
     """Binary PGM (P5, maxval 255) -> (H, W) uint8."""
-    data = Path(path).read_bytes()
-    (w, h, maxval), offset = _read_pnm_header(data, path, b"P5")
-    if maxval != 255:
-        raise InputError(f"{path}: only maxval 255 supported")
-    need = w * h
-    payload = data[offset:offset + need]
-    if len(payload) != need:
-        raise InputError(f"{path}: expected {need} payload bytes, "
-                         f"got {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
+    return _read_pnm(path, b"P5", 1)[:, :, 0]
 
 
 def write_pgm(path, image):

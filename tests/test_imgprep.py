@@ -162,6 +162,16 @@ class TestClahe:
         order = np.argsort(raster.ravel(), kind="stable")
         assert np.all(np.diff(out.ravel()[order].astype(int)) >= 0)
 
+    def test_black_stays_black_next_to_a_bright_tile(self, rng):
+        # value 0 lies below every occupied bin of the bright right tile;
+        # blending that tile's map into the left one must not wrap to 255
+        raster = np.empty((22, 44), np.uint8)
+        raster[:, :22] = rng.integers(0, 40, size=(22, 22))
+        raster[:, 22:] = rng.integers(200, 256, size=(22, 22))
+        raster[0, 0] = 0
+        out = imgprep.clahe(raster, tile=(22, 22), clip_limit=0.0)
+        assert set(out[raster == 0].ravel()) == {0}
+
 
 class TestBayer:
     def test_order_two_base_case(self):

@@ -241,10 +241,17 @@ class TestManifest:
     ("short.ppm", b"P6\n4 4\n", avio.read_ppm, InputError, "short.ppm"),
     ("short.pgm", b"P5\n4 # comment to the end", avio.read_pgm, InputError,
      "short.pgm"),
+    ("zero.ppm", b"P6\n0 4\n255\n", avio.read_ppm, InputError,
+     "zero.ppm: P6 width"),
+    ("flat.ppm", b"P6\n4 0\n255\n", avio.read_ppm, InputError,
+     "flat.ppm: P6 height"),
+    ("negative.pgm", b"P5\n-4 4\n255\n" + bytes(16), avio.read_pgm,
+     InputError, "negative.pgm: P5 width"),
     ("scores.csv", b"frame_index,a,b\n0,0.5,0.5\n1,0.5,high\n",
      lambda p: concepts.read_concept_scores(p, ["a", "b"]), InputError,
      "scores.csv:3"),
-], ids=["arff-quoted-name", "ppm-header", "pgm-header", "concept-score"])
+], ids=["arff-quoted-name", "ppm-header", "pgm-header", "ppm-zero-width",
+        "ppm-zero-height", "pgm-negative-width", "concept-score"])
 def test_parse_errors_are_located(tmp_path, name, blob, reader, error,
                                   location):
     path = tmp_path / name

@@ -1,12 +1,18 @@
-"""Backend parity: the numba loop kernels and the vectorized numpy kernels
-must agree, and the EMD solver must match an independent LP oracle."""
+"""Kernel oracles: the vectorized kernels must equal per-pixel loop
+references on rasters of many shapes, and the EMD solver must match an
+independent LP oracle.
+
+The loop references below are the straightforward per-pixel definitions of
+LBP codes, CLAHE interpolation and ordered dithering.  They run as plain
+Python, so the rasters stay small.
+"""
 
 import numpy as np
 import pytest
 
-from avmir import _kernels
-from avmir._kernels import (_clahe_interp_numpy, _clahe_maps, _dither_numpy,
-                            _lbp_codes_numpy, emd)
+from avmir._kernels import (_clahe_maps, clahe_u8, dither_indices, emd,
+                            lbp_codes)
+from avmir.visual import _rgb_cell_centers
 
 
 @pytest.fixture
@@ -14,38 +20,147 @@ def rng():
     return np.random.default_rng(99)
 
 
+# ---------------------------------------------------------------------------
+# per-pixel loop references
+# ---------------------------------------------------------------------------
+
+# neighbor offsets clockwise from top-left; first offset becomes the MSB
+_LBP_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, 1),
+                (1, 1), (1, 0), (1, -1), (0, -1))
+
+
+def _lbp_codes_loop(gray):
+    h, w = gray.shape
+    codes = np.zeros((h, w), dtype=np.uint8)
+    for y in range(h):
+        for x in range(w):
+            c = gray[y, x]
+            code = 0
+            for k in range(8):
+                dy, dx = _LBP_OFFSETS[k]
+                ny = min(max(y + dy, 0), h - 1)
+                nx = min(max(x + dx, 0), w - 1)
+                code = code << 1
+                if gray[ny, nx] >= c:
+                    code |= 1
+            codes[y, x] = code
+    return codes
+
+
+def _clahe_interp_loop(img, maps, n_ty, n_tx, tile_h, tile_w):
+    h, w = img.shape
+    out = np.empty((h, w), dtype=np.uint8)
+    for y in range(h):
+        fy = (y + 0.5) / tile_h - 0.5
+        ty0 = int(np.floor(fy))
+        wy = fy - ty0
+        if ty0 < 0:
+            ty0, wy = 0, 0.0
+        ty1 = ty0 + 1
+        if ty1 >= n_ty:
+            ty1, wy = n_ty - 1, 0.0 if ty0 == n_ty - 1 else wy
+        for x in range(w):
+            fx = (x + 0.5) / tile_w - 0.5
+            tx0 = int(np.floor(fx))
+            wx = fx - tx0
+            if tx0 < 0:
+                tx0, wx = 0, 0.0
+            tx1 = tx0 + 1
+            if tx1 >= n_tx:
+                tx1, wx = n_tx - 1, 0.0 if tx0 == n_tx - 1 else wx
+            v = img[y, x]
+            m = ((1.0 - wy) * (1.0 - wx) * maps[ty0, tx0, v]
+                 + (1.0 - wy) * wx * maps[ty0, tx1, v]
+                 + wy * (1.0 - wx) * maps[ty1, tx0, v]
+                 + wy * wx * maps[ty1, tx1, v])
+            out[y, x] = np.uint8(int(m + 0.5))
+    return out
+
+
+def _dither_loop(rgb, palette, tmap, spread):
+    h, w, _ = rgb.shape
+    n = tmap.shape[0]
+    p = palette.shape[0]
+    out = np.empty((h, w), dtype=np.int32)
+    for y in range(h):
+        for x in range(w):
+            off = spread * (tmap[y % n, x % n] - 0.5)
+            r = rgb[y, x, 0] + off
+            g = rgb[y, x, 1] + off
+            b = rgb[y, x, 2] + off
+            best = 0
+            best_d = (r - palette[0, 0]) ** 2 + (g - palette[0, 1]) ** 2 \
+                + (b - palette[0, 2]) ** 2
+            for k in range(1, p):
+                d = (r - palette[k, 0]) ** 2 + (g - palette[k, 1]) ** 2 \
+                    + (b - palette[k, 2]) ** 2
+                if d < best_d:
+                    best_d = d
+                    best = k
+            out[y, x] = best
+    return out
+
+
+# ---------------------------------------------------------------------------
+# vectorized kernels against the loop references
+# ---------------------------------------------------------------------------
+
+# (height, width): smaller than a tile or threshold map, not a multiple of
+# one, a single pixel, single rows and columns
+_SHAPES = [(37, 41), (33, 17), (3, 5), (1, 1), (1, 9), (9, 1), (2, 2)]
+
+
 def test_lbp_backends_agree(rng):
-    img = rng.integers(0, 256, size=(37, 41), dtype=np.uint8).astype(np.int32)
-    loop = _kernels._lbp_codes_loop(img) if _kernels.NUMBA_ENABLED \
-        else _kernels._lbp_codes_numpy(img)
-    vec = _lbp_codes_numpy(img)
-    np.testing.assert_array_equal(loop, vec)
+    for h, w in _SHAPES:
+        for top in (256, 3):  # few levels make neighbor == center common
+            img = rng.integers(0, top, size=(h, w)).astype(np.int32)
+            np.testing.assert_array_equal(
+                lbp_codes(img), _lbp_codes_loop(img),
+                err_msg=f"{h}x{w}, levels < {top}")
 
 
 def test_dither_backends_agree(rng):
-    rgb = rng.integers(0, 256, size=(23, 31, 3)).astype(np.float64)
-    palette = rng.integers(0, 256, size=(8, 3)).astype(np.float64)
-    tmap = rng.random((4, 4))
-    loop = (_kernels._dither_loop(rgb, palette, tmap, 64.0)
-            if _kernels.NUMBA_ENABLED
-            else _dither_numpy(rgb, palette, tmap, 64.0))
-    vec = _dither_numpy(rgb, palette, tmap, 64.0)
-    np.testing.assert_array_equal(loop, vec)
+    random_palette = rng.integers(0, 256, size=(8, 3)).astype(np.float64)
+    # duplicate entries and a pair equidistant from (128, 128, 128) force
+    # ties; both kernels must pick the lowest index
+    tie_palette = np.array([[0, 0, 0], [255, 255, 255], [0, 0, 0],
+                            [128, 0, 128], [128, 255, 128], [128, 0, 128],
+                            [255, 255, 255], [128, 128, 128]], dtype=np.float64)
+    for h, w in _SHAPES:
+        for palette in (random_palette, tie_palette):
+            for n, spread in ((4, 64.0), (8, 0.0), (2, 32.0)):
+                rgb = rng.integers(0, 256, size=(h, w, 3)).astype(np.float64)
+                rgb[::2, ::2] = 128.0
+                tmap = rng.integers(0, n * n, size=(n, n)) / (n * n)
+                np.testing.assert_array_equal(
+                    dither_indices(rgb, palette, tmap, spread),
+                    _dither_loop(rgb, palette, tmap, spread),
+                    err_msg=f"{h}x{w}, {n}x{n} map, spread {spread}")
 
 
 def test_clahe_backends_agree(rng):
-    img = rng.integers(0, 256, size=(45, 57), dtype=np.uint8)
-    tile_h = tile_w = 16
-    n_ty = (img.shape[0] + tile_h - 1) // tile_h
-    n_tx = (img.shape[1] + tile_w - 1) // tile_w
-    maps = _clahe_maps(img, n_ty, n_tx, tile_h, tile_w, 2.0)
-    vec = _clahe_interp_numpy(img, maps, n_ty, n_tx, tile_h, tile_w)
-    if _kernels.NUMBA_ENABLED:
-        loop = _kernels._clahe_interp_loop(img, maps, n_ty, n_tx, tile_h, tile_w)
-    else:
-        loop = vec
-    np.testing.assert_array_equal(loop, vec)
+    cases = [((45, 57), (16, 16)), ((33, 17), (8, 5)), ((33, 17), (5, 8)),
+             ((10, 12), (22, 22)), ((1, 1), (22, 22)), ((1, 9), (4, 4)),
+             ((9, 1), (4, 4))]
+    for (h, w), (tile_w, tile_h) in cases:
+        for clip_limit in (0.0, 1.0, 2.0):
+            img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+            # a dark band beside bright tiles exercises levels below a
+            # tile's first occupied bin
+            img[:, :w // 2] //= 8
+            img[:, w // 2:] |= 0xC0
+            th, tw = min(tile_h, h), min(tile_w, w)
+            n_ty, n_tx = -(-h // th), -(-w // tw)
+            maps = _clahe_maps(img, n_ty, n_tx, th, tw, clip_limit)
+            np.testing.assert_array_equal(
+                clahe_u8(img, tile_w, tile_h, clip_limit),
+                _clahe_interp_loop(img, maps, n_ty, n_tx, th, tw),
+                err_msg=f"{h}x{w}, tile {tile_w}x{tile_h}, clip {clip_limit}")
 
+
+# ---------------------------------------------------------------------------
+# earth mover's distance
+# ---------------------------------------------------------------------------
 
 def _emd_linprog(supply, demand, cost):
     """Independent oracle: solve the transportation LP with scipy."""
@@ -83,6 +198,21 @@ def test_emd_matches_lp_oracle(rng):
         got = emd(supply, demand, cost)
         want = _emd_linprog(supply, demand, cost)
         assert got == pytest.approx(want, abs=1e-9)
+
+    # colourfulness input: a sparse frame histogram over the 4^3 RGB cell
+    # centres against the uniform ideal, Euclidean ground distance
+    centers = _rgb_cell_centers(4)
+    cost = np.sqrt(((centers[:, None] - centers[None]) ** 2).sum(axis=-1))
+    uniform = np.full(64, 1.0 / 64.0)
+    for occupied in range(1, 10):
+        sparse = np.zeros(64)
+        cells = rng.choice(64, size=occupied, replace=False)
+        sparse[cells] = rng.random(occupied) + 0.01
+        sparse /= sparse.sum()
+        for supply, demand in ((sparse, uniform), (uniform, sparse)):
+            got = emd(supply, demand, cost)
+            want = _emd_linprog(supply, demand, cost)
+            assert got == pytest.approx(want, abs=1e-9), occupied
 
 
 def test_emd_point_mass_closed_form():
