@@ -29,6 +29,8 @@ _KNOWN_MOMENTS = frozenset(TEN_MOMENTS) | {"std"}
 PRESET_DIMS = {"EN0": 12, "EN1": 24, "EN2": 24, "EN3": 90, "EN4": 96,
                "EN5": 192, "TEN": 216}
 
+BUNDLE_SEGMENT_SECONDS = 1.0  # segment length of segment_bundle_from_audio
+
 
 @dataclass
 class SegmentBundle:
@@ -178,19 +180,19 @@ def preset(bundle, name):
     raise ValueError(f"unknown preset: {name!r}")
 
 
-def segment_bundle_from_audio(clip, segment_seconds=1.0):
+def segment_bundle_from_audio(clip):
     """Deterministic stand-in for an onset-aligned segment analyzer.
 
-    The clip is cut into fixed-length segments; per segment the timbre proxy
-    is the mean of MFCC coefficients 1..12 (the gain coefficient is dropped),
-    the pitch proxy the mean chroma vector, plus peak absolute amplitude, its
-    offset within the segment and the segment length.
+    The clip is cut into BUNDLE_SEGMENT_SECONDS segments; per segment the
+    timbre proxy is the mean of MFCC coefficients 1..12 (the gain coefficient
+    is dropped), the pitch proxy the mean chroma vector, plus peak absolute
+    amplitude, its offset within the segment and the segment length.
     """
     from . import audio  # local import to keep module load light
 
-    if clip.duration < 2 * segment_seconds:
+    if clip.duration < 2 * BUNDLE_SEGMENT_SECONDS:
         raise ValueError("clip too short: need at least two segments")
-    seg_len = int(round(segment_seconds * clip.sample_rate))
+    seg_len = int(round(BUNDLE_SEGMENT_SECONDS * clip.sample_rate))
     n_seg = clip.samples.size // seg_len
 
     timbre, pitches, lmax, lmax_t = [], [], [], []
@@ -210,5 +212,5 @@ def segment_bundle_from_audio(clip, segment_seconds=1.0):
         pitches=np.array(pitches),
         loudness_max=np.array(lmax),
         loudness_max_time=np.array(lmax_t),
-        segment_length=np.full(n_seg, float(segment_seconds)),
+        segment_length=np.full(n_seg, BUNDLE_SEGMENT_SECONDS),
     )

@@ -51,6 +51,12 @@ _CONTOUR_SPL[0] = np.maximum(_CONTOUR_SPL[0], 0.0)
 N_MOD_FREQS = 60
 SEGMENT_SECONDS = 6.0
 
+# MFCC coefficients kept, window (samples, no overlap) and mel filters
+MFCC_COEFFS = 13
+MFCC_WINDOW = 512
+MFCC_FILTERS = 26
+CHROMA_MIN_FREQ = 27.5  # Hz (A0); lower bins do not enter chroma
+
 
 @dataclass
 class AudioClip:
@@ -78,14 +84,14 @@ class Sonogram:
     sample_rate: int
 
 
-def resample(clip, target_rate=ANALYSIS_RATE):
-    """Linear resampling; returns the clip unchanged if already at the rate."""
-    if clip.sample_rate == target_rate:
+def resample(clip):
+    """Linear resampling to ANALYSIS_RATE; a clip already at it is returned."""
+    if clip.sample_rate == ANALYSIS_RATE:
         return clip
-    n_out = int(round(clip.samples.size * target_rate / clip.sample_rate))
+    n_out = int(round(clip.samples.size * ANALYSIS_RATE / clip.sample_rate))
     src_t = np.arange(clip.samples.size) / clip.sample_rate
-    dst_t = np.arange(n_out) / target_rate
-    return AudioClip(np.interp(dst_t, src_t, clip.samples), target_rate)
+    dst_t = np.arange(n_out) / ANALYSIS_RATE
+    return AudioClip(np.interp(dst_t, src_t, clip.samples), ANALYSIS_RATE)
 
 
 def _stft_power(samples, window, hop):
@@ -247,7 +253,7 @@ def modvar(rp):
     return aggregate.moments(rp, aggregate.SSD_MOMENTS).reshape(N_MOD_FREQS, 7)
 
 
-def track_features(clip, window=None, overlap=0.0):
+def track_features(clip):
     """Track-level rp_extract-style feature family.
 
     The clip is resampled to 22.05 kHz mono, cut into non-overlapping 6 s
@@ -260,7 +266,7 @@ def track_features(clip, window=None, overlap=0.0):
     rp 1440, rh 60, ssd 168, mvd 420, tssd 1176, trh 420.
     """
     clip = resample(clip)
-    son = sonogram(clip, window, overlap)
+    son = sonogram(clip)
     seg_frames = int(round(SEGMENT_SECONDS * son.frame_rate))
     n_seg = son.values.shape[1] // seg_frames
     if n_seg < 1:
@@ -294,22 +300,21 @@ TRACK_FEATURE_DIMS = {"rp": 1440, "rh": 60, "ssd": 168, "mvd": 420,
                       "tssd": 1176, "trh": 420}
 
 
-def mfcc(clip, n_coeffs=13, window=512, overlap=0.0, n_filters=26):
+def mfcc(clip):
     """Mel-frequency cepstral coefficients per frame, shape (frames, 13).
 
     Power spectrum -> triangular mel filterbank (0..Nyquist) -> log ->
-    orthonormal DCT-II, keeping the first n_coeffs coefficients.
+    orthonormal DCT-II, keeping the first MFCC_COEFFS coefficients.
     """
-    if clip.samples.size < window:
+    if clip.samples.size < MFCC_WINDOW:
         raise ValueError("clip too short for one analysis window")
-    hop = max(1, int(round(window * (1.0 - overlap))))
-    power = _stft_power(clip.samples, window, hop)
-    freqs = np.fft.rfftfreq(window, d=1.0 / clip.sample_rate)
+    power = _stft_power(clip.samples, MFCC_WINDOW, MFCC_WINDOW)
+    freqs = np.fft.rfftfreq(MFCC_WINDOW, d=1.0 / clip.sample_rate)
 
-    fbank = _mel_filterbank(n_filters, freqs, clip.sample_rate / 2.0)
+    fbank = _mel_filterbank(MFCC_FILTERS, freqs, clip.sample_rate / 2.0)
     energies = power @ fbank.T
     logs = np.log(energies + 1e-20)
-    return _dct2_ortho(logs)[:, :n_coeffs]
+    return _dct2_ortho(logs)[:, :MFCC_COEFFS]
 
 
 def _mel(f):
@@ -344,7 +349,7 @@ def _dct2_ortho(x):
     return out
 
 
-def chroma(clip, window=4096, overlap=0.0, min_freq=27.5):
+def chroma(clip, window=4096):
     """Pitch-class energy profile per frame (A4 = 440 Hz reference).
 
     Returns (values (frames, 12), significant (frames,)): rows are
@@ -353,11 +358,10 @@ def chroma(clip, window=4096, overlap=0.0, min_freq=27.5):
     """
     if clip.samples.size < window:
         raise ValueError("clip too short for one analysis window")
-    hop = max(1, int(round(window * (1.0 - overlap))))
-    power = _stft_power(clip.samples, window, hop)
+    power = _stft_power(clip.samples, window, window)
     freqs = np.fft.rfftfreq(window, d=1.0 / clip.sample_rate)
 
-    usable = freqs >= min_freq
+    usable = freqs >= CHROMA_MIN_FREQ
     midi = 69.0 + 12.0 * np.log2(freqs[usable] / 440.0)
     pitch_class = np.round(midi).astype(np.int64) % 12
 

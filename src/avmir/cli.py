@@ -453,7 +453,7 @@ def cmd_splits(args):
 
 
 def cmd_arff_export(args):
-    with open(args.csv, "r", encoding="utf-8", newline="") as fh:
+    with avio.open_text(args.csv, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import _kernels, aggregate
 from .errors import InputError
+from .io import open_text, read_pgm
 
 CONCEPT_PRESETS = {
     "mean": ("mean",),
@@ -39,7 +40,7 @@ class ConceptScoreSequence:
         self.rows = np.atleast_2d(np.asarray(self.rows, dtype=np.float64))
         if self.rows.shape[1] != len(self.vocabulary):
             raise ValueError("row width does not match vocabulary size")
-        if np.any(self.rows < -1e-9) or np.any(self.rows > 1.0 + 1e-9):
+        if not np.all((self.rows >= -1e-9) & (self.rows <= 1.0 + 1e-9)):
             raise ValueError("concept scores must lie in [0, 1]")
         sums = self.rows.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > 1e-4):
@@ -115,32 +116,30 @@ def salient_concepts(class_frequencies, exclusions=()):
     return result
 
 
-def lbp_descriptor(face, radius=1, neighbors=8, grid=LBP_GRID):
+def lbp_descriptor(face):
     """Grid-of-histograms LBP face descriptor.
 
     Each pixel gets an 8-bit code from thresholding its 3x3 neighborhood
     against the center (neighbor >= center sets the bit, clockwise from
-    top-left); the image is split into a grid x grid cell layout and each
-    cell contributes a 256-bin histogram normalized to unit sum.  Result is
-    the (grid*grid*256,) concatenation.
+    top-left); the image is split into an LBP_GRID x LBP_GRID cell layout and
+    each cell contributes a 256-bin histogram normalized to unit sum.  Result
+    is the (LBP_GRID*LBP_GRID*256,) concatenation.
     """
-    if (radius, neighbors) != (1, 8):
-        raise ValueError("only radius=1 with 8 neighbors is supported")
     face = np.asarray(face)
     if face.ndim != 2:
         raise ValueError("face must be a 2-D grayscale raster")
     h, w = face.shape
-    if h < grid or w < grid:
-        raise ValueError(f"face raster must be at least {grid}x{grid}")
+    if h < LBP_GRID or w < LBP_GRID:
+        raise ValueError(f"face raster must be at least {LBP_GRID}x{LBP_GRID}")
 
     codes = _kernels.lbp_codes(face)
-    y_edges = np.linspace(0, h, grid + 1).astype(np.int64)
-    x_edges = np.linspace(0, w, grid + 1).astype(np.int64)
+    y_edges = np.linspace(0, h, LBP_GRID + 1).astype(np.int64)
+    x_edges = np.linspace(0, w, LBP_GRID + 1).astype(np.int64)
 
-    hists = np.empty((grid * grid, 256))
+    hists = np.empty((LBP_GRID * LBP_GRID, 256))
     cell = 0
-    for gy in range(grid):
-        for gx in range(grid):
+    for gy in range(LBP_GRID):
+        for gx in range(LBP_GRID):
             block = codes[y_edges[gy]:y_edges[gy + 1],
                           x_edges[gx]:x_edges[gx + 1]]
             counts = np.bincount(block.ravel(), minlength=256)
@@ -206,7 +205,7 @@ def artist_score(frame_predictions):
 
 def read_vocabulary(path):
     """One concept name per line; blank lines ignored."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         names = [line.strip() for line in fh]
     names = [n for n in names if n]
     if not names:
@@ -221,7 +220,7 @@ def read_concept_scores(path, vocabulary):
     by frame index.
     """
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         for ln, cells in enumerate(reader, start=1):
             if not cells:
@@ -245,8 +244,11 @@ def read_concept_scores(path, vocabulary):
     if not rows:
         raise InputError(f"no score rows in {path}")
     rows.sort(key=lambda r: r[0])
-    return ConceptScoreSequence(vocabulary=list(vocabulary),
-                                rows=np.array([r[1] for r in rows]))
+    try:
+        return ConceptScoreSequence(vocabulary=list(vocabulary),
+                                    rows=np.array([r[1] for r in rows]))
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def load_face_gallery(root):
@@ -256,8 +258,6 @@ def load_face_gallery(root):
     therefore tie-breaking) are deterministic.
     """
     from pathlib import Path
-
-    from .io import read_pgm
 
     root = Path(root)
     gallery = []

@@ -13,20 +13,23 @@ class InputError(AvmirError):
 
 
 class WavFormatError(InputError):
-    """Malformed or unsupported WAV payload; carries the offending byte offset."""
+    """Malformed or unsupported WAV payload; names the file and the byte offset."""
 
-    def __init__(self, message, byte_offset):
-        super().__init__(f"{message} (byte offset {byte_offset})")
-        self.byte_offset = byte_offset
+    def __init__(self, path, message, byte_offset):
+        super().__init__(f"{path}: {message} (byte offset {byte_offset})")
+        self.path, self.reason, self.byte_offset = path, message, byte_offset
+
+    def __reduce__(self):
+        # --jobs worker processes send the error back pickled
+        return type(self), (self.path, self.reason, self.byte_offset)
 
 
 class ArffFormatError(InputError):
-    """Malformed ARFF header or data row; carries the offending line number."""
+    """Malformed ARFF header or data row; names the file and the line number."""
 
-    def __init__(self, message, line_number):
-        super().__init__(f"{message} (line {line_number})")
-        self.line_number = line_number
+    def __init__(self, path, message, line_number):
+        super().__init__(f"{path}: {message} (line {line_number})")
+        self.path, self.reason, self.line_number = path, message, line_number
 
-
-class InternalError(AvmirError):
-    """An internal invariant was violated; the CLI maps this to exit code 3."""
+    def __reduce__(self):
+        return type(self), (self.path, self.reason, self.line_number)

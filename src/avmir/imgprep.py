@@ -14,6 +14,10 @@ from . import _kernels
 # saturation below this is treated as achromatic (hue undefined)
 ACHROMATIC_EPS = 0.05
 
+# dark-border thresholds of strip_letterbox
+LETTERBOX_DARKNESS = 24
+LETTERBOX_ROW_FRACTION = 0.98
+
 # IHLS luminance weights (ITU-R BT.709 primaries)
 _LUMA_R, _LUMA_G, _LUMA_B = 0.2126, 0.7152, 0.0722
 
@@ -52,7 +56,6 @@ class LchFrame:
 class CircularStats:
     angular_mean: float
     angular_deviation: float
-    weighted: bool
 
 
 def wrap_angle(theta):
@@ -75,33 +78,33 @@ def as_frame(arr):
     return arr
 
 
-def strip_letterbox(frame, darkness_threshold=24, row_fraction=0.98):
+def strip_letterbox(frame):
     """Crop contiguous dark border rows/columns (letterboxing, pillarboxing).
 
     A border row/column is removed while the fraction of its pixels with
-    max(R,G,B) <= darkness_threshold exceeds row_fraction.  Total function:
-    if everything would be removed the input is returned unchanged.
+    max(R,G,B) <= LETTERBOX_DARKNESS exceeds LETTERBOX_ROW_FRACTION.  Total
+    function: if everything would be removed the input is returned unchanged.
     """
     frame = as_frame(frame)
-    dark = frame.max(axis=2) <= darkness_threshold
+    dark = frame.max(axis=2) <= LETTERBOX_DARKNESS
 
     h, w = dark.shape
     row_dark = dark.mean(axis=1)
     top = 0
-    while top < h and row_dark[top] > row_fraction:
+    while top < h and row_dark[top] > LETTERBOX_ROW_FRACTION:
         top += 1
     bottom = h
-    while bottom > top and row_dark[bottom - 1] > row_fraction:
+    while bottom > top and row_dark[bottom - 1] > LETTERBOX_ROW_FRACTION:
         bottom -= 1
     if top >= bottom:
         return frame
 
     col_dark = dark[top:bottom].mean(axis=0)
     left = 0
-    while left < w and col_dark[left] > row_fraction:
+    while left < w and col_dark[left] > LETTERBOX_ROW_FRACTION:
         left += 1
     right = w
-    while right > left and col_dark[right - 1] > row_fraction:
+    while right > left and col_dark[right - 1] > LETTERBOX_ROW_FRACTION:
         right -= 1
     if left >= right:
         return frame
@@ -222,8 +225,7 @@ def circular_stats(hues, weights=None):
     hues = np.asarray(hues, dtype=np.float64).ravel()
     if hues.size == 0:
         raise ValueError("no chromatic pixels")
-    weighted = weights is not None
-    if weighted:
+    if weights is not None:
         weights = np.asarray(weights, dtype=np.float64).ravel()
         if weights.shape != hues.shape:
             raise ValueError("weights must match hues in length")
@@ -243,39 +245,27 @@ def circular_stats(hues, weights=None):
     # which stays accurate near zero deviation where 1 - R cancels badly
     half = np.sin((hues - mean) / 2.0)
     deviation = float(2.0 * np.sqrt(np.sum(weights * half * half) / total))
-    return CircularStats(angular_mean=mean, angular_deviation=deviation,
-                         weighted=weighted)
+    return CircularStats(angular_mean=mean, angular_deviation=deviation)
 
 
 def clahe(channel, tile=(22, 22), clip_limit=1.0):
-    """Contrast-limited adaptive histogram equalization of a 2-D raster.
+    """Contrast-limited adaptive histogram equalization of a 2-D uint8 raster.
 
     Per-tile histograms are clipped at clip_limit * tile_area / 256 (no
     clipping when clip_limit is 0), excess mass is redistributed uniformly
     and pixel values are remapped with bilinear blending between the four
     surrounding tile mappings.  Rasters smaller than one tile degrade to
-    global equalization.  Float input is quantized to 256 levels over its
-    own range and mapped back, so the value domain is preserved.
+    global equalization.
     """
     channel = np.asarray(channel)
-    if channel.ndim != 2:
-        raise ValueError("clahe expects a 2-D raster")
+    if channel.ndim != 2 or channel.dtype != np.uint8:
+        raise ValueError("clahe expects a 2-D uint8 raster")
     tw, th = int(tile[0]), int(tile[1])
     if tw < 1 or th < 1:
         raise ValueError("tile dimensions must be >= 1")
     if clip_limit < 0:
         raise ValueError("clip limit must be >= 0")
-
-    if channel.dtype == np.uint8:
-        return _kernels.clahe_u8(channel, tw, th, float(clip_limit))
-
-    data = channel.astype(np.float64)
-    lo, hi = float(data.min()), float(data.max())
-    if hi <= lo:
-        return data.copy()
-    quantized = np.round((data - lo) / (hi - lo) * 255.0).astype(np.uint8)
-    out = _kernels.clahe_u8(quantized, tw, th, float(clip_limit))
-    return out.astype(np.float64) / 255.0 * (hi - lo) + lo
+    return _kernels.clahe_u8(channel, tw, th, float(clip_limit))
 
 
 def bayer_matrix(order):

@@ -13,6 +13,7 @@ import re
 import struct
 import warnings
 from dataclasses import dataclass
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,16 @@ import numpy as np
 from .audio import AudioClip
 from .errors import ArffFormatError, InputError, WavFormatError
 from .ml import LabeledDataset
+
+
+def open_text(path, newline=None):
+    """A UTF-8 text file as a stream that reads like open(path, "r",
+    encoding="utf-8", newline=newline); invalid UTF-8 raises InputError
+    naming the file and the byte offset of the first invalid sequence."""
+    try:
+        return StringIO(Path(path).read_bytes().decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -30,12 +41,12 @@ def read_wav(path):
     """Read a PCM WAV file into a mono AudioClip in [-1, 1].
 
     Supports 8-bit unsigned and 16-bit signed little-endian samples; stereo
-    is downmixed by channel mean.  Raises WavFormatError with the byte
-    offset on malformed or truncated input.
+    is downmixed by channel mean.  Raises WavFormatError with the file and
+    the byte offset on malformed or truncated input.
     """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise WavFormatError("not a RIFF/WAVE file", 0)
+        raise WavFormatError(path, "not a RIFF/WAVE file", 0)
 
     fmt = None
     pos = 12
@@ -44,33 +55,35 @@ def read_wav(path):
         (size,) = struct.unpack_from("<I", data, pos + 4)
         body = pos + 8
         if body + size > len(data):
-            raise WavFormatError(f"chunk {chunk_id!r} truncated", pos)
+            raise WavFormatError(path, f"chunk {chunk_id!r} truncated", pos)
         if chunk_id == b"fmt ":
             if size < 16:
-                raise WavFormatError("fmt chunk too small", pos)
+                raise WavFormatError(path, "fmt chunk too small", pos)
             fmt = struct.unpack_from("<HHIIHH", data, body)
-            audio_format, channels, _, _, _, bits = fmt
+            audio_format, channels, sample_rate, _, _, bits = fmt
             if audio_format != 1:
-                raise WavFormatError(f"unsupported format tag {audio_format} "
-                                     "(PCM only)", pos)
+                raise WavFormatError(path, f"unsupported format tag "
+                                     f"{audio_format} (PCM only)", pos)
             if channels not in (1, 2):
-                raise WavFormatError(f"unsupported channel count {channels}",
-                                     pos)
+                raise WavFormatError(
+                    path, f"unsupported channel count {channels}", pos)
             if bits not in (8, 16):
-                raise WavFormatError(f"unsupported bit depth {bits}", pos)
+                raise WavFormatError(path, f"unsupported bit depth {bits}", pos)
+            if sample_rate == 0:
+                raise WavFormatError(path, "sample rate 0", pos)
         elif chunk_id == b"data":
             if fmt is None:
-                raise WavFormatError("data chunk before fmt chunk", pos)
-            return _decode_pcm(data, body, size, fmt)
+                raise WavFormatError(path, "data chunk before fmt chunk", pos)
+            return _decode_pcm(path, data, body, size, fmt)
         pos = body + size + (size & 1)
-    raise WavFormatError("no data chunk found", pos)
+    raise WavFormatError(path, "no data chunk found", pos)
 
 
-def _decode_pcm(data, body, size, fmt):
+def _decode_pcm(path, data, body, size, fmt):
     _, channels, sample_rate, _, _, bits = fmt
     bytes_per_frame = channels * bits // 8
     if size % bytes_per_frame != 0:
-        raise WavFormatError("data size is not a whole number of frames",
+        raise WavFormatError(path, "data size is not a whole number of frames",
                              body + size - size % bytes_per_frame)
     raw = data[body:body + size]
     if bits == 16:
@@ -81,7 +94,7 @@ def _decode_pcm(data, body, size, fmt):
     if channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)
     if samples.size == 0:
-        raise WavFormatError("empty data chunk", body)
+        raise WavFormatError(path, "empty data chunk", body)
     return AudioClip(samples, sample_rate)
 
 
@@ -307,7 +320,7 @@ def read_arff(path):
     rows = []
     labels = []
     in_data = False
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("%"):
@@ -322,45 +335,47 @@ def read_arff(path):
                         quote = body[0]
                         end = body.find(quote, 1)
                         if end < 0:
-                            raise ArffFormatError(
+                            raise ArffFormatError(path,
                                 "unterminated quoted attribute name", ln)
                         name, rest = body[1:end], body[end + 1:].strip()
                     else:
                         parts = body.split(None, 1)
                         if len(parts) != 2:
-                            raise ArffFormatError("malformed attribute", ln)
+                            raise ArffFormatError(path, "malformed attribute", ln)
                         name, rest = parts
                     if rest.startswith("{"):
                         if not rest.endswith("}"):
-                            raise ArffFormatError("unterminated nominal set", ln)
+                            raise ArffFormatError(path, "unterminated nominal set", ln)
                         class_values = [v.strip() for v in
                                         rest[1:-1].split(",")]
                     elif rest.upper() in ("NUMERIC", "REAL", "INTEGER"):
                         schema.append(name)
                     else:
-                        raise ArffFormatError(
+                        raise ArffFormatError(path,
                             f"unsupported attribute type {rest!r}", ln)
                     continue
                 if upper.startswith("@DATA"):
                     if class_values is None:
-                        raise ArffFormatError("no nominal class attribute", ln)
+                        raise ArffFormatError(path, "no nominal class attribute", ln)
                     in_data = True
                     continue
-                raise ArffFormatError(f"unexpected header line {line!r}", ln)
+                raise ArffFormatError(path, f"unexpected header line {line!r}", ln)
             cells = [c.strip() for c in line.split(",")]
             if len(cells) != len(schema) + 1:
-                raise ArffFormatError(
+                raise ArffFormatError(path,
                     f"expected {len(schema) + 1} values, got {len(cells)}", ln)
             try:
                 rows.append([float(c) for c in cells[:-1]])
             except ValueError:
-                raise ArffFormatError("non-numeric feature value", ln) from None
+                raise ArffFormatError(path, "non-numeric feature value", ln) from None
+            if not np.all(np.isfinite(rows[-1])):
+                raise ArffFormatError(path, "non-finite feature value", ln)
             label = cells[-1]
             if label not in class_values:
-                raise ArffFormatError(f"undeclared class value {label!r}", ln)
+                raise ArffFormatError(path, f"undeclared class value {label!r}", ln)
             labels.append(label)
     if not in_data:
-        raise ArffFormatError("no @DATA section", 0)
+        raise ArffFormatError(path, "no @DATA section", 0)
     matrix = np.array(rows, dtype=np.float64) if rows else \
         np.zeros((0, len(schema)))
     return LabeledDataset(matrix, labels, schema)
@@ -396,17 +411,12 @@ class Manifest:
     def resolve(self, relative):
         return self.base_dir / relative
 
-    def group_keys(self, kind):
-        if kind == "none":
-            return None
-        return [getattr(e, kind) for e in self.entries]
-
 
 def load_manifest(path, check_paths=True):
     """Load a JSON manifest; validates id uniqueness and path existence."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.load(open_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict) or "entries" not in raw:
@@ -431,6 +441,9 @@ def load_manifest(path, check_paths=True):
                                   date=item.get("date"))
         except KeyError as exc:
             raise InputError(f"{path}: entry {i} missing key {exc}") from None
+        for kind in ("artist", "album", "audio", "frames", "concepts", "date"):
+            if not isinstance(getattr(entry, kind), (str, type(None))):
+                raise InputError(f"{path}: entry {i}: {kind} must be a string")
         if entry.track_id in seen:
             raise InputError(f"{path}: duplicate track id {entry.track_id!r}")
         seen.add(entry.track_id)
@@ -452,7 +465,6 @@ class SplitSpec:
     train_fraction: float = 0.66
     per_class_count: int = None
     group_filter: str = "none"   # none | artist | album
-    stratified: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -546,5 +558,5 @@ def write_id_list(path, ids):
 
 
 def read_id_list(path):
-    return [line for line in Path(path).read_text(encoding="utf-8").splitlines()
+    return [line for line in open_text(path).read().splitlines()
             if line.strip()]

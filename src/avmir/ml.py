@@ -16,7 +16,7 @@ from .errors import InputError
 
 @dataclass
 class LabeledDataset:
-    """Feature matrix with labels, schema and optional group keys.
+    """Feature matrix with labels and schema.
 
     classes is the deduplicated label list in first-seen order; the integer
     class id used for tie-breaking is the index into it.
@@ -24,7 +24,6 @@ class LabeledDataset:
     matrix: np.ndarray
     labels: list
     schema: list
-    groups: list = None
     classes: list = field(init=False)
 
     def __post_init__(self):
@@ -37,8 +36,6 @@ class LabeledDataset:
             raise ValueError("matrix columns and schema differ in length")
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("dataset contains non-finite entries")
-        if self.groups is not None and len(self.groups) != len(self.labels):
-            raise ValueError("groups length does not match labels")
         seen = {}
         for lb in self.labels:
             seen.setdefault(lb, len(seen))
@@ -54,10 +51,8 @@ class LabeledDataset:
         return np.array([index[lb] for lb in self.labels], dtype=np.int64)
 
     def subset(self, indices):
-        groups = None if self.groups is None else [self.groups[i] for i in indices]
         return LabeledDataset(self.matrix[indices],
-                              [self.labels[i] for i in indices],
-                              self.schema, groups)
+                              [self.labels[i] for i in indices], self.schema)
 
 
 class Scaler:
@@ -397,13 +392,15 @@ def early_fuse(parts):
             raise InputError(f"part {name!r} labels do not match")
         matrices.append(ds.matrix)
         schema.extend(f"{name}.{col}" for col in ds.schema)
-    return LabeledDataset(np.hstack(matrices), list(base.labels), schema,
-                          base.groups)
+    return LabeledDataset(np.hstack(matrices), list(base.labels), schema)
 
 
 # ---------------------------------------------------------------------------
 # bagged weighted-majority ensemble
 # ---------------------------------------------------------------------------
+
+BAGGING_MAX_RETRIES = 25  # subsample draws per member before giving up
+
 
 @dataclass
 class EnsembleMember:
@@ -414,13 +411,13 @@ class EnsembleMember:
 
 
 def bagging_train(dataset, classifier_spec, n=10, holdout_fraction=0.10,
-                  seed=0, tag="modality", classes=None, max_retries=25):
+                  seed=0, tag="modality", classes=None):
     """Train n ensemble members on random subsamples of the training set.
 
     Each member trains on a seeded (1 - holdout_fraction) subsample; the
     held-out remainder estimates its confidence (accuracy in [0, 1]) which
-    later weights its vote.  Subsamples missing a class are redrawn a
-    bounded number of times before raising.
+    later weights its vote.  Subsamples missing a class are redrawn up to
+    BAGGING_MAX_RETRIES times before raising.
     """
     classes = list(dataset.classes) if classes is None else list(classes)
     y = dataset.label_ids(classes)
@@ -434,7 +431,7 @@ def bagging_train(dataset, classifier_spec, n=10, holdout_fraction=0.10,
     root = np.random.SeedSequence(seed)
     for child in root.spawn(n):
         rng = np.random.default_rng(child)
-        for attempt in range(max_retries):
+        for attempt in range(BAGGING_MAX_RETRIES):
             order = rng.permutation(n_rows)
             train_idx, hold_idx = order[:n_train], order[n_train:]
             if set(np.unique(y[train_idx])) == needed:

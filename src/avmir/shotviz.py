@@ -14,6 +14,8 @@ import numpy as np
 from . import imgprep
 from .concepts import chi_square
 
+HIST_CHI2_BINS = 64  # per-channel bins of the histogram-chi2 activity metric
+
 
 @dataclass
 class MeanColorBar:
@@ -64,10 +66,10 @@ def _mean_rgb_l1(a, b):
     return float(np.abs(ma - mb).sum() / 765.0)
 
 
-def _hist_chi2(a, b, bins=64):
+def _hist_chi2(a, b):
     def hist(frame):
-        h = [np.bincount((frame[..., c].ravel() * bins) // 256,
-                         minlength=bins) for c in range(3)]
+        h = [np.bincount((frame[..., c].ravel() * HIST_CHI2_BINS) // 256,
+                         minlength=HIST_CHI2_BINS) for c in range(3)]
         h = np.concatenate(h).astype(np.float64)
         return h / h.sum()
 

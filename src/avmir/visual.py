@@ -7,7 +7,7 @@ contrasts (IC) and lightness fluctuation patterns (LFP).
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,18 @@ CN_PALETTE = np.array([
 
 CN_COLOR_ORDER = ("magenta", "red", "yellow", "green", "cyan", "blue",
                   "black", "white")
+
+# Color Names: CLAHE tile (width, height) and clip limit, Bayer map order
+# and dither spread (RGB levels)
+CN_CLAHE_TILE = (22, 22)
+CN_CLAHE_CLIP_LIMIT = 1.0
+CN_BAYER_ORDER = 32
+CN_DITHER_SPREAD = 64.0
+_CN_BAYER_MAP = imgprep.bayer_matrix(CN_BAYER_ORDER)
+
+SEGMENT_BLOCK = 16       # side of the Itten-contrast grid cells (pixels)
+LFP_MAX_MOD_FREQ = 10.0  # highest LFP modulation frequency kept (Hz)
+LFP_WINDOW = 512         # LFP FFT window (frames)
 
 # fuzzy membership centers (documented choices; see module docstrings)
 WAF_LIGHTNESS_CENTERS = (10.0, 30.0, 50.0, 70.0, 90.0)
@@ -66,11 +78,7 @@ class LfpPattern:
     modulation_bins: int
     values: np.ndarray          # (B, M) nonnegative magnitudes
     mod_frequencies: np.ndarray  # (M,) Hz
-    histogram_variant: np.ndarray = field(init=False)
     short_input: bool = False   # fewer frames than one analysis window
-
-    def __post_init__(self):
-        self.histogram_variant = self.values.sum(axis=0)
 
 
 def is_warm(hue):
@@ -155,8 +163,7 @@ def colorfulness(frame, partitions=4):
     return FrameFeature("cf", np.array([cost.max() - distance]))
 
 
-def color_names(frame, tile=(22, 22), clip_limit=1.0, bayer_order=32,
-                spread=64.0):
+def color_names(frame):
     """Eight-bin elementary-color histogram of an enhanced, dithered frame.
 
     Pipeline: HSV conversion, CLAHE on the value channel (and, with the same
@@ -168,23 +175,23 @@ def color_names(frame, tile=(22, 22), clip_limit=1.0, bayer_order=32,
     h, s, v = imgprep.rgb_to_hsv(frame)
 
     v8 = np.clip(np.round(v * 255.0), 0, 255).astype(np.uint8)
-    v = _kernels.clahe_u8(v8, tile[0], tile[1], clip_limit).astype(np.float64) / 255.0
+    v = imgprep.clahe(v8, CN_CLAHE_TILE, CN_CLAHE_CLIP_LIMIT).astype(np.float64) / 255.0
     s8 = np.clip(np.round(s * 255.0), 0, 255).astype(np.uint8)
-    s = _kernels.clahe_u8(s8, tile[0], tile[1], clip_limit).astype(np.float64) / 255.0
+    s = imgprep.clahe(s8, CN_CLAHE_TILE, CN_CLAHE_CLIP_LIMIT).astype(np.float64) / 255.0
 
     enhanced = imgprep.hsv_to_rgb(h, s, v)
     indices = imgprep.ordered_dither_quantize(
-        enhanced, CN_PALETTE, imgprep.bayer_matrix(bayer_order), spread)
+        enhanced, CN_PALETTE, _CN_BAYER_MAP, CN_DITHER_SPREAD)
     counts = np.bincount(indices.ravel(), minlength=len(CN_PALETTE))
     return FrameFeature("cn", counts.astype(np.float64) / counts.sum())
 
 
-def _triangular_memberships(x, centers, saturate_ends=True):
+def _triangular_memberships(x, centers):
     """Membership of each x in triangles peaking at the given centers.
 
-    Interior triangles fall to zero at the neighboring centers; with
-    saturate_ends the first/last levels stay at 1 beyond their centers, which
-    makes the memberships a partition of unity over [centers[0], centers[-1]].
+    Interior triangles fall to zero at the neighboring centers; the
+    first/last levels stay at 1 beyond their centers, which makes the
+    memberships a partition of unity over the whole real line.
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(centers)
@@ -200,11 +207,10 @@ def _triangular_memberships(x, centers, saturate_ends=True):
             falling = (x > c) & (x < right)
             m[falling] = (right - x[falling]) / (right - c)
         m[x == c] = 1.0
-        if saturate_ends:
-            if i == 0:
-                m[x < c] = 1.0
-            if i == n - 1:
-                m[x > c] = 1.0
+        if i == 0:
+            m[x < c] = 1.0
+        if i == n - 1:
+            m[x > c] = 1.0
         out[..., i] = m
     return out
 
@@ -278,34 +284,19 @@ def waf(lch, sharpness):
     return FrameFeature("waf", values)
 
 
-def segment_frame(frame, mode="grid", block=16, lch=None):
-    """Partition a frame into segments and gather per-segment LCH statistics.
-
-    mode "grid" splits into fixed block x block tiles; a callable mode
-    receives the frame and must return an (H, W) integer label raster with
-    contiguous ids (pluggable slot for quick-shift-style segmenters).
-    """
-    if lch is None:
-        lch = imgprep.rgb_to_lch(frame)
+def segment_frame(lch):
+    """Split a frame's LCH planes into SEGMENT_BLOCK x SEGMENT_BLOCK grid
+    cells (smaller at the right and bottom edges) and gather per-segment
+    LCH statistics."""
     h, w = lch.L.shape
-
-    if callable(mode):
-        labels = np.asarray(mode(frame), dtype=np.int64)
-        if labels.shape != (h, w):
-            raise ValueError("segmenter returned labels of wrong shape")
-    elif mode == "grid":
-        by = np.arange(h) // block
-        bx = np.arange(w) // block
-        n_bx = (w + block - 1) // block
-        labels = by[:, None] * n_bx + bx[None, :]
-    else:
-        raise ValueError(f"unknown segmentation mode: {mode!r}")
+    by = np.arange(h) // SEGMENT_BLOCK
+    bx = np.arange(w) // SEGMENT_BLOCK
+    n_bx = (w + SEGMENT_BLOCK - 1) // SEGMENT_BLOCK
+    labels = by[:, None] * n_bx + bx[None, :]
 
     count = int(labels.max()) + 1
     flat = labels.ravel()
     areas = np.bincount(flat, minlength=count).astype(np.float64)
-    if np.any(areas == 0):
-        raise ValueError("segment ids must be contiguous from 0")
 
     mean_l = np.bincount(flat, weights=lch.L.ravel(), minlength=count) / areas
     mean_c = np.bincount(flat, weights=lch.C.ravel(), minlength=count) / areas
@@ -364,42 +355,42 @@ def lightness_histogram(lch, bins=24):
     return counts.astype(np.float64) / lch.L.size
 
 
-def lfp_from_histograms(hists, fps, max_mod_freq=10.0, window=512):
+def lfp_from_histograms(hists, fps):
     """Lightness fluctuation pattern from a (T, B) histogram time series.
 
     Per lightness bin the magnitude spectrum of the time series is taken
-    over fixed-length windows (averaged) and the modulation bins in
-    (0, max_mod_freq] Hz are retained; DC is excluded.  Inputs shorter than
-    one window are zero-padded into a single window and flagged; beyond
+    over LFP_WINDOW-frame windows (averaged) and the modulation bins in
+    (0, LFP_MAX_MOD_FREQ] Hz are retained; DC is excluded.  Inputs shorter
+    than one window are zero-padded into a single window and flagged; beyond
     that, only complete windows enter (a partial tail is dropped) so that a
     constant video stays exactly silent.
     """
     hists = np.asarray(hists, dtype=np.float64)
     if hists.ndim != 2 or hists.shape[0] < 2:
         raise ValueError("need at least two frames of histograms")
-    if fps <= 2.0 * max_mod_freq:
+    if fps <= 2.0 * LFP_MAX_MOD_FREQ:
         raise ValueError("fps must exceed twice the maximum modulation frequency")
 
     t, b = hists.shape
-    n_windows = max(1, t // window)
-    padded = np.zeros((n_windows * window, b))
-    padded[:min(t, n_windows * window)] = hists[:n_windows * window]
+    n_windows = max(1, t // LFP_WINDOW)
+    padded = np.zeros((n_windows * LFP_WINDOW, b))
+    padded[:min(t, n_windows * LFP_WINDOW)] = hists[:n_windows * LFP_WINDOW]
 
-    freqs = np.fft.rfftfreq(window, d=1.0 / fps)
-    keep = (freqs > 0) & (freqs <= max_mod_freq)
+    freqs = np.fft.rfftfreq(LFP_WINDOW, d=1.0 / fps)
+    keep = (freqs > 0) & (freqs <= LFP_MAX_MOD_FREQ)
 
     acc = np.zeros((keep.sum(), b))
     for k in range(n_windows):
-        seg = padded[k * window:(k + 1) * window]
+        seg = padded[k * LFP_WINDOW:(k + 1) * LFP_WINDOW]
         acc += np.abs(np.fft.rfft(seg, axis=0))[keep]
     acc /= n_windows
 
     return LfpPattern(lightness_bins=b, modulation_bins=int(keep.sum()),
                       values=acc.T, mod_frequencies=freqs[keep],
-                      short_input=t < window)
+                      short_input=t < LFP_WINDOW)
 
 
-def lfp(frames, fps, bins=24, max_mod_freq=10.0, window=512):
+def lfp(frames, fps, bins=24):
     """Lightness fluctuation pattern of an RGB frame sequence.
 
     Frames are converted to CIELAB and reduced to per-frame lightness
@@ -408,7 +399,7 @@ def lfp(frames, fps, bins=24, max_mod_freq=10.0, window=512):
     hists = [lightness_histogram(imgprep.rgb_to_lch(f), bins) for f in frames]
     if len(hists) < 2:
         raise ValueError("need at least two frames")
-    return lfp_from_histograms(np.array(hists), fps, max_mod_freq, window)
+    return lfp_from_histograms(np.array(hists), fps)
 
 
 def _band_sums(pattern, n_bands):
@@ -427,8 +418,7 @@ def lfp_feature(pattern, preset="paper-80"):
     """Fixed-dimension LFP vector.
 
     preset "paper-80": 8 lightness bins x 10 one-Hz modulation bands (80);
-    preset "paper-60": 60 modulation bands summed over lightness bins (60);
-    preset "raw": the flattened full pattern.
+    preset "paper-60": 60 modulation bands summed over lightness bins (60).
     """
     if preset == "paper-80":
         if pattern.lightness_bins != 8:
@@ -436,12 +426,10 @@ def lfp_feature(pattern, preset="paper-80"):
         return _band_sums(pattern, 10).ravel()
     if preset == "paper-60":
         return _band_sums(pattern, 60).sum(axis=0)
-    if preset == "raw":
-        return pattern.values.ravel()
     raise ValueError(f"unknown LFP preset: {preset!r}")
 
 
-LFP_PRESET_BINS = {"paper-80": 8, "paper-60": 24, "raw": 24}
+LFP_PRESET_BINS = {"paper-80": 8, "paper-60": 24}
 LFP_PRESET_DIMS = {"paper-80": 80, "paper-60": 60}
 
 
@@ -473,7 +461,7 @@ def frame_features(frame, features, ihls=None, lch=None):
                     else imgprep.rgb_to_ihls(frame)).luminance * 255.0
             out[name] = waf(lch, blur_measure(gray))
         elif name == "ic":
-            out[name] = itten_contrasts(segment_frame(frame, lch=lch))
+            out[name] = itten_contrasts(segment_frame(lch))
         else:
             raise ValueError(f"unknown frame feature: {name!r}")
     return out

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -335,6 +336,26 @@ class TestExitCodes:
         assert run("extract-audio", "--manifest", workspace / "manifest.json",
                    "--features", "rh", "--jobs", "2", "--out", parallel) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    @pytest.mark.parametrize("command, jobs", [
+        ("extract-audio", "1"), ("extract-audio", "2"), ("aggregate", None)])
+    def test_malformed_wav_exits_two_naming_the_file(self, tmp_path, capsys,
+                                                     command, jobs):
+        # a zero sample rate used to end in a division by zero (exit 3), and
+        # a worker's WAV error could not be sent back to the parent (exit 3)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"entries": [
+            {"track_id": "a", "label": "x", "audio": "zero.wav"},
+            {"track_id": "b", "label": "y", "audio": "zero.wav"}]}))
+        header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + 4, b"WAVE",
+                             b"fmt ", 16, 1, 1, 0, 0, 2, 16, b"data", 4)
+        (tmp_path / "zero.wav").write_bytes(header + bytes(4))
+        argv = [command, "--manifest", manifest, "--out", tmp_path / "o.arff"]
+        if jobs:
+            argv += ["--jobs", jobs]
+        assert run(*argv) == 2
+        assert "zero.wav: sample rate 0 (byte offset 12)" in \
+            capsys.readouterr().err
 
 
 class TestManifestRunner:

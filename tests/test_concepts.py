@@ -156,10 +156,6 @@ class TestLbp:
         with pytest.raises(ValueError):
             concepts.lbp_descriptor(np.zeros((4, 4), np.uint8))
 
-    def test_unsupported_geometry_raises(self):
-        with pytest.raises(ValueError):
-            concepts.lbp_descriptor(np.zeros((16, 16), np.uint8), radius=2)
-
 
 class TestChiSquare:
     def test_identical_is_zero(self, rng):

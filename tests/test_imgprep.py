@@ -172,6 +172,12 @@ class TestClahe:
         out = imgprep.clahe(raster, tile=(22, 22), clip_limit=0.0)
         assert set(out[raster == 0].ravel()) == {0}
 
+    @pytest.mark.parametrize("raster", [np.zeros((8, 8)),
+                                        np.zeros((8, 8, 1), np.uint8)])
+    def test_rejects_all_but_2d_uint8(self, raster):
+        with pytest.raises(ValueError, match="2-D uint8"):
+            imgprep.clahe(raster)
+
 
 class TestBayer:
     def test_order_two_base_case(self):

@@ -1,9 +1,11 @@
 import json
+import pickle
+import struct
 
 import numpy as np
 import pytest
 
-from avmir import concepts
+from avmir import cli, concepts
 from avmir import io as avio
 from avmir.audio import AudioClip
 from avmir.errors import ArffFormatError, InputError, WavFormatError
@@ -225,6 +227,8 @@ class TestManifest:
         ({"entries": [1, 2]}, "entry 0 is not an object"),
         ({"entries": [{"track_id": "a", "label": "x"}, ["b"]]},
          "entry 1 is not an object"),
+        ({"entries": [{"track_id": "a", "label": "x", "audio": 1}]},
+         "entry 0: audio must be a string"),
     ])
     def test_malformed_shape_names_file_and_entry(self, tmp_path, payload,
                                                  message):
@@ -233,6 +237,16 @@ class TestManifest:
         with pytest.raises(InputError, match=message) as err:
             avio.load_manifest(path)
         assert str(path) in str(err.value)
+
+
+def wav_blob(sample_rate=8000, raw=bytes(4)):
+    """Mono 16-bit PCM WAV bytes; the fmt chunk starts at byte 12."""
+    return struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(raw), b"WAVE",
+                       b"fmt ", 16, 1, 1, sample_rate, 2 * sample_rate, 2, 16,
+                       b"data", len(raw)) + raw
+
+
+ARFF_HEAD = b"@RELATION x\n@ATTRIBUTE f NUMERIC\n@ATTRIBUTE class {a}\n@DATA\n"
 
 
 @pytest.mark.parametrize("name, blob, reader, error, location", [
@@ -250,8 +264,29 @@ class TestManifest:
     ("scores.csv", b"frame_index,a,b\n0,0.5,0.5\n1,0.5,high\n",
      lambda p: concepts.read_concept_scores(p, ["a", "b"]), InputError,
      "scores.csv:3"),
+    ("zero-rate.wav", wav_blob(sample_rate=0), avio.read_wav, WavFormatError,
+     "zero-rate.wav: sample rate 0 (byte offset 12)"),
+    ("text.wav", b"not a wav at all", avio.read_wav, WavFormatError,
+     "text.wav: not a RIFF/WAVE file (byte offset 0)"),
+    ("odd.wav", wav_blob(raw=bytes(3)), avio.read_wav, WavFormatError,
+     "odd.wav: data size is not a whole number of frames (byte offset 46)"),
+    ("class.arff", ARFF_HEAD + b"1.0,r\n", avio.read_arff, ArffFormatError,
+     "class.arff: undeclared class value 'r' (line 5)"),
+    ("nodata.arff", b"@RELATION x\n", avio.read_arff, ArffFormatError,
+     "nodata.arff: no @DATA section (line 0)"),
+    ("inf.arff", ARFF_HEAD + b"1e999,a\n", avio.read_arff, ArffFormatError,
+     "inf.arff: non-finite feature value (line 5)"),
+    ("sums.csv", b"0,0.5,0.7\n",
+     lambda p: concepts.read_concept_scores(p, ["a", "b"]), InputError,
+     "sums.csv: row 0 sums to 1.200000"),
+    ("nan.csv", b"0,nan,1.0\n",
+     lambda p: concepts.read_concept_scores(p, ["a", "b"]), InputError,
+     "nan.csv: concept scores must lie in [0, 1]"),
 ], ids=["arff-quoted-name", "ppm-header", "pgm-header", "ppm-zero-width",
-        "ppm-zero-height", "pgm-negative-width", "concept-score"])
+        "ppm-zero-height", "pgm-negative-width", "concept-score",
+        "wav-zero-rate", "wav-file-named", "wav-odd-data-file-named",
+        "arff-file-named", "arff-no-data-file-named", "arff-non-finite",
+        "concept-row-sum", "concept-nan"])
 def test_parse_errors_are_located(tmp_path, name, blob, reader, error,
                                   location):
     path = tmp_path / name
@@ -259,6 +294,39 @@ def test_parse_errors_are_located(tmp_path, name, blob, reader, error,
     with pytest.raises(error) as err:
         reader(path)
     assert location in str(err.value)
+
+
+def test_format_errors_keep_their_location_when_pickled(tmp_path):
+    # --jobs worker processes send a reader's error back to the parent
+    for error in (WavFormatError(tmp_path / "a.wav", "bad", 12),
+                  ArffFormatError(tmp_path / "a.arff", "bad", 3)):
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is type(error)
+        assert str(back) == str(error)
+        assert back.__dict__ == error.__dict__
+
+
+def _arff_export(path):
+    args = cli.build_parser().parse_args(
+        ["arff-export", "--csv", str(path), "--out", str(path) + ".arff"])
+    return args.func(args)
+
+
+@pytest.mark.parametrize("reader", [
+    avio.read_arff,
+    avio.load_manifest,
+    lambda p: concepts.read_concept_scores(p, ["a", "b"]),
+    concepts.read_vocabulary,
+    avio.read_id_list,
+    _arff_export,
+], ids=["arff", "manifest", "concept-scores", "vocabulary", "id-list",
+        "arff-export-csv"])
+def test_invalid_utf8_names_file_and_byte(tmp_path, reader):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"class,f\nna\xefve,1.0\n")
+    with pytest.raises(InputError) as err:
+        reader(path)
+    assert f"{path}: not valid UTF-8 at byte 10" in str(err.value)
 
 
 class TestMakeSplits:

@@ -187,28 +187,22 @@ class TestBlurMeasure:
 
 class TestSegmentFrame:
     def test_grid_counts(self, rng):
-        seg = visual.segment_frame(random_frame(rng, 64, 64), block=16)
+        seg = visual.segment_frame(imgprep.rgb_to_lch(random_frame(rng, 64, 64)))
         assert seg.segment_count == 16
         assert np.all(seg.areas == 256)
 
     def test_ids_contiguous(self, rng):
-        seg = visual.segment_frame(random_frame(rng, 33, 47), block=16)
+        seg = visual.segment_frame(imgprep.rgb_to_lch(random_frame(rng, 33, 47)))
         assert set(np.unique(seg.labels)) == set(range(seg.segment_count))
 
     def test_mean_l_matches_brute_force(self, rng):
         frame = random_frame(rng, 32, 32)
         lch = imgprep.rgb_to_lch(frame)
-        seg = visual.segment_frame(frame, block=16, lch=lch)
+        seg = visual.segment_frame(lch)
         for sid in range(seg.segment_count):
             mask = seg.labels == sid
             assert seg.mean_l[sid] == pytest.approx(lch.L[mask].mean(),
                                                     abs=1e-9)
-
-    def test_callable_mode(self, rng):
-        frame = random_frame(rng, 8, 8)
-        seg = visual.segment_frame(frame,
-                                   mode=lambda f: np.zeros((8, 8), np.int64))
-        assert seg.segment_count == 1
 
 
 class TestIttenContrasts:
@@ -222,7 +216,7 @@ class TestIttenContrasts:
 
     def test_uniform_frame_all_zero(self, rng):
         frame = solid_frame(90, 40, 160, 32, 32)
-        seg = visual.segment_frame(frame, block=16)
+        seg = visual.segment_frame(imgprep.rgb_to_lch(frame))
         np.testing.assert_allclose(visual.itten_contrasts(seg).values, 0.0,
                                    atol=1e-9)
 
@@ -239,7 +233,7 @@ class TestIttenContrasts:
         assert values[3] == pytest.approx(1.0)
 
     def test_single_segment_is_zero(self, rng):
-        seg = visual.segment_frame(random_frame(rng, 8, 8), block=16)
+        seg = visual.segment_frame(imgprep.rgb_to_lch(random_frame(rng, 8, 8)))
         assert seg.segment_count == 1
         np.testing.assert_allclose(visual.itten_contrasts(seg).values, 0.0)
 
