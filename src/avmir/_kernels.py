@@ -4,8 +4,8 @@ earth mover's distance.
 LBP, CLAHE interpolation and dithering are vectorized numpy.  The per-pixel
 loops they replace live in tests/test_kernels.py as reference oracles, and
 the kernel tests require equal results from both.  The earth mover's
-distance is a successive-shortest-path min-cost-flow solver running as a
-plain Python loop; tests check it against scipy's LP solver.
+distance solver runs successive shortest paths found by whole-array
+Bellman-Ford sweeps; tests check it against scipy's LP solver.
 """
 
 import numpy as np
@@ -137,112 +137,53 @@ def dither_indices(rgb, palette, tmap, spread):
 # ---------------------------------------------------------------------------
 
 def _emd_ssp(supply, demand, cost):
-    """Exact EMD by successive shortest augmenting paths with potentials.
+    """Exact EMD by successive shortest augmenting paths.
 
     supply and demand must have equal totals; returns sum(flow * cost).
-    Node layout: 0..n-1 sources, n..n+m-1 sinks.
+    Each path search is Bellman-Ford over the dense bipartite residual graph
+    (arcs i -> j at cost[i, j]; j -> i at -cost[i, j] where flow[i, j] > 0).
+    Labels change only on a strict improvement, so ties cannot close a
+    parent cycle through a zero-cost forward/backward arc pair.
     """
-    n = supply.shape[0]
-    m = demand.shape[0]
-    big = 1e30
+    n, m = cost.shape
     eps = 1e-12
-
-    rem_s = supply.copy()
-    rem_d = demand.copy()
-    flow = np.zeros((n, m), dtype=np.float64)
-    pot = np.zeros(n + m, dtype=np.float64)
-
-    total = 0.0
-    for i in range(n):
-        total += supply[i]
-
-    pushed = 0.0
-    while pushed < total - eps:
-        dist = np.full(n + m, big, dtype=np.float64)
-        parent = np.full(n + m, -1, dtype=np.int64)
-        done = np.zeros(n + m, dtype=np.bool_)
-        for i in range(n):
-            if rem_s[i] > eps:
-                dist[i] = 0.0
-
-        target = -1
-        while True:
-            u = -1
-            best = big
-            for v in range(n + m):
-                if not done[v] and dist[v] < best:
-                    best = dist[v]
-                    u = v
-            if u < 0:
+    rem_s, rem_d = supply.copy(), demand.copy()
+    flow = np.zeros((n, m))
+    rows, cols = np.arange(n), np.arange(m)
+    while rem_s.max() > eps:
+        back_cost = np.where(flow > eps, -cost, np.inf)
+        ds, dt = np.where(rem_s > eps, 0.0, np.inf), np.full(m, np.inf)
+        ps, pt = np.full(n, -1), np.full(m, -1)
+        for _ in range(n + m):
+            reach = ds[:, None] + cost
+            via = reach.argmin(axis=0)
+            new = reach[via, cols]
+            better_t = new < dt - 1e-9
+            dt[better_t], pt[better_t] = new[better_t], via[better_t]
+            reach = dt[None, :] + back_cost
+            via = reach.argmin(axis=1)
+            new = reach[rows, via]
+            better_s = new < ds - 1e-9
+            ds[better_s], ps[better_s] = new[better_s], via[better_s]
+            if not (better_t.any() or better_s.any()):
                 break
-            done[u] = True
-            if u >= n and rem_d[u - n] > eps:
-                target = u
-                break
-            if u < n:
-                # forward arcs source u -> every sink; float drift in the
-                # potentials is clamped so Dijkstra's invariant holds
-                for j in range(m):
-                    rc = cost[u, j] + pot[u] - pot[n + j]
-                    if rc < 0.0:
-                        rc = 0.0
-                    nd = dist[u] + rc
-                    if nd < dist[n + j] - 1e-15:
-                        dist[n + j] = nd
-                        parent[n + j] = u
-            else:
-                # backward arcs sink u -> sources with flow
-                j = u - n
-                for i in range(n):
-                    if flow[i, j] > eps:
-                        rc = -cost[i, j] + pot[u] - pot[i]
-                        if rc < 0.0:
-                            rc = 0.0
-                        nd = dist[u] + rc
-                        if nd < dist[i] - 1e-15:
-                            dist[i] = nd
-                            parent[i] = u
-        if target < 0:
+        open_dt = np.where(rem_d > eps, dt, np.inf)
+        target = int(open_dt.argmin())
+        if open_dt[target] == np.inf:
             break  # numerically exhausted
 
-        # bottleneck along the augmenting path
-        bottleneck = rem_d[target - n]
-        v = target
-        while parent[v] >= 0:
-            u = parent[v]
-            if v >= n:
-                pass  # forward arc, capacity unbounded
-            else:
-                if flow[v, u - n] < bottleneck:
-                    bottleneck = flow[v, u - n]
-            v = u
-        if rem_s[v] < bottleneck:
-            bottleneck = rem_s[v]
-
-        # apply flow
-        v = target
-        while parent[v] >= 0:
-            u = parent[v]
-            if v >= n:
-                flow[u, v - n] += bottleneck
-            else:
-                flow[v, u - n] -= bottleneck
-            v = u
-        rem_s[v] -= bottleneck
-        rem_d[target - n] -= bottleneck
-        pushed += bottleneck
-
-        # potentials update with min(dist, dist_target) for every node keeps
-        # all residual reduced costs nonnegative for the next Dijkstra pass
-        dt = dist[target]
-        for v in range(n + m):
-            pot[v] += dist[v] if dist[v] < dt else dt
-
-    out = 0.0
-    for i in range(n):
-        for j in range(m):
-            out += flow[i, j] * cost[i, j]
-    return out
+        # walk back: arcs (srcs[k], snks[k]) forward, (srcs[k], snks[k+1]) back
+        srcs, snks = [pt[target]], [target]
+        while ps[srcs[-1]] >= 0:
+            snks.append(ps[srcs[-1]])
+            srcs.append(pt[snks[-1]])
+        back = (srcs[:-1], snks[1:])
+        step = min(rem_d[target], rem_s[srcs[-1]], *flow[back])
+        flow[srcs, snks] += step
+        flow[back] -= step
+        rem_s[srcs[-1]] -= step
+        rem_d[target] -= step
+    return float((flow * cost).sum())
 
 
 def emd(supply, demand, cost):

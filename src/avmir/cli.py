@@ -471,11 +471,13 @@ def cmd_arff_export(args):
                                  f"{len(header)} cells, got {len(cells)}")
             labels.append(cells[label_idx])
             try:
-                rows.append([float(c) for i, c in enumerate(cells)
-                             if i != label_idx])
+                row = [float(c) for i, c in enumerate(cells) if i != label_idx]
             except ValueError:
                 raise InputError(f"{args.csv}:{ln}: non-numeric feature "
                                  "value") from None
+            if not np.isfinite(row).all():
+                raise InputError(f"{args.csv}:{ln}: non-finite feature value")
+            rows.append(row)
     if not rows:
         raise InputError(f"{args.csv}: no data rows")
     dataset = ml.LabeledDataset(np.array(rows), labels, schema)

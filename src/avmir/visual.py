@@ -433,18 +433,23 @@ LFP_PRESET_BINS = {"paper-80": 8, "paper-60": 24}
 LFP_PRESET_DIMS = {"paper-80": 80, "paper-60": 60}
 
 
-def frame_features(frame, features, ihls=None, lch=None):
+# the per-frame feature sets that read each colour space; WAF takes its
+# blur measure from IHLS luminance
+IHLS_FEATURES = frozenset({"gcs", "gev", "waf"})
+LCH_FEATURES = frozenset({"waf", "ic"})
+
+
+def frame_features(frame, features, lch=None):
     """Compute the requested per-frame feature sets for one frame.
 
-    Returns a dict name -> FrameFeature.  Shared color-space conversions are
-    done once; pass precomputed ihls/lch to reuse them across feature sets.
+    Returns a dict name -> FrameFeature.  Each colour space is converted at
+    most once; pass a precomputed lch to share it with the LFP histogram.
     """
     out = {}
-    needs_ihls = {"gcs", "gev"} & set(features)
-    needs_lch = {"waf", "ic"} & set(features)
-    if needs_ihls and ihls is None:
+    ihls = None
+    if IHLS_FEATURES & set(features):
         ihls = imgprep.rgb_to_ihls(frame)
-    if needs_lch and lch is None:
+    if lch is None and LCH_FEATURES & set(features):
         lch = imgprep.rgb_to_lch(frame)
 
     for name in features:
@@ -457,9 +462,7 @@ def frame_features(frame, features, ihls=None, lch=None):
         elif name == "cn":
             out[name] = color_names(frame)
         elif name == "waf":
-            gray = (ihls if ihls is not None
-                    else imgprep.rgb_to_ihls(frame)).luminance * 255.0
-            out[name] = waf(lch, blur_measure(gray))
+            out[name] = waf(lch, blur_measure(ihls.luminance * 255.0))
         elif name == "ic":
             out[name] = itten_contrasts(segment_frame(lch))
         else:
@@ -488,9 +491,8 @@ def extract_video_features(frames, features, fps=25.0, lfp_preset="paper-80",
     for frame in frames:
         if crop_letterbox:
             frame = imgprep.strip_letterbox(frame)
-        ihls = imgprep.rgb_to_ihls(frame) if {"gcs", "gev", "waf"} & set(wanted) else None
-        lch = imgprep.rgb_to_lch(frame) if want_lfp or {"waf", "ic"} & set(wanted) else None
-        feats = frame_features(frame, wanted, ihls=ihls, lch=lch)
+        lch = imgprep.rgb_to_lch(frame) if want_lfp else None
+        feats = frame_features(frame, wanted, lch=lch)
         for name in wanted:
             rows[name].append(feats[name].values)
         if want_lfp:

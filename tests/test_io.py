@@ -246,6 +246,12 @@ def wav_blob(sample_rate=8000, raw=bytes(4)):
                        b"data", len(raw)) + raw
 
 
+def _arff_export(path):
+    args = cli.build_parser().parse_args(
+        ["arff-export", "--csv", str(path), "--out", str(path) + ".arff"])
+    return args.func(args)
+
+
 ARFF_HEAD = b"@RELATION x\n@ATTRIBUTE f NUMERIC\n@ATTRIBUTE class {a}\n@DATA\n"
 
 
@@ -282,11 +288,13 @@ ARFF_HEAD = b"@RELATION x\n@ATTRIBUTE f NUMERIC\n@ATTRIBUTE class {a}\n@DATA\n"
     ("nan.csv", b"0,nan,1.0\n",
      lambda p: concepts.read_concept_scores(p, ["a", "b"]), InputError,
      "nan.csv: concept scores must lie in [0, 1]"),
+    ("table.csv", b"class,f\na,1.0\nb,nan\n", _arff_export, InputError,
+     "table.csv:3: non-finite feature value"),
 ], ids=["arff-quoted-name", "ppm-header", "pgm-header", "ppm-zero-width",
         "ppm-zero-height", "pgm-negative-width", "concept-score",
         "wav-zero-rate", "wav-file-named", "wav-odd-data-file-named",
         "arff-file-named", "arff-no-data-file-named", "arff-non-finite",
-        "concept-row-sum", "concept-nan"])
+        "concept-row-sum", "concept-nan", "arff-export-non-finite"])
 def test_parse_errors_are_located(tmp_path, name, blob, reader, error,
                                   location):
     path = tmp_path / name
@@ -304,12 +312,6 @@ def test_format_errors_keep_their_location_when_pickled(tmp_path):
         assert type(back) is type(error)
         assert str(back) == str(error)
         assert back.__dict__ == error.__dict__
-
-
-def _arff_export(path):
-    args = cli.build_parser().parse_args(
-        ["arff-export", "--csv", str(path), "--out", str(path) + ".arff"])
-    return args.func(args)
 
 
 @pytest.mark.parametrize("reader", [

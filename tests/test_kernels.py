@@ -12,7 +12,8 @@ import pytest
 
 from avmir._kernels import (_clahe_maps, clahe_u8, dither_indices, emd,
                             lbp_codes)
-from avmir.visual import _rgb_cell_centers
+from avmir.visual import _rgb_cell_centers, rgb_histogram
+from conftest import random_frame
 
 
 @pytest.fixture
@@ -187,6 +188,7 @@ def _emd_linprog(supply, demand, cost):
 
 def test_emd_matches_lp_oracle(rng):
     scipy = pytest.importorskip("scipy")  # noqa: F841 - oracle dependency
+    cases = []
     for trial in range(10):
         n = int(rng.integers(2, 65))
         m = int(rng.integers(2, 65))
@@ -195,24 +197,45 @@ def test_emd_matches_lp_oracle(rng):
         demand = rng.random(m) + 0.01
         demand /= demand.sum()
         cost = rng.random((n, m)) * 10.0
-        got = emd(supply, demand, cost)
-        want = _emd_linprog(supply, demand, cost)
-        assert got == pytest.approx(want, abs=1e-9)
+        cases.append((f"random {trial}", supply, demand, cost))
 
-    # colourfulness input: a sparse frame histogram over the 4^3 RGB cell
-    # centres against the uniform ideal, Euclidean ground distance
+    # colourfulness input: frame histograms over the 4^3 RGB cell centres
+    # against the uniform ideal, Euclidean ground distance, both directions
     centers = _rgb_cell_centers(4)
-    cost = np.sqrt(((centers[:, None] - centers[None]) ** 2).sum(axis=-1))
+    cf_cost = np.sqrt(((centers[:, None] - centers[None]) ** 2).sum(axis=-1))
     uniform = np.full(64, 1.0 / 64.0)
+    hists = []
     for occupied in range(1, 10):
         sparse = np.zeros(64)
         cells = rng.choice(64, size=occupied, replace=False)
         sparse[cells] = rng.random(occupied) + 0.01
-        sparse /= sparse.sum()
-        for supply, demand in ((sparse, uniform), (uniform, sparse)):
-            got = emd(supply, demand, cost)
-            want = _emd_linprog(supply, demand, cost)
-            assert got == pytest.approx(want, abs=1e-9), occupied
+        hists.append((f"sparse {occupied}", sparse / sparse.sum()))
+
+    # integer costs: many equal-cost augmenting paths, which the solver's
+    # strict-improvement rule must keep from closing parent cycles
+    for trial in range(10):
+        n = int(rng.integers(2, 65))
+        m = int(rng.integers(2, 65))
+        supply = rng.random(n) + 0.01
+        demand = rng.random(m) + 0.01
+        cost = rng.integers(0, 4, size=(n, m)).astype(np.float64)
+        cases.append((f"integer {trial}", supply / supply.sum(),
+                      demand / demand.sum(), cost))
+
+    # dense histograms: a noise frame, and a noise frame between black bars
+    for trial in range(3):
+        boxed = np.zeros((24, 16, 3), dtype=np.uint8)
+        boxed[4:20] = random_frame(rng)
+        hists.append((f"noise {trial}", rgb_histogram(random_frame(rng), 4)))
+        hists.append((f"letterboxed {trial}", rgb_histogram(boxed, 4)))
+    for name, hist in hists:
+        cases.append((name, hist, uniform, cf_cost))
+        cases.append((name + " reversed", uniform, hist, cf_cost))
+
+    for name, supply, demand, cost in cases:
+        got = emd(supply, demand, cost)
+        want = _emd_linprog(supply, demand, cost)
+        assert got == pytest.approx(want, abs=1e-9), name
 
 
 def test_emd_point_mass_closed_form():
