@@ -183,34 +183,28 @@ def preset(bundle, name):
 def segment_bundle_from_audio(clip):
     """Deterministic stand-in for an onset-aligned segment analyzer.
 
-    The clip is cut into BUNDLE_SEGMENT_SECONDS segments; per segment the
-    timbre proxy is the mean of MFCC coefficients 1..12 (the gain coefficient
-    is dropped), the pitch proxy the mean chroma vector, plus peak absolute
-    amplitude, its offset within the segment and the segment length.
+    The clip is resampled to the analysis rate and cut into
+    BUNDLE_SEGMENT_SECONDS segments; per segment the timbre proxy is the
+    mean of MFCC coefficients 1..12 (the gain coefficient is dropped), the
+    pitch proxy the mean chroma vector, plus peak absolute amplitude, its
+    offset within the segment and the segment length.
     """
     from . import audio  # local import to keep module load light
 
+    clip = audio.resample(clip)
     if clip.duration < 2 * BUNDLE_SEGMENT_SECONDS:
         raise ValueError("clip too short: need at least two segments")
     seg_len = int(round(BUNDLE_SEGMENT_SECONDS * clip.sample_rate))
     n_seg = clip.samples.size // seg_len
+    segments = clip.samples[:n_seg * seg_len].reshape(n_seg, seg_len)
 
-    timbre, pitches, lmax, lmax_t = [], [], [], []
-    for s in range(n_seg):
-        chunk = clip.samples[s * seg_len:(s + 1) * seg_len]
-        seg_clip = audio.AudioClip(chunk, clip.sample_rate)
-        mf = audio.mfcc(seg_clip)
-        timbre.append(mf[:, 1:13].mean(axis=0))
-        ch, _ = audio.chroma(seg_clip, window=min(4096, seg_len))
-        pitches.append(ch.mean(axis=0))
-        peak = int(np.argmax(np.abs(chunk)))
-        lmax.append(float(np.abs(chunk[peak])))
-        lmax_t.append(peak / clip.sample_rate)
-
+    timbre = audio.mfcc(segments, clip.sample_rate)[..., 1:13].mean(axis=1)
+    pitches = audio.chroma(segments, clip.sample_rate)[0].mean(axis=1)
+    peaks = np.abs(segments).argmax(axis=1)
     return SegmentBundle(
-        timbre=np.array(timbre),
-        pitches=np.array(pitches),
-        loudness_max=np.array(lmax),
-        loudness_max_time=np.array(lmax_t),
+        timbre=timbre,
+        pitches=pitches,
+        loudness_max=np.abs(segments[np.arange(n_seg), peaks]),
+        loudness_max_time=peaks / clip.sample_rate,
         segment_length=np.full(n_seg, BUNDLE_SEGMENT_SECONDS),
     )

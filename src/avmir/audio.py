@@ -51,9 +51,14 @@ _CONTOUR_SPL[0] = np.maximum(_CONTOUR_SPL[0], 0.0)
 N_MOD_FREQS = 60
 SEGMENT_SECONDS = 6.0
 
-# MFCC coefficients kept, window (samples, no overlap) and mel filters
-MFCC_COEFFS = 13
+# analysis windows in samples; every spectrum cuts its input into
+# back-to-back frames of one window each
+SONOGRAM_WINDOW = 512
 MFCC_WINDOW = 512
+CHROMA_WINDOW = 4096
+
+# MFCC coefficients kept and mel filters
+MFCC_COEFFS = 13
 MFCC_FILTERS = 26
 CHROMA_MIN_FREQ = 27.5  # Hz (A0); lower bins do not enter chroma
 
@@ -94,36 +99,29 @@ def resample(clip):
     return AudioClip(np.interp(dst_t, src_t, clip.samples), ANALYSIS_RATE)
 
 
-def _stft_power(samples, window, hop):
-    n_frames = 1 + (samples.size - window) // hop
-    idx = np.arange(window)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = samples[idx] * np.hanning(window)[None, :]
-    spec = np.fft.rfft(frames, axis=1)
+def _stft_power(samples, window):
+    """Power spectra of back-to-back Hann-windowed frames along the last
+    axis: (..., frames, window // 2 + 1); a trailing partial frame is
+    dropped."""
+    if samples.shape[-1] < window:
+        raise ValueError("clip too short for one analysis window")
+    n_frames = samples.shape[-1] // window
+    frames = samples[..., :n_frames * window].reshape(
+        samples.shape[:-1] + (n_frames, window))
+    hann = np.hanning(window)
+    spec = np.fft.rfft(frames * hann, axis=-1)
     # calibrated so a full-scale sine at a bin center gives unit power
-    scale = (np.hanning(window).sum() / 2.0) ** 2
+    scale = (hann.sum() / 2.0) ** 2
     return np.abs(spec) ** 2 / scale
 
 
-def _default_window(sample_rate):
-    return 1024 if sample_rate > 22050 else 512
-
-
-def bark_power(clip, window=None, overlap=0.0):
+def bark_power(clip):
     """Per-frame power summed into the 24 Bark bands.
 
     Returns (power (24, T), frame_rate).  Bands above Nyquist stay zero.
     """
-    if not 0.0 <= overlap < 1.0:
-        raise ValueError("overlap must be in [0, 1)")
-    window = window or _default_window(clip.sample_rate)
-    if window & (window - 1) != 0:
-        raise ValueError("window must be a power of two")
-    if clip.samples.size < window:
-        raise ValueError("clip too short")
-    hop = max(1, int(round(window * (1.0 - overlap))))
-
-    power = _stft_power(clip.samples, window, hop)
-    freqs = np.fft.rfftfreq(window, d=1.0 / clip.sample_rate)
+    power = _stft_power(clip.samples, SONOGRAM_WINDOW)
+    freqs = np.fft.rfftfreq(SONOGRAM_WINDOW, d=1.0 / clip.sample_rate)
     band_of = np.searchsorted(BARK_EDGES, freqs, side="right") - 1
     band_of = np.clip(band_of, 0, 23)
 
@@ -132,7 +130,7 @@ def bark_power(clip, window=None, overlap=0.0):
         cols = (band_of == b) & (freqs < BARK_EDGES[b + 1])
         if np.any(cols):
             bands[b] = power[:, cols].sum(axis=1)
-    return bands, clip.sample_rate / hop
+    return bands, clip.sample_rate / SONOGRAM_WINDOW
 
 
 def db_from_power(power):
@@ -174,9 +172,9 @@ def sone_from_phon(phon):
                     (np.maximum(phon, 0.0) / 40.0) ** 2.642)
 
 
-def sonogram(clip, window=None, overlap=0.0):
+def sonogram(clip):
     """Psychoacoustically transformed spectrogram (Bark / dB / phon / sone)."""
-    power, frame_rate = bark_power(clip, window, overlap)
+    power, frame_rate = bark_power(clip)
     values = sone_from_phon(phon_from_db(db_from_power(power)))
     return Sonogram(values=values, frame_rate=frame_rate,
                     sample_rate=clip.sample_rate)
@@ -218,7 +216,7 @@ def rhythm_pattern(son_values, frame_rate):
         raise ValueError("segment too short for 60 modulation frequencies")
 
     spectrum = np.abs(np.fft.rfft(son_values, axis=1))[:, 1:N_MOD_FREQS + 1]
-    freqs = np.arange(1, N_MOD_FREQS + 1) * frame_rate / t
+    freqs = modulation_frequencies(frame_rate, t)
     weighted = spectrum * fluctuation_weight(freqs)[None, :]
     return _smooth3(_smooth3(weighted, 1), 0)
 
@@ -256,7 +254,7 @@ def modvar(rp):
 def track_features(clip):
     """Track-level rp_extract-style feature family.
 
-    The clip is resampled to 22.05 kHz mono, cut into non-overlapping 6 s
+    The clip is resampled to 22.05 kHz mono, cut into back-to-back 6 s
     sonogram segments (skipping the first and last segment when at least 4
     exist) and per-segment features are aggregated: element-wise median for
     RP/RH, mean for SSD/MVD; the temporal variants take the SSD moments
@@ -300,21 +298,20 @@ TRACK_FEATURE_DIMS = {"rp": 1440, "rh": 60, "ssd": 168, "mvd": 420,
                       "tssd": 1176, "trh": 420}
 
 
-def mfcc(clip):
-    """Mel-frequency cepstral coefficients per frame, shape (frames, 13).
+def mfcc(samples, sample_rate):
+    """Mel-frequency cepstral coefficients per frame of the last axis of
+    samples, shape (..., frames, 13).
 
     Power spectrum -> triangular mel filterbank (0..Nyquist) -> log ->
     orthonormal DCT-II, keeping the first MFCC_COEFFS coefficients.
     """
-    if clip.samples.size < MFCC_WINDOW:
-        raise ValueError("clip too short for one analysis window")
-    power = _stft_power(clip.samples, MFCC_WINDOW, MFCC_WINDOW)
-    freqs = np.fft.rfftfreq(MFCC_WINDOW, d=1.0 / clip.sample_rate)
+    power = _stft_power(samples, MFCC_WINDOW)
+    freqs = np.fft.rfftfreq(MFCC_WINDOW, d=1.0 / sample_rate)
 
-    fbank = _mel_filterbank(MFCC_FILTERS, freqs, clip.sample_rate / 2.0)
+    fbank = _mel_filterbank(MFCC_FILTERS, freqs, sample_rate / 2.0)
     energies = power @ fbank.T
     logs = np.log(energies + 1e-20)
-    return _dct2_ortho(logs)[:, :MFCC_COEFFS]
+    return _dct2_ortho(logs)[..., :MFCC_COEFFS]
 
 
 def _mel(f):
@@ -340,40 +337,40 @@ def _mel_filterbank(n_filters, freqs, f_max):
 
 
 def _dct2_ortho(x):
-    n = x.shape[1]
+    n = x.shape[-1]
     k = np.arange(n)
     basis = np.cos(np.pi / n * (k[None, :] + 0.5) * k[:, None])
     out = 2.0 * x @ basis.T
-    out[:, 0] *= np.sqrt(1.0 / (4.0 * n))
-    out[:, 1:] *= np.sqrt(1.0 / (2.0 * n))
+    out[..., 0] *= np.sqrt(1.0 / (4.0 * n))
+    out[..., 1:] *= np.sqrt(1.0 / (2.0 * n))
     return out
 
 
-def chroma(clip, window=4096):
-    """Pitch-class energy profile per frame (A4 = 440 Hz reference).
+def chroma(samples, sample_rate):
+    """Pitch-class energy profile per frame of the last axis of samples
+    (A4 = 440 Hz reference).
 
-    Returns (values (frames, 12), significant (frames,)): rows are
+    Returns (values (..., frames, 12), significant (..., frames)): rows are
     normalized to sum 1; near-silent frames are uniform and flagged
     non-significant.  Pitch class 0 is C.
     """
-    if clip.samples.size < window:
-        raise ValueError("clip too short for one analysis window")
-    power = _stft_power(clip.samples, window, window)
-    freqs = np.fft.rfftfreq(window, d=1.0 / clip.sample_rate)
+    power = _stft_power(samples, CHROMA_WINDOW)
+    freqs = np.fft.rfftfreq(CHROMA_WINDOW, d=1.0 / sample_rate)
 
     usable = freqs >= CHROMA_MIN_FREQ
     midi = 69.0 + 12.0 * np.log2(freqs[usable] / 440.0)
     pitch_class = np.round(midi).astype(np.int64) % 12
+    power = power[..., usable]
 
-    values = np.zeros((power.shape[0], 12))
+    values = np.zeros(power.shape[:-1] + (12,))
     for pc in range(12):
         cols = pitch_class == pc
         if np.any(cols):
-            values[:, pc] = power[:, usable][:, cols].sum(axis=1)
+            values[..., pc] = power[..., cols].sum(axis=-1)
 
-    totals = values.sum(axis=1)
+    totals = values.sum(axis=-1)
     significant = totals > 1e-10
-    values[significant] /= totals[significant, None]
+    values[significant] /= totals[significant][:, None]
     values[~significant] = 1.0 / 12.0
     return values, significant
 

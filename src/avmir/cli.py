@@ -109,7 +109,7 @@ _AUDIO_DIMS = {**audio.TRACK_FEATURE_DIMS, "mfcc": 26, "chroma": 24}
 
 
 def _audio_feature_vector(wav_path, features):
-    clip = avio.read_wav(wav_path)
+    clip = audio.resample(avio.read_wav(wav_path))
     vector = []
     track = None
     for name in features:
@@ -118,10 +118,10 @@ def _audio_feature_vector(wav_path, features):
                 track = audio.track_features(clip)
             vector.append(track[name])
         elif name == "mfcc":
-            frames = audio.mfcc(audio.resample(clip))
+            frames = audio.mfcc(clip.samples, clip.sample_rate)
             vector.append(aggregate.moments(frames, ("mean", "std")))
         elif name == "chroma":
-            frames, _ = audio.chroma(audio.resample(clip))
+            frames, _ = audio.chroma(clip.samples, clip.sample_rate)
             vector.append(aggregate.moments(frames, ("mean", "std")))
     return np.concatenate(vector)
 
@@ -347,11 +347,9 @@ def cmd_ensemble(args):
 
     truth = base.label_ids()
     correct = 0
-    confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
     for i in test_idx:
         samples = [ds.matrix[i] for ds in datasets]
         pred = ml.ensemble_predict(modalities, samples, len(classes))
-        confusion[truth[i], pred] += 1
         correct += int(pred == truth[i])
     accuracy = correct / len(test_idx)
 

@@ -484,8 +484,6 @@ def make_splits(manifest, spec):
     for the group's labels.  A class confined to a single group triggers a
     warning and best-effort assignment.
     """
-    import warnings
-
     by_class = {}
     for e in manifest:
         by_class.setdefault(e.label, []).append(e)

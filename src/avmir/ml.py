@@ -73,24 +73,20 @@ class Scaler:
     def transform(self, matrix):
         return (np.asarray(matrix, dtype=np.float64) - self.mean) / self.std
 
-    def inverse_transform(self, matrix):
-        return np.asarray(matrix, dtype=np.float64) * self.std + self.mean
-
 
 def fit_scaler(matrix):
     return Scaler().fit(matrix)
 
 
 # ---------------------------------------------------------------------------
-# classifiers: each has fit(X, y, n_classes) and predict(X) -> int labels,
-# plus scores(X) -> per-class score matrix
+# classifiers: each has fit(X, y, n_classes) and predict(X) -> int labels
 # ---------------------------------------------------------------------------
 
 class KnnClassifier:
     """k-nearest neighbors with L1 or L2 metric.
 
     Majority vote among the k nearest; ties break by smallest summed
-    distance, then lowest class id.  Scores are neighbor vote fractions.
+    distance, then lowest class id.
     """
 
     def __init__(self, k=1, metric="l2"):
@@ -115,15 +111,6 @@ class KnnClassifier:
         if self.metric == "l1":
             return np.abs(diff).sum(axis=2)
         return np.sqrt((diff ** 2).sum(axis=2))
-
-    def scores(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        dist = self._distances(x)
-        order = np.argsort(dist, axis=1, kind="stable")[:, :self.k]
-        votes = np.zeros((x.shape[0], self.n_classes))
-        for c in range(self.n_classes):
-            votes[:, c] = (self.y[order] == c).sum(axis=1)
-        return votes / self.k
 
     def predict(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -234,14 +221,7 @@ class MajorityClassifier:
         counts = np.bincount(np.asarray(y, dtype=np.int64),
                              minlength=n_classes)
         self.label = int(counts.argmax())
-        self.n_classes = n_classes
         return self
-
-    def scores(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = np.zeros((x.shape[0], self.n_classes))
-        out[:, self.label] = 1.0
-        return out
 
     def predict(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))

@@ -42,6 +42,9 @@ def mean_color_bar(frames, resample_height=None):
     With resample_height each column is linearly resampled to a fixed
     height, which also permits mixing frame sizes.
     """
+    if resample_height is not None and resample_height < 1:
+        raise ValueError(
+            f"resample height must be at least 1, got {resample_height}")
     columns = []
     height = None
     for frame in frames:

@@ -180,7 +180,7 @@ def test_criterion_3_signal_checks():
         assert abs(int(rp[9].argmax()) - target) <= 1
 
         # chroma: 440 Hz sine lands on pitch class A
-        chroma_values, significant = audio.chroma(sine_clip(440.0))
+        chroma_values, significant = audio.chroma(sine_clip(440.0).samples, 22050)
         assert significant.all()
         assert chroma_values.mean(axis=0).argmax() == \
             audio.PITCH_CLASS_NAMES.index("A")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avmir import audio
+from avmir import aggregate, audio
 from avmir.audio import AudioClip
 from conftest import sine_clip
 
@@ -57,12 +57,6 @@ class TestSonogram:
         db_l = audio.db_from_power(audio.bark_power(loud)[0])
         band = 8  # 1 kHz lies in band 9 (index 8)
         np.testing.assert_allclose(db_l[band] - db_q[band], 6.0206, atol=0.01)
-
-    def test_overlap_increases_frame_rate(self):
-        clip = sine_clip(440.0, seconds=1.0)
-        plain = audio.sonogram(clip)
-        dense = audio.sonogram(clip, overlap=0.5)
-        assert dense.frame_rate == pytest.approx(2 * plain.frame_rate)
 
 
 def make_segment(frame_rate=22050 / 512.0, mod_band=None, mod_freq=4.0):
@@ -213,20 +207,20 @@ class TestTrackFeatures:
 
 class TestMfcc:
     def test_silence_constant_frames(self):
-        out = audio.mfcc(AudioClip(np.zeros(22050), 22050))
+        out = audio.mfcc(np.zeros(22050), 22050)
         assert out.shape[1] == 13
         np.testing.assert_allclose(out.var(axis=0), 0.0, atol=1e-12)
 
     def test_gain_invariance_of_higher_coefficients(self, rng):
         noise = rng.normal(0.0, 0.2, 22050)
-        a = audio.mfcc(AudioClip(0.9 * noise, 22050))
-        b = audio.mfcc(AudioClip(0.009 * noise, 22050))
+        a = audio.mfcc(0.9 * noise, 22050)
+        b = audio.mfcc(0.009 * noise, 22050)
         np.testing.assert_allclose(a[:, 1:], b[:, 1:], atol=1e-6)
 
     def test_tone_and_noise_differ(self, rng):
         t = np.arange(22050) / 22050.0
-        tone = audio.mfcc(AudioClip(0.5 * np.sin(2 * np.pi * 440 * t), 22050))
-        noise = audio.mfcc(AudioClip(rng.normal(0.0, 0.2, 22050), 22050))
+        tone = audio.mfcc(0.5 * np.sin(2 * np.pi * 440 * t), 22050)
+        noise = audio.mfcc(rng.normal(0.0, 0.2, 22050), 22050)
         a = tone.mean(axis=0)
         b = noise.mean(axis=0)
         scale = np.maximum(np.abs(a) + np.abs(b), 1e-9)
@@ -235,21 +229,94 @@ class TestMfcc:
 
 class TestChroma:
     def test_a440_maps_to_pitch_class_a(self):
-        values, significant = audio.chroma(sine_clip(440.0))
+        values, significant = audio.chroma(sine_clip(440.0).samples, 22050)
         assert significant.all()
         assert values.mean(axis=0).argmax() == audio.PITCH_CLASS_NAMES.index("A")
 
     def test_octave_invariance(self):
-        values, _ = audio.chroma(sine_clip(880.0))
+        values, _ = audio.chroma(sine_clip(880.0).samples, 22050)
         assert values.mean(axis=0).argmax() == audio.PITCH_CLASS_NAMES.index("A")
 
     def test_silence_uniform_and_flagged(self):
-        values, significant = audio.chroma(AudioClip(np.zeros(22050), 22050))
+        values, significant = audio.chroma(np.zeros(22050), 22050)
         assert not significant.any()
         np.testing.assert_allclose(values, 1.0 / 12.0)
 
     def test_rows_normalized(self, rng):
-        values, significant = audio.chroma(
-            AudioClip(rng.normal(0.0, 0.3, 22050), 22050))
+        values, significant = audio.chroma(rng.normal(0.0, 0.3, 22050), 22050)
         np.testing.assert_allclose(values[significant].sum(axis=1), 1.0,
                                    atol=1e-9)
+
+
+def click_track(seconds=5.3, sr=22050, every=11025):
+    samples = np.zeros(int(seconds * sr))
+    samples[::every] = 0.9
+    return AudioClip(samples, sr)
+
+
+class TestBatchedFrontEnd:
+    """mfcc and chroma on a (k, n) array equal the row-by-row calls, and
+    the batched segment bundle equals a per-segment loop."""
+
+    @staticmethod
+    def rows(rng):
+        noise = rng.normal(0.0, 0.2, (3, 22050))
+        return np.vstack([noise, click_track(1.0).samples[None, :],
+                          np.zeros((1, 22050))])
+
+    def test_mfcc_rows_match_single_calls(self, rng):
+        rows = self.rows(rng)
+        batched = audio.mfcc(rows, 22050)
+        assert batched.shape[0] == rows.shape[0]
+        for row, out in zip(rows, batched):
+            assert np.array_equal(out, audio.mfcc(row, 22050))
+
+    def test_chroma_rows_match_single_calls(self, rng):
+        rows = self.rows(rng)
+        values, significant = audio.chroma(rows, 22050)
+        assert not significant[-1].any()
+        for row, v, s in zip(rows, values, significant):
+            v1, s1 = audio.chroma(row, 22050)
+            assert np.array_equal(v, v1)
+            assert np.array_equal(s, s1)
+
+    @staticmethod
+    def loop_bundle(clip):
+        """Per-segment oracle: one mfcc and one chroma call per segment."""
+        rate = clip.sample_rate
+        seg_len = int(round(aggregate.BUNDLE_SEGMENT_SECONDS * rate))
+        timbre, pitches, lmax, lmax_t = [], [], [], []
+        for s in range(clip.samples.size // seg_len):
+            chunk = clip.samples[s * seg_len:(s + 1) * seg_len]
+            timbre.append(audio.mfcc(chunk, rate)[:, 1:13].mean(axis=0))
+            ch, _ = audio.chroma(chunk, rate)
+            pitches.append(ch.mean(axis=0))
+            peak = int(np.argmax(np.abs(chunk)))
+            lmax.append(float(np.abs(chunk[peak])))
+            lmax_t.append(peak / rate)
+        return (np.array(timbre), np.array(pitches), np.array(lmax),
+                np.array(lmax_t))
+
+    @pytest.mark.parametrize("kind", ["noise", "clicks"])
+    def test_bundle_matches_per_segment_loop(self, rng, kind):
+        if kind == "noise":
+            clip = AudioClip(rng.normal(0.0, 0.2, 22050 * 6 + 1234), 22050)
+        else:
+            clip = click_track()
+        bundle = aggregate.segment_bundle_from_audio(clip)
+        timbre, pitches, lmax, lmax_t = self.loop_bundle(clip)
+        assert np.array_equal(bundle.timbre, timbre)
+        assert np.array_equal(bundle.pitches, pitches)
+        assert np.array_equal(bundle.loudness_max, lmax)
+        assert np.array_equal(bundle.loudness_max_time, lmax_t)
+        np.testing.assert_array_equal(bundle.segment_length,
+                                      np.full(timbre.shape[0], 1.0))
+
+    def test_bundle_resamples_to_analysis_rate(self, rng):
+        clip = AudioClip(rng.normal(0.0, 0.2, 44100 * 4 + 17), 44100)
+        bundle = aggregate.segment_bundle_from_audio(clip)
+        oracle = aggregate.segment_bundle_from_audio(audio.resample(clip))
+        for name in ("timbre", "pitches", "loudness_max", "loudness_max_time",
+                     "segment_length"):
+            assert np.array_equal(getattr(bundle, name),
+                                  getattr(oracle, name)), name

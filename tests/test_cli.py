@@ -271,6 +271,15 @@ class TestShotCommands:
         bar = avio.read_ppm(out)
         assert bar.shape[1] == 40
 
+    @pytest.mark.parametrize("height", [0, -2])
+    def test_meancolorbar_rejects_height_below_one(self, workspace, capsys,
+                                                   height):
+        out = workspace / "bar.ppm"
+        assert run("meancolorbar", "--frames", workspace / "rock0.rgb",
+                   "--height", height, "--out", out) == 2
+        assert not out.exists()
+        assert f"got {height}" in capsys.readouterr().err
+
     def test_cutscan_boundaries_json(self, tmp_path):
         frames = []
         for i in range(60):

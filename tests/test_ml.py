@@ -35,12 +35,6 @@ class TestScaler:
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-9)
 
-    def test_inverse_roundtrip(self, rng):
-        m = rng.normal(size=(50, 6))
-        scaler = ml.fit_scaler(m)
-        np.testing.assert_allclose(scaler.inverse_transform(
-            scaler.transform(m)), m, atol=1e-9)
-
 
 class TestKnn:
     def test_training_point_predicts_own_label(self, rng):
@@ -69,12 +63,6 @@ class TestKnn:
                     dists = [sum((a - b) ** 2 for a, b in zip(p, row)) ** 0.5
                              for row in train]
                 assert y[int(np.argmin(dists))] == pred[i]
-
-    def test_vote_fraction_scores(self, rng):
-        clf = ml.KnnClassifier(k=3).fit([[0.0], [0.1], [0.2], [9.0]],
-                                        [0, 0, 1, 1], 2)
-        scores = clf.scores([[0.05]])
-        np.testing.assert_allclose(scores, [[2 / 3, 1 / 3]])
 
     def test_k_larger_than_train_raises(self):
         with pytest.raises(ValueError):
