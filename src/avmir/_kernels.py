@@ -1,9 +1,11 @@
 """Hot numeric kernels: LBP codes, CLAHE, ordered dithering and the exact
 earth mover's distance.
 
-LBP, CLAHE interpolation and dithering are vectorized numpy.  The per-pixel
-loops they replace live in tests/test_kernels.py as reference oracles, and
-the kernel tests require equal results from both.  The earth mover's
+LBP, CLAHE and dithering are vectorized numpy: the CLAHE tables come from
+one histogram of all tiles, and the CLAHE blend and dithering run over
+blocks of rows that stay in cache.  The per-pixel and per-tile loops they
+replace live in tests/test_kernels.py as reference oracles, and the kernel
+tests require equal results from both.  The earth mover's
 distance solver runs successive shortest paths found by whole-array
 Bellman-Ford sweeps; tests check it against scipy's LP solver.
 """
@@ -12,6 +14,11 @@ import numpy as np
 
 # perfbench/passes.py reports the backend from this flag; numpy is the only one
 NUMBA_ENABLED = False
+
+# rows per block of the per-pixel passes (CLAHE blend, dithering, color
+# conversions): a block's working planes stay in cache, which whole-frame
+# passes over every plane do not
+BLOCK_ROWS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -43,73 +50,81 @@ def lbp_codes(gray):
 def _clahe_maps(img, n_ty, n_tx, tile_h, tile_w, clip_limit):
     """Per-tile 256-entry lookup tables from clipped, equalized histograms.
 
-    Levels below a tile's first occupied bin map to 0, so blending with a
-    neighboring tile never yields a negative value.
+    All tile histograms come from one bincount over tile * 256 + value and
+    are clipped, accumulated and normalized row by row.  A flat tile maps by
+    the identity.  Levels below a tile's first occupied bin (after
+    clipping) map to 0, so blending with a neighboring tile never yields a
+    negative value.
     """
     h, w = img.shape
-    maps = np.zeros((n_ty, n_tx, 256), dtype=np.float64)
-    for ty in range(n_ty):
-        y0 = ty * tile_h
-        y1 = min(y0 + tile_h, h)
-        for tx in range(n_tx):
-            x0 = tx * tile_w
-            x1 = min(x0 + tile_w, w)
-            tile = img[y0:y1, x0:x1]
-            hist = np.bincount(tile.ravel(), minlength=256).astype(np.float64)
-            if np.count_nonzero(hist) == 1:
-                # flat tile: equalization is the identity
-                maps[ty, tx] = np.arange(256, dtype=np.float64)
-                continue
-            area = float((y1 - y0) * (x1 - x0))
-            if clip_limit > 0:
-                limit = max(1.0, clip_limit * area / 256.0)
-                excess = np.maximum(hist - limit, 0.0).sum()
-                hist = np.minimum(hist, limit) + excess / 256.0
-            cdf = np.cumsum(hist) / hist.sum()
-            cdf_min = cdf[np.nonzero(hist)[0][0]]
-            maps[ty, tx] = (np.maximum(cdf - cdf_min, 0.0) / (1.0 - cdf_min)
-                            * 255.0)
-    return maps
+    n_tiles = n_ty * n_tx
+    tile = ((np.arange(h) // tile_h)[:, None] * n_tx
+            + (np.arange(w) // tile_w)[None, :])
+    hist = np.bincount((tile * 256 + img).ravel(), minlength=n_tiles * 256)
+    hist = hist.reshape(n_tiles, 256).astype(np.float64)
+    flat = np.count_nonzero(hist, axis=1) == 1
+    maps = np.empty((n_tiles, 256), dtype=np.float64)
+    maps[flat] = np.arange(256, dtype=np.float64)
+
+    hist = hist[~flat]
+    if clip_limit > 0:
+        area = hist.sum(axis=1)  # pixel counts: exact in float64
+        limit = np.maximum(1.0, clip_limit * area / 256.0)[:, None]
+        excess = np.maximum(hist - limit, 0.0).sum(axis=1)
+        hist = np.minimum(hist, limit) + (excess / 256.0)[:, None]
+    cdf = np.cumsum(hist, axis=1) / hist.sum(axis=1)[:, None]
+    first = np.argmax(hist > 0, axis=1)
+    cdf_min = cdf[np.arange(len(cdf)), first][:, None]
+    maps[~flat] = np.maximum(cdf - cdf_min, 0.0) / (1.0 - cdf_min) * 255.0
+    return maps.reshape(n_ty, n_tx, 256)
+
+
+def _axis_blend(n, tile, n_tiles):
+    """Lower and upper tile index of each pixel centre along one axis, and
+    the upper tile's blending weight (0 beyond the outer tile centres)."""
+    f = (np.arange(n) + 0.5) / tile - 0.5
+    t0 = np.floor(f).astype(np.int64)
+    weight = f - t0
+    weight[t0 < 0] = 0.0
+    t0 = np.clip(t0, 0, n_tiles - 1)
+    t1 = np.minimum(t0 + 1, n_tiles - 1)
+    weight[t1 == t0] = 0.0
+    return t0, t1, weight
 
 
 def clahe_u8(img, tile_w, tile_h, clip_limit):
-    """Contrast-limited adaptive histogram equalization of a uint8 raster."""
+    """Contrast-limited adaptive histogram equalization of a uint8 raster.
+
+    Each pixel blends the lookup tables of its four surrounding tiles; the
+    four terms are summed in the order (top-left, top-right, bottom-left,
+    bottom-right).  Pixels are blended in blocks of rows.
+    """
     img = np.ascontiguousarray(img, dtype=np.uint8)
     h, w = img.shape
     tile_h = min(tile_h, h)
     tile_w = min(tile_w, w)
     n_ty = (h + tile_h - 1) // tile_h
     n_tx = (w + tile_w - 1) // tile_w
-    maps = _clahe_maps(img, n_ty, n_tx, tile_h, tile_w, clip_limit)
-
-    fy = (np.arange(h) + 0.5) / tile_h - 0.5
-    ty0 = np.floor(fy).astype(np.int64)
-    wy = fy - ty0
-    wy[ty0 < 0] = 0.0
-    ty0 = np.clip(ty0, 0, n_ty - 1)
-    ty1 = np.minimum(ty0 + 1, n_ty - 1)
-    wy[ty1 == ty0] = 0.0
-
-    fx = (np.arange(w) + 0.5) / tile_w - 0.5
-    tx0 = np.floor(fx).astype(np.int64)
-    wx = fx - tx0
-    wx[tx0 < 0] = 0.0
-    tx0 = np.clip(tx0, 0, n_tx - 1)
-    tx1 = np.minimum(tx0 + 1, n_tx - 1)
-    wx[tx1 == tx0] = 0.0
-
-    ty0 = ty0[:, None]
-    ty1 = ty1[:, None]
-    wy = wy[:, None]
-    tx0 = tx0[None, :]
-    tx1 = tx1[None, :]
+    lut = _clahe_maps(img, n_ty, n_tx, tile_h, tile_w, clip_limit).ravel()
+    ty0, ty1, wy = _axis_blend(h, tile_h, n_ty)
+    tx0, tx1, wx = _axis_blend(w, tile_w, n_tx)
     wx = wx[None, :]
-
-    m = ((1.0 - wy) * (1.0 - wx) * maps[ty0, tx0, img]
-         + (1.0 - wy) * wx * maps[ty0, tx1, img]
-         + wy * (1.0 - wx) * maps[ty1, tx0, img]
-         + wy * wx * maps[ty1, tx1, img])
-    return np.floor(m + 0.5).astype(np.uint8)
+    out = np.empty((h, w), dtype=np.uint8)
+    for y in range(0, h, BLOCK_ROWS):
+        rows = slice(y, y + BLOCK_ROWS)
+        level = img[rows].astype(np.intp)
+        left = level + tx0 * 256
+        right = level + tx1 * 256
+        top = (ty0[rows] * (n_tx * 256))[:, None]
+        bottom = (ty1[rows] * (n_tx * 256))[:, None]
+        wyb = wy[rows, None]
+        m = (1.0 - wyb) * (1.0 - wx) * lut.take(left + top)
+        m += (1.0 - wyb) * wx * lut.take(right + top)
+        m += wyb * (1.0 - wx) * lut.take(left + bottom)
+        m += wyb * wx * lut.take(right + bottom)
+        m += 0.5
+        out[rows] = np.floor(m, out=m)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -118,18 +133,40 @@ def clahe_u8(img, tile_w, tile_h, clip_limit):
 
 def dither_indices(rgb, palette, tmap, spread):
     """Ordered-dither quantization: per-pixel threshold offset, then nearest
-    palette color by squared RGB distance (ties to the lowest index)."""
-    rgb = np.ascontiguousarray(rgb, dtype=np.float64)
-    palette = np.ascontiguousarray(palette, dtype=np.float64)
-    tmap = np.ascontiguousarray(tmap, dtype=np.float64)
+    palette color by squared RGB distance (ties to the lowest index).
+
+    Blocks of rows are scanned one palette entry at a time against a running
+    minimum; each distance sums its three squared channel differences in
+    R, G, B order, and each (channel, level) difference is squared once.
+    """
+    rgb = np.asarray(rgb, dtype=np.float64)
+    palette = np.asarray(palette, dtype=np.float64)
+    tmap = np.asarray(tmap, dtype=np.float64)
     h, w, _ = rgb.shape
     n = tmap.shape[0]
     reps = ((h + n - 1) // n, (w + n - 1) // n)
-    tiled = np.tile(tmap, reps)[:h, :w]
-    perturbed = rgb + (float(spread) * (tiled - 0.5))[:, :, None]
-    diff = perturbed[:, :, None, :] - palette[None, None, :, :]
-    dist = (diff ** 2).sum(axis=-1)
-    return dist.argmin(axis=-1).astype(np.int32)
+    offset = float(spread) * (np.tile(tmap, reps)[:h, :w] - 0.5)
+    index = np.zeros((h, w), dtype=np.int32)
+    for y in range(0, h, BLOCK_ROWS):
+        rows = slice(y, y + BLOCK_ROWS)
+        channels = [rgb[rows, :, c] + offset[rows] for c in range(3)]
+        squares = {}
+
+        def square(c, level):
+            if (c, level) not in squares:
+                squares[c, level] = np.square(channels[c] - level)
+            return squares[c, level]
+
+        best = np.full(channels[0].shape, np.inf)
+        block = index[rows]
+        for k, (r, g, b) in enumerate(palette):
+            dist = square(0, r) + square(1, g)
+            dist += square(2, b)
+            # k exceeds every index so far: a maximum selects it where this
+            # entry is strictly closer, faster than a masked write
+            np.maximum(block, (dist < best) * np.int32(k), out=block)
+            np.minimum(best, dist, out=best)
+    return index
 
 
 # ---------------------------------------------------------------------------

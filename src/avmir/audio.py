@@ -62,6 +62,11 @@ MFCC_COEFFS = 13
 MFCC_FILTERS = 26
 CHROMA_MIN_FREQ = 27.5  # Hz (A0); lower bins do not enter chroma
 
+# anti-alias low-pass applied before downsampling: cutoff as a fraction of
+# ANALYSIS_RATE, and the windowed sinc's half-length in sinc zero crossings
+RESAMPLE_CUTOFF = 0.45
+RESAMPLE_ZERO_CROSSINGS = 32
+
 
 @dataclass
 class AudioClip:
@@ -89,14 +94,34 @@ class Sonogram:
     sample_rate: int
 
 
+def _lowpass_taps(sample_rate):
+    """Blackman-windowed sinc low-pass at RESAMPLE_CUTOFF * ANALYSIS_RATE
+    for a signal at sample_rate; odd length, unity gain at DC."""
+    cutoff = RESAMPLE_CUTOFF * ANALYSIS_RATE / sample_rate  # cycles/sample
+    half = int(np.ceil(RESAMPLE_ZERO_CROSSINGS / (2.0 * cutoff)))
+    taps = (np.sinc(2.0 * cutoff * np.arange(-half, half + 1))
+            * np.blackman(2 * half + 1))
+    return taps / taps.sum()
+
+
 def resample(clip):
-    """Linear resampling to ANALYSIS_RATE; a clip already at it is returned."""
+    """Linear resampling to ANALYSIS_RATE; a clip already at it is returned.
+
+    A clip above ANALYSIS_RATE is low-passed below ANALYSIS_RATE / 2 first,
+    so content above the new Nyquist frequency does not fold back into the
+    analysis band.
+    """
     if clip.sample_rate == ANALYSIS_RATE:
         return clip
-    n_out = int(round(clip.samples.size * ANALYSIS_RATE / clip.sample_rate))
-    src_t = np.arange(clip.samples.size) / clip.sample_rate
+    samples = clip.samples
+    if clip.sample_rate > ANALYSIS_RATE:
+        taps = _lowpass_taps(clip.sample_rate)
+        half = taps.size // 2
+        samples = np.convolve(samples, taps)[half:half + samples.size]
+    n_out = int(round(samples.size * ANALYSIS_RATE / clip.sample_rate))
+    src_t = np.arange(samples.size) / clip.sample_rate
     dst_t = np.arange(n_out) / ANALYSIS_RATE
-    return AudioClip(np.interp(dst_t, src_t, clip.samples), ANALYSIS_RATE)
+    return AudioClip(np.interp(dst_t, src_t, samples), ANALYSIS_RATE)
 
 
 def _stft_power(samples, window):

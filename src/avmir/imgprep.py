@@ -2,10 +2,12 @@
 statistics, CLAHE and ordered dithering.
 
 Frames are numpy arrays of shape (height, width, 3), dtype uint8, RGB order.
-All functions here are pure; none mutates its input.
+All functions here are pure; none mutates its input.  A FrameContext
+validates a frame once and converts it to each color space at most once.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,9 +60,22 @@ class CircularStats:
     angular_deviation: float
 
 
+def _mod(x, period):
+    """np.mod(x, period) for a positive period, bit for bit.
+
+    When every |x| < period, np.mod's fmod returns x itself, so the result
+    is x, or x + period below 0; this skips the much slower division.
+    Adding 0.0 turns -0.0 into +0.0, as np.mod does.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if np.all(np.abs(x) < period):
+        return np.where(x < 0, x + period, x + 0.0)
+    return np.mod(x, period)
+
+
 def wrap_angle(theta):
     """Map angles into [0, 2pi); float dust at exactly 2pi wraps to 0."""
-    out = np.mod(theta, 2.0 * np.pi)
+    out = _mod(theta, 2.0 * np.pi)
     return np.where(out >= 2.0 * np.pi, 0.0, out)
 
 
@@ -78,6 +93,56 @@ def as_frame(arr):
     return arr
 
 
+def _channel_max(rgb):
+    # elementwise over the three planes; a reduce over a length-3 last axis
+    # is several times slower
+    return np.maximum(np.maximum(rgb[..., 0], rgb[..., 1]), rgb[..., 2])
+
+
+def _channel_min(rgb):
+    return np.minimum(np.minimum(rgb[..., 0], rgb[..., 1]), rgb[..., 2])
+
+
+def _by_rows(convert, *arrays):
+    """convert(*arrays) for a per-pixel conversion, computed over blocks of
+    BLOCK_ROWS leading rows, whose temporaries stay in cache, and joined.
+    convert returns one array or a tuple of arrays; arrays without rows
+    make one empty block."""
+    n = max(arrays[0].shape[0], 1)
+    blocks = [convert(*(a[y:y + _kernels.BLOCK_ROWS] for a in arrays))
+              for y in range(0, n, _kernels.BLOCK_ROWS)]
+    if isinstance(blocks[0], tuple):
+        return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    return np.concatenate(blocks)
+
+
+class FrameContext:
+    """One frame, validated once, with lazily converted color planes.
+
+    frame is the (H, W, 3) uint8 frame.  ihls, lch and hsv are each
+    converted on first read and kept, so every feature reading a color
+    space shares one conversion.  shape is the frame's, so code that reads
+    only a frame's size can take a context in its place (perfbench's
+    frame_features hook counts pixels that way).
+    """
+
+    def __init__(self, frame):
+        self.frame = as_frame(frame)
+        self.shape = self.frame.shape
+
+    @cached_property
+    def ihls(self):
+        return IhlsFrame(*_by_rows(_ihls_planes, self.frame))
+
+    @cached_property
+    def lch(self):
+        return LchFrame(*_by_rows(_lch_planes, self.frame))
+
+    @cached_property
+    def hsv(self):
+        return _by_rows(_hsv_planes, self.frame)
+
+
 def strip_letterbox(frame):
     """Crop contiguous dark border rows/columns (letterboxing, pillarboxing).
 
@@ -86,7 +151,7 @@ def strip_letterbox(frame):
     function: if everything would be removed the input is returned unchanged.
     """
     frame = as_frame(frame)
-    dark = frame.max(axis=2) <= LETTERBOX_DARKNESS
+    dark = _channel_max(frame) <= LETTERBOX_DARKNESS
 
     h, w = dark.shape
     row_dark = dark.mean(axis=1)
@@ -118,31 +183,36 @@ def rgb_to_ihls(frame):
     angle in the chromatic plane; achromatic pixels keep hue 0 and are
     excluded via the chromatic mask.
     """
-    frame = as_frame(frame)
+    return FrameContext(frame).ihls
+
+
+def _ihls_planes(frame):
     rgb = frame.astype(np.float64) / 255.0
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
 
     luminance = _LUMA_R * r + _LUMA_G * g + _LUMA_B * b
-    saturation = rgb.max(axis=2) - rgb.min(axis=2)
+    saturation = _channel_max(rgb) - _channel_min(rgb)
 
     num = r - 0.5 * g - 0.5 * b
     den_sq = r * r + g * g + b * b - r * g - r * b - g * b
     den = np.sqrt(np.maximum(den_sq, 0.0))
     chromatic = saturation >= ACHROMATIC_EPS
 
-    hue = np.zeros_like(r)
     safe = den > 1e-12
     ratio = np.clip(np.divide(num, den, out=np.zeros_like(r), where=safe), -1.0, 1.0)
-    hue[safe] = np.arccos(ratio[safe])
-    flip = safe & (b > g)
-    hue[flip] = 2.0 * np.pi - hue[flip]
+    hue = np.where(safe, np.arccos(ratio), 0.0)
+    # an achromatic pixel flipped to 2pi falls back to 0 with the wrap below
+    hue = np.where(b > g, 2.0 * np.pi - hue, hue)
     hue = np.where(hue >= 2.0 * np.pi, 0.0, hue)
-    return IhlsFrame(hue=hue, luminance=luminance, saturation=saturation,
-                     chromatic=chromatic)
+    return hue, luminance, saturation, chromatic
 
 
 def _srgb_to_linear(c):
     return np.where(c <= 0.04045, c / 12.92, ((c + 0.055) / 1.055) ** 2.4)
+
+
+# linear-light value of each 8-bit sRGB level
+_LINEAR_LEVELS = _srgb_to_linear(np.arange(256) / 255.0)
 
 
 def _lab_f(t):
@@ -154,9 +224,11 @@ def _lab_f(t):
 
 def rgb_to_lch(frame):
     """Convert to cylindrical CIELAB: sRGB -> linear -> XYZ (D65) -> LAB -> LCH."""
-    frame = as_frame(frame)
-    rgb = _srgb_to_linear(frame.astype(np.float64) / 255.0)
-    xyz = rgb @ _SRGB_TO_XYZ.T
+    return FrameContext(frame).lch
+
+
+def _lch_planes(frame):
+    xyz = _LINEAR_LEVELS[frame] @ _SRGB_TO_XYZ.T
     xyz /= _WHITE_XYZ
 
     fx = _lab_f(xyz[..., 0])
@@ -168,25 +240,25 @@ def rgb_to_lch(frame):
 
     C = np.hypot(a, b)
     H = wrap_angle(np.arctan2(b, a))
-    return LchFrame(L=L, C=C, H=H)
+    return L, C, H
 
 
 def rgb_to_hsv(frame):
     """RGB -> HSV with H in degrees [0, 360), S and V in [0, 1]."""
-    rgb = as_frame(frame).astype(np.float64) / 255.0
-    mx = rgb.max(axis=2)
-    mn = rgb.min(axis=2)
+    return FrameContext(frame).hsv
+
+
+def _hsv_planes(frame):
+    rgb = frame.astype(np.float64) / 255.0
+    mx = _channel_max(rgb)
+    mn = _channel_min(rgb)
     delta = mx - mn
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
 
-    h = np.zeros_like(mx)
-    nz = delta > 0
-    rmax = nz & (mx == r)
-    gmax = nz & (mx == g) & ~rmax
-    bmax = nz & ~rmax & ~gmax
-    h[rmax] = np.mod((g[rmax] - b[rmax]) / delta[rmax], 6.0)
-    h[gmax] = (b[gmax] - r[gmax]) / delta[gmax] + 2.0
-    h[bmax] = (r[bmax] - g[bmax]) / delta[bmax] + 4.0
+    # a gray pixel divides 0 by 1 in the red branch, which gives hue 0
+    d = np.where(delta > 0, delta, 1.0)
+    h = np.where(mx == r, _mod((g - b) / d, 6.0),
+                 np.where(mx == g, (b - r) / d + 2.0, (r - g) / d + 4.0))
     h *= 60.0
 
     s = np.divide(delta, mx, out=np.zeros_like(mx), where=mx > 0)
@@ -195,9 +267,17 @@ def rgb_to_hsv(frame):
 
 def hsv_to_rgb(h, s, v):
     """Inverse of rgb_to_hsv; returns a uint8 frame."""
-    h = np.mod(np.asarray(h, dtype=np.float64), 360.0) / 60.0
-    s = np.clip(np.asarray(s, dtype=np.float64), 0.0, 1.0)
-    v = np.clip(np.asarray(v, dtype=np.float64), 0.0, 1.0)
+    h, s, v = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64)
+                                    for x in (h, s, v)))
+    if h.ndim == 0:
+        return _rgb_levels(h, s, v)
+    return _by_rows(_rgb_levels, h, s, v)
+
+
+def _rgb_levels(h, s, v):
+    h = _mod(h, 360.0) / 60.0
+    s = np.clip(s, 0.0, 1.0)
+    v = np.clip(v, 0.0, 1.0)
 
     i = np.floor(h).astype(np.int64) % 6
     f = h - np.floor(h)
@@ -231,20 +311,27 @@ def circular_stats(hues, weights=None):
             raise ValueError("weights must match hues in length")
         if np.any(weights < 0):
             raise ValueError("weights must be nonnegative")
-        total = weights.sum()
-        if total <= 0:
+        if weights.sum() <= 0:
             raise ValueError("weights must not all be zero")
-    else:
-        weights = np.ones_like(hues)
-        total = float(hues.size)
+    return _circular_stats(hues, weights, np.sin(hues), np.cos(hues))
 
-    sin_sum = float(np.sum(weights * np.sin(hues)))
-    cos_sum = float(np.sum(weights * np.cos(hues)))
+
+def _circular_stats(hues, weights, sin_h, cos_h):
+    """circular_stats of checked hues, given their sines and cosines, so
+    that several statistics of one hue set share them; weights None means
+    equal weights."""
+    def weighted(values):
+        # unit weights would multiply every value by exactly 1
+        return values if weights is None else weights * values
+
+    total = float(hues.size) if weights is None else weights.sum()
+    sin_sum = float(np.sum(weighted(sin_h)))
+    cos_sum = float(np.sum(weighted(cos_h)))
     mean = float(wrap_angle(np.arctan2(sin_sum, cos_sum)))
     # sqrt(2 * (1 - R)) via the identity 2*(1 - R) = sum(w * 4*sin^2((h-mean)/2))/W,
     # which stays accurate near zero deviation where 1 - R cancels badly
     half = np.sin((hues - mean) / 2.0)
-    deviation = float(2.0 * np.sqrt(np.sum(weights * half * half) / total))
+    deviation = float(2.0 * np.sqrt(np.sum(weighted(half) * half) / total))
     return CircularStats(angular_mean=mean, angular_deviation=deviation)
 
 

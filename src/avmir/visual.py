@@ -83,7 +83,7 @@ class LfpPattern:
 
 def is_warm(hue):
     """Classify LCH hue angles (radians) into warm (True) / cold (False)."""
-    h = np.mod(np.asarray(hue, dtype=np.float64), 2.0 * np.pi)
+    h = imgprep.wrap_angle(hue)
     return (h < WARM_HUE_HI) | (h > 2.0 * np.pi + WARM_HUE_LO)
 
 
@@ -103,8 +103,11 @@ def gcs(ihls):
                            0.0, MAX_DEVIATION, 0.0, MAX_DEVIATION])
         return FrameFeature("gcs", values, degenerate=True)
 
-    plain = imgprep.circular_stats(hues)
-    weighted = imgprep.circular_stats(hues, ihls.saturation[ihls.chromatic])
+    # both statistics share the sines and cosines of the hues
+    sin_h, cos_h = np.sin(hues), np.cos(hues)
+    plain = imgprep._circular_stats(hues, None, sin_h, cos_h)
+    weighted = imgprep._circular_stats(
+        hues, ihls.saturation[ihls.chromatic], sin_h, cos_h)
     values = np.array([mean_sat, mean_lum,
                        plain.angular_mean, plain.angular_deviation,
                        weighted.angular_mean, weighted.angular_deviation])
@@ -171,17 +174,20 @@ def color_names(frame):
     8-color palette with a Bayer threshold map, then a normalized index
     histogram.  Order: magenta, red, yellow, green, cyan, blue, black, white.
     """
-    frame = imgprep.as_frame(frame)
-    h, s, v = imgprep.rgb_to_hsv(frame)
+    return _color_names(imgprep.FrameContext(frame).hsv)
 
-    v8 = np.clip(np.round(v * 255.0), 0, 255).astype(np.uint8)
-    v = imgprep.clahe(v8, CN_CLAHE_TILE, CN_CLAHE_CLIP_LIMIT).astype(np.float64) / 255.0
-    s8 = np.clip(np.round(s * 255.0), 0, 255).astype(np.uint8)
-    s = imgprep.clahe(s8, CN_CLAHE_TILE, CN_CLAHE_CLIP_LIMIT).astype(np.float64) / 255.0
 
-    enhanced = imgprep.hsv_to_rgb(h, s, v)
-    indices = imgprep.ordered_dither_quantize(
-        enhanced, CN_PALETTE, _CN_BAYER_MAP, CN_DITHER_SPREAD)
+def _clahe_unit(plane):
+    """CN's CLAHE of a [0, 1] plane, through 8-bit levels and back."""
+    levels = np.clip(np.round(plane * 255.0), 0, 255).astype(np.uint8)
+    return _kernels.clahe_u8(levels, *CN_CLAHE_TILE, CN_CLAHE_CLIP_LIMIT) / 255.0
+
+
+def _color_names(hsv):
+    h, s, v = hsv
+    enhanced = imgprep.hsv_to_rgb(h, _clahe_unit(s), _clahe_unit(v))
+    indices = _kernels.dither_indices(enhanced, CN_PALETTE, _CN_BAYER_MAP,
+                                      CN_DITHER_SPREAD)
     counts = np.bincount(indices.ravel(), minlength=len(CN_PALETTE))
     return FrameFeature("cn", counts.astype(np.float64) / counts.sum())
 
@@ -195,24 +201,16 @@ def _triangular_memberships(x, centers):
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(centers)
-    out = np.zeros(x.shape + (n,))
+    # one contiguous plane per center, so each level reads as a plain array
+    out = np.empty((n,) + x.shape)
     for i, c in enumerate(centers):
-        m = np.zeros_like(x)
-        if i > 0:
-            left = centers[i - 1]
-            rising = (x > left) & (x <= c)
-            m[rising] = (x[rising] - left) / (c - left)
-        if i < n - 1:
-            right = centers[i + 1]
-            falling = (x > c) & (x < right)
-            m[falling] = (right - x[falling]) / (right - c)
-        m[x == c] = 1.0
-        if i == 0:
-            m[x < c] = 1.0
-        if i == n - 1:
-            m[x > c] = 1.0
-        out[..., i] = m
-    return out
+        # each edge is exactly 1 at c and reaches 0 at the neighboring
+        # center; the smaller edge, clipped to [0, 1], is the triangle, and
+        # a missing edge (the outer levels) stays at 1
+        rise = (x - centers[i - 1]) / (c - centers[i - 1]) if i > 0 else 1.0
+        fall = (centers[i + 1] - x) / (centers[i + 1] - c) if i < n - 1 else 1.0
+        np.clip(np.minimum(rise, fall), 0.0, 1.0, out=out[i])
+    return np.moveaxis(out, 0, -1)
 
 
 def blur_measure(gray):
@@ -220,12 +218,14 @@ def blur_measure(gray):
     sharp.
 
     Compares neighboring-pixel variation of the raster against a strongly
-    box-blurred copy (9-tap, horizontal and vertical): variation that
-    survives blurring indicates the image was already smooth.
+    box-blurred copy (9-tap, horizontal and vertical, edge-padded):
+    variation that survives blurring indicates the image was already
+    smooth.  An axis shorter than 2 pixels has no variation and counts as
+    fully blurred, so a single row or column scores 0.
     """
     gray = np.asarray(gray, dtype=np.float64)
-    if gray.ndim != 2 or gray.shape[0] < 3 or gray.shape[1] < 3:
-        raise ValueError("blur_measure expects a raster of at least 3x3")
+    if gray.ndim != 2 or gray.size == 0:
+        raise ValueError("blur_measure expects a non-empty 2-D raster")
 
     def box1d(data, axis):
         kernel = np.ones(9) / 9.0
@@ -259,24 +259,24 @@ def waf(lch, sharpness):
     Factor three (1): the supplied sharpness.
     """
     n = lch.L.size
-    l_m = _triangular_memberships(lch.L.ravel(), WAF_LIGHTNESS_CENTERS)
-    warm = is_warm(lch.H.ravel())
+    # (levels, pixels): one contiguous row per membership level
+    l_m = _triangular_memberships(lch.L.ravel(), WAF_LIGHTNESS_CENTERS).T
+    warm_hue = is_warm(lch.H.ravel())
+    # masked sums as gathers by index: the same elements in the same order
+    warm, cold = np.flatnonzero(warm_hue), np.flatnonzero(~warm_hue)
 
     factor_one = np.empty(10)
     for i in range(5):
-        level = l_m[:, i]
-        factor_one[2 * i] = level[~warm].sum() / n      # cold
-        factor_one[2 * i + 1] = level[warm].sum() / n   # warm
+        factor_one[2 * i] = l_m[i].take(cold).sum() / n      # cold
+        factor_one[2 * i + 1] = l_m[i].take(warm).sum() / n  # warm
 
     chroma = lch.C.ravel()
-    chromatic = chroma >= 1.0
-    c_m = _triangular_memberships(chroma, WAF_CHROMA_CENTERS)
-    c_m[~chromatic] = 0.0
+    c_m = _triangular_memberships(chroma, WAF_CHROMA_CENTERS).T
+    c_m *= chroma >= 1.0  # achromatic pixels belong to no chroma level
     factor_two = np.empty(7)
     for i in range(3):
-        level = c_m[:, i]
-        factor_two[2 * i] = level[warm].sum() / n       # warm share
-        factor_two[2 * i + 1] = level[~warm].sum() / n  # cool share
+        factor_two[2 * i] = c_m[i].take(warm).sum() / n      # warm share
+        factor_two[2 * i + 1] = c_m[i].take(cold).sum() / n  # cool share
     mad = np.abs(chroma - chroma.mean()).mean()
     factor_two[6] = min(mad / (CHROMA_RANGE / 2.0), 1.0)
 
@@ -433,38 +433,30 @@ LFP_PRESET_BINS = {"paper-80": 8, "paper-60": 24}
 LFP_PRESET_DIMS = {"paper-80": 80, "paper-60": 60}
 
 
-# the per-frame feature sets that read each colour space; WAF takes its
-# blur measure from IHLS luminance
-IHLS_FEATURES = frozenset({"gcs", "gev", "waf"})
-LCH_FEATURES = frozenset({"waf", "ic"})
-
-
-def frame_features(frame, features, lch=None):
+def frame_features(frame, features):
     """Compute the requested per-frame feature sets for one frame.
 
-    Returns a dict name -> FrameFeature.  Each colour space is converted at
-    most once; pass a precomputed lch to share it with the LFP histogram.
+    frame is an RGB frame or an imgprep.FrameContext; pass a context to
+    share its color conversions with the caller.  Each color space is
+    converted at most once, and only if a requested feature reads it.
+    Returns a dict name -> FrameFeature.
     """
+    ctx = frame if isinstance(frame, imgprep.FrameContext) \
+        else imgprep.FrameContext(frame)
     out = {}
-    ihls = None
-    if IHLS_FEATURES & set(features):
-        ihls = imgprep.rgb_to_ihls(frame)
-    if lch is None and LCH_FEATURES & set(features):
-        lch = imgprep.rgb_to_lch(frame)
-
     for name in features:
         if name == "gcs":
-            out[name] = gcs(ihls)
+            out[name] = gcs(ctx.ihls)
         elif name == "gev":
-            out[name] = gev(ihls)
+            out[name] = gev(ctx.ihls)
         elif name == "cf":
-            out[name] = colorfulness(frame)
+            out[name] = colorfulness(ctx.frame)
         elif name == "cn":
-            out[name] = color_names(frame)
+            out[name] = _color_names(ctx.hsv)
         elif name == "waf":
-            out[name] = waf(lch, blur_measure(ihls.luminance * 255.0))
+            out[name] = waf(ctx.lch, blur_measure(ctx.ihls.luminance * 255.0))
         elif name == "ic":
-            out[name] = itten_contrasts(segment_frame(lch))
+            out[name] = itten_contrasts(segment_frame(ctx.lch))
         else:
             raise ValueError(f"unknown frame feature: {name!r}")
     return out
@@ -491,12 +483,13 @@ def extract_video_features(frames, features, fps=25.0, lfp_preset="paper-80",
     for frame in frames:
         if crop_letterbox:
             frame = imgprep.strip_letterbox(frame)
-        lch = imgprep.rgb_to_lch(frame) if want_lfp else None
-        feats = frame_features(frame, wanted, lch=lch)
+        ctx = imgprep.FrameContext(frame)
+        feats = frame_features(ctx, wanted)
         for name in wanted:
             rows[name].append(feats[name].values)
         if want_lfp:
-            hists.append(lightness_histogram(lch, LFP_PRESET_BINS[lfp_preset]))
+            hists.append(lightness_histogram(ctx.lch,
+                                             LFP_PRESET_BINS[lfp_preset]))
         n += 1
 
     if n == 0:

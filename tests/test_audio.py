@@ -26,6 +26,36 @@ def brute_seven_stats(values):
     return [min(values), max(values), mean, median, var, skew, kurt]
 
 
+class TestResample:
+    @staticmethod
+    def amplitude(clip):
+        # peak over the interior; the first and last 10 ms see the filter's
+        # zero padding
+        edge = clip.sample_rate // 100
+        return np.abs(clip.samples[edge:-edge]).max()
+
+    def test_content_above_new_nyquist_is_removed(self):
+        # without the low-pass, 15 kHz at 44.1 kHz folds to 7.05 kHz
+        out = audio.resample(sine_clip(15000.0, sr=44100, amplitude=0.5))
+        assert out.sample_rate == audio.ANALYSIS_RATE
+        assert self.amplitude(out) < 0.01 * 0.5
+
+    @pytest.mark.parametrize("sr", [44100, 48000])
+    def test_passband_tone_keeps_its_amplitude(self, sr):
+        out = audio.resample(sine_clip(1000.0, sr=sr, amplitude=0.5))
+        assert out.samples.size == audio.ANALYSIS_RATE
+        assert self.amplitude(out) == pytest.approx(0.5, rel=0.01)
+
+    def test_analysis_rate_clip_is_returned_as_is(self):
+        clip = sine_clip(15000.0, sr=audio.ANALYSIS_RATE)
+        assert audio.resample(clip) is clip
+
+    def test_clip_shorter_than_the_filter(self):
+        out = audio.resample(AudioClip(np.full(10, 0.25), 44100))
+        assert out.samples.size == 5
+        assert np.all(np.isfinite(out.samples))
+
+
 class TestSonogram:
     def test_silence_is_at_floor(self):
         son = audio.sonogram(AudioClip(np.zeros(22050), 22050))

@@ -125,6 +125,20 @@ class TestExtractVisual:
         assert lines[0] == "frame_index,gev_0,gev_1,gev_2"
         assert len(lines) == 41  # header + 40 frames
 
+    def test_thin_strip_video_exits_zero(self, tmp_path):
+        # black but for rows 20-21, so letterbox cropping leaves 2 x 40
+        frames = tmp_path / "strip"
+        frames.mkdir()
+        rng = np.random.default_rng(3)
+        for i in range(4):
+            frame = np.zeros((40, 40, 3), np.uint8)
+            frame[20:22] = rng.integers(60, 256, (2, 40, 3))
+            avio.write_ppm(frames / f"{i:03d}.ppm", frame)
+        out = tmp_path / "strip.arff"
+        assert run("extract-visual", "--frames", frames, "--features", "waf",
+                   "--label", "strip", "--out", out) == 0
+        assert avio.read_arff(out).matrix.shape == (1, 18 * 7)
+
 
 class TestAggregateCmd:
     def test_ten_dimensions(self, workspace):

@@ -93,6 +93,24 @@ class TestLch:
         assert lch.C[0, 0] == pytest.approx(104.55, abs=0.01)
 
 
+class TestWrapAngle:
+    def test_equals_np_mod_bit_for_bit(self, rng):
+        two_pi = 2.0 * np.pi
+        edges = np.array([0.0, -0.0, 1e-300, -1e-300, two_pi, -two_pi,
+                          np.nextafter(two_pi, 0.0), -np.nextafter(two_pi, 0.0),
+                          -1e-17, np.pi, -np.pi, 100.0, -100.0])
+        # in range (the fast path), out of range (np.mod itself), and mixed
+        for theta in (rng.uniform(-two_pi, two_pi, 1000), edges,
+                      rng.uniform(-50.0, 50.0, 1000)):
+            want = np.mod(theta, two_pi)
+            want = np.where(want >= two_pi, 0.0, want)
+            got = imgprep.wrap_angle(theta)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert imgprep.wrap_angle(-0.0) == 0.0
+        assert not np.signbit(imgprep.wrap_angle(-0.0))
+
+
 class TestCircularStats:
     def test_symmetric_pair_means_zero(self):
         cs = imgprep.circular_stats(np.deg2rad([10.0, 350.0]))
@@ -232,6 +250,14 @@ class TestOrderedDither:
 
 
 class TestHsv:
+    def test_hsv_to_rgb_broadcasts_and_takes_scalars(self):
+        assert imgprep.hsv_to_rgb(0.0, 1.0, 1.0).tolist() == [255, 0, 0]
+        row = imgprep.hsv_to_rgb(np.array([0.0, 120.0, 240.0]), 1.0, 1.0)
+        assert row.tolist() == [[255, 0, 0], [0, 255, 0], [0, 0, 255]]
+        tall = imgprep.hsv_to_rgb(np.full((70, 2), 60.0), 1.0, np.ones((1, 2)))
+        assert tall.shape == (70, 2, 3)
+        assert np.all(tall == [255, 255, 0])
+
     def test_roundtrip(self, rng):
         frame = random_frame(rng, 24, 24)
         h, s, v = imgprep.rgb_to_hsv(frame)

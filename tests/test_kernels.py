@@ -3,8 +3,9 @@ references on rasters of many shapes, and the EMD solver must match an
 independent LP oracle.
 
 The loop references below are the straightforward per-pixel definitions of
-LBP codes, CLAHE interpolation and ordered dithering.  They run as plain
-Python, so the rasters stay small.
+LBP codes, CLAHE interpolation and ordered dithering, and the per-tile
+definition of the CLAHE lookup tables.  They run as plain Python, so the
+rasters stay small.
 """
 
 import numpy as np
@@ -46,6 +47,33 @@ def _lbp_codes_loop(gray):
                     code |= 1
             codes[y, x] = code
     return codes
+
+
+def _clahe_maps_loop(img, n_ty, n_tx, tile_h, tile_w, clip_limit):
+    h, w = img.shape
+    maps = np.zeros((n_ty, n_tx, 256), dtype=np.float64)
+    for ty in range(n_ty):
+        y0 = ty * tile_h
+        y1 = min(y0 + tile_h, h)
+        for tx in range(n_tx):
+            x0 = tx * tile_w
+            x1 = min(x0 + tile_w, w)
+            tile = img[y0:y1, x0:x1]
+            hist = np.bincount(tile.ravel(), minlength=256).astype(np.float64)
+            if np.count_nonzero(hist) == 1:
+                # flat tile: equalization is the identity
+                maps[ty, tx] = np.arange(256, dtype=np.float64)
+                continue
+            area = float((y1 - y0) * (x1 - x0))
+            if clip_limit > 0:
+                limit = max(1.0, clip_limit * area / 256.0)
+                excess = np.maximum(hist - limit, 0.0).sum()
+                hist = np.minimum(hist, limit) + excess / 256.0
+            cdf = np.cumsum(hist) / hist.sum()
+            cdf_min = cdf[np.nonzero(hist)[0][0]]
+            maps[ty, tx] = (np.maximum(cdf - cdf_min, 0.0) / (1.0 - cdf_min)
+                            * 255.0)
+    return maps
 
 
 def _clahe_interp_loop(img, maps, n_ty, n_tx, tile_h, tile_w):
@@ -152,11 +180,36 @@ def test_clahe_backends_agree(rng):
             img[:, w // 2:] |= 0xC0
             th, tw = min(tile_h, h), min(tile_w, w)
             n_ty, n_tx = -(-h // th), -(-w // tw)
-            maps = _clahe_maps(img, n_ty, n_tx, th, tw, clip_limit)
+            maps = _clahe_maps_loop(img, n_ty, n_tx, th, tw, clip_limit)
             np.testing.assert_array_equal(
                 clahe_u8(img, tile_w, tile_h, clip_limit),
                 _clahe_interp_loop(img, maps, n_ty, n_tx, th, tw),
                 err_msg=f"{h}x{w}, tile {tile_w}x{tile_h}, clip {clip_limit}")
+
+
+def test_clahe_maps_match_tile_loop(rng):
+    # (raster, tile (w, h)): whole tiles, partial edge tiles in one or both
+    # directions, a raster smaller than one tile and a single pixel
+    cases = [((44, 66), (22, 22)), ((45, 57), (16, 16)), ((33, 17), (8, 5)),
+             ((33, 17), (5, 8)), ((10, 12), (22, 22)), ((1, 1), (22, 22)),
+             ((1, 9), (4, 4))]
+    for (h, w), (tile_w, tile_h) in cases:
+        th, tw = min(tile_h, h), min(tile_w, w)
+        n_ty, n_tx = -(-h // th), -(-w // tw)
+        noise = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+        two_level = np.where(rng.random((h, w)) < 0.9, 40, 200).astype(np.uint8)
+        flat_corner = noise.copy()
+        flat_corner[:th, :tw] = 77      # a flat tile beside busy ones
+        rasters = {"noise": noise, "two levels": two_level,
+                   "flat tile": flat_corner,
+                   "flat raster": np.full((h, w), 9, np.uint8)}
+        for name, img in rasters.items():
+            for clip_limit in (0.0, 1.0, 2.0):
+                np.testing.assert_array_equal(
+                    _clahe_maps(img, n_ty, n_tx, th, tw, clip_limit),
+                    _clahe_maps_loop(img, n_ty, n_tx, th, tw, clip_limit),
+                    err_msg=f"{name} {h}x{w}, tile {tile_w}x{tile_h}, "
+                            f"clip {clip_limit}")
 
 
 # ---------------------------------------------------------------------------

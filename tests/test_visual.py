@@ -154,6 +154,52 @@ class TestWaf:
         assert np.all(values >= 0.0) and np.all(values <= 1.0)
 
 
+def _triangular_memberships_loop(x, centers):
+    """Reference: each triangle's rising, falling and saturated parts set
+    through boolean masks, one center at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    n = len(centers)
+    out = np.zeros(x.shape + (n,))
+    for i, c in enumerate(centers):
+        m = np.zeros_like(x)
+        if i > 0:
+            left = centers[i - 1]
+            rising = (x > left) & (x <= c)
+            m[rising] = (x[rising] - left) / (c - left)
+        if i < n - 1:
+            right = centers[i + 1]
+            falling = (x > c) & (x < right)
+            m[falling] = (right - x[falling]) / (right - c)
+        m[x == c] = 1.0
+        if i == 0:
+            m[x < c] = 1.0
+        if i == n - 1:
+            m[x > c] = 1.0
+        out[..., i] = m
+    return out
+
+
+class TestTriangularMemberships:
+    @pytest.mark.parametrize("centers", [visual.WAF_LIGHTNESS_CENTERS,
+                                         visual.WAF_CHROMA_CENTERS])
+    def test_matches_mask_loop(self, rng, centers):
+        c = np.asarray(centers)
+        at = np.concatenate([c, np.nextafter(c, -np.inf),
+                             np.nextafter(c, np.inf)])
+        between = np.concatenate([(c[:-1] + c[1:]) / 2.0,
+                                  rng.uniform(c[0], c[-1], 2000)])
+        beyond = np.array([c[0] - 1.0, c[0] - 1e9, c[-1] + 1.0, c[-1] + 1e9,
+                           -np.inf, np.inf, 0.0, -0.0])
+        x = np.concatenate([at, between, beyond, rng.uniform(-50, 200, 2000)])
+        rng.shuffle(x)
+        for shaped in (x, x[:x.size // 6 * 6].reshape(-1, 6)):
+            got = visual._triangular_memberships(shaped, centers)
+            want = _triangular_memberships_loop(shaped, centers)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestBlurMeasure:
     def test_constant_raster_is_zero(self):
         assert visual.blur_measure(np.full((16, 16), 9.0)) == 0.0
@@ -180,9 +226,28 @@ class TestBlurMeasure:
         v = visual.blur_measure(rng.random((16, 16)) * 255.0)
         assert 0.0 <= v <= 1.0
 
-    def test_too_small_raises(self):
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1)])
+    def test_single_row_or_column_is_fully_blurred(self, rng, shape):
+        # an axis of one pixel has no variation, so it counts as blurred
+        assert visual.blur_measure(rng.random(shape) * 255.0) == 0.0
+
+    def test_thin_rasters_are_defined(self):
+        # 2 x 2 checkerboard: along either axis a 0 -> 255 step becomes a
+        # 255/9 step after the edge-padded 9-tap blur, so each axis keeps
+        # 1/9 of its variation and the sharpness is 8/9
+        board = np.array([[0.0, 255.0], [255.0, 0.0]])
+        assert visual.blur_measure(board) == pytest.approx(8.0 / 9.0)
+        # two rows that are constant along each row: that axis has no
+        # variation, so the raster counts as fully blurred
+        two_rows = np.zeros((2, 5))
+        two_rows[1] = 255.0
+        assert visual.blur_measure(two_rows) == 0.0
+
+    @pytest.mark.parametrize("raster", [np.zeros((0, 4)), np.zeros(5),
+                                        np.zeros((2, 2, 2))])
+    def test_empty_or_not_2d_raises(self, raster):
         with pytest.raises(ValueError):
-            visual.blur_measure(np.zeros((2, 5)))
+            visual.blur_measure(raster)
 
 
 class TestSegmentFrame:
@@ -287,6 +352,73 @@ class TestLfp:
     def test_fps_too_low_raises(self, rng):
         with pytest.raises(ValueError):
             visual.lfp_from_histograms(rng.random((64, 8)), fps=15.0)
+
+
+def _parity_frames():
+    rng = np.random.default_rng(41)
+    noise = random_frame(rng, 37, 53)
+    boxed = np.zeros((48, 40, 3), np.uint8)
+    boxed[6:42] = random_frame(rng, 36, 40)
+    return {"noise": noise, "letterboxed": boxed,
+            "black": np.zeros((24, 24, 3), np.uint8),
+            "one pixel": np.array([[[200, 30, 90]]], np.uint8)}
+
+
+class TestFrameContext:
+    FEATURES = list(visual.FRAME_FEATURE_DIMS)
+
+    @staticmethod
+    def _separately(frame):
+        """Each feature from planes converted on their own."""
+        ihls = imgprep.rgb_to_ihls(frame)
+        lch = imgprep.rgb_to_lch(frame)
+        return {
+            "gcs": visual.gcs(ihls), "gev": visual.gev(ihls),
+            "cf": visual.colorfulness(frame), "cn": visual.color_names(frame),
+            "waf": visual.waf(lch, visual.blur_measure(ihls.luminance * 255.0)),
+            "ic": visual.itten_contrasts(visual.segment_frame(lch)),
+        }
+
+    @pytest.mark.parametrize("name", list(_parity_frames()))
+    def test_frame_features_equal_separate_features(self, name):
+        frame = _parity_frames()[name]
+        before = frame.copy()
+        want = self._separately(frame)
+        for source in (frame, imgprep.FrameContext(frame)):
+            got = visual.frame_features(source, self.FEATURES)
+            assert list(got) == self.FEATURES
+            for feat in self.FEATURES:
+                assert np.array_equal(got[feat].values, want[feat].values), feat
+                assert got[feat].degenerate == want[feat].degenerate, feat
+        assert np.array_equal(frame, before)
+
+    @pytest.mark.parametrize("name", list(_parity_frames()))
+    def test_video_rows_and_lfp_histograms_equal_per_frame(self, name):
+        frame = _parity_frames()[name]
+        frames = [frame, frame[::-1].copy(), 255 - frame]
+        copies = [f.copy() for f in frames]
+        with pytest.warns(UserWarning, match="fewer frames"):
+            matrices, pattern = visual.extract_video_features(
+                frames, self.FEATURES + ["lfp"], lfp_preset="paper-60")
+        cropped = [imgprep.strip_letterbox(f) for f in frames]
+        for feat in self.FEATURES:
+            want = [self._separately(c)[feat].values for c in cropped]
+            assert np.array_equal(matrices[feat], np.array(want)), feat
+        hists = [visual.lightness_histogram(imgprep.rgb_to_lch(c), 24)
+                 for c in cropped]
+        want_lfp = visual.lfp_from_histograms(np.array(hists), 25.0)
+        assert np.array_equal(pattern.values, want_lfp.values)
+        assert all(np.array_equal(f, c) for f, c in zip(frames, copies))
+
+    def test_planes_are_converted_once_and_kept(self, rng):
+        ctx = imgprep.FrameContext(random_frame(rng))
+        visual.frame_features(ctx, self.FEATURES)
+        assert ctx.lch is ctx.lch and ctx.ihls is ctx.ihls
+        fresh = imgprep.rgb_to_lch(ctx.frame)
+        assert np.array_equal(ctx.lch.L, fresh.L)
+        assert np.array_equal(ctx.lch.H, fresh.H)
+        h, s, v = imgprep.rgb_to_hsv(ctx.frame)
+        assert all(np.array_equal(a, b) for a, b in zip(ctx.hsv, (h, s, v)))
 
 
 class TestFrameDims:
