@@ -345,12 +345,10 @@ def cmd_ensemble(args):
             holdout_fraction=args.holdout, seed=args.seed,
             tag=str(tag), classes=classes))
 
-    truth = base.label_ids()
-    correct = 0
-    for i in test_idx:
-        samples = [ds.matrix[i] for ds in datasets]
-        pred = ml.ensemble_predict(modalities, samples, len(classes))
-        correct += int(pred == truth[i])
+    pred = ml.ensemble_predict(modalities,
+                               [ds.matrix[test_idx] for ds in datasets],
+                               len(classes))
+    correct = int((pred == base.label_ids()[test_idx]).sum())
     accuracy = correct / len(test_idx)
 
     write_json(out_dir / "metrics.json", {

@@ -82,6 +82,9 @@ def fit_scaler(matrix):
 # classifiers: each has fit(X, y, n_classes) and predict(X) -> int labels
 # ---------------------------------------------------------------------------
 
+KNN_CHUNK_BYTES = 8 * 2**20  # budget of one chunk of kNN query differences
+
+
 class KnnClassifier:
     """k-nearest neighbors with L1 or L2 metric.
 
@@ -93,6 +96,8 @@ class KnnClassifier:
         if metric not in ("l1", "l2"):
             raise ValueError("metric must be 'l1' or 'l2'")
         self.k = int(k)
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
         self.metric = metric
 
     def fit(self, x, y, n_classes):
@@ -107,10 +112,21 @@ class KnnClassifier:
         return self
 
     def _distances(self, x):
-        diff = x[:, None, :] - self.x[None, :, :]
-        if self.metric == "l1":
-            return np.abs(diff).sum(axis=2)
-        return np.sqrt((diff ** 2).sum(axis=2))
+        # the (queries, train, dims) differences are formed a chunk of
+        # queries at a time; each pair's reduction is the same as in one
+        # broadcast, so the distances do not depend on the chunking
+        rows = max(1, KNN_CHUNK_BYTES // max(self.x.nbytes, 1))
+        out = np.empty((x.shape[0], self.x.shape[0]))
+        for start in range(0, x.shape[0], rows):
+            diff = x[start:start + rows, None, :] - self.x[None, :, :]
+            if self.metric == "l1":
+                np.abs(diff, out=diff)
+            else:
+                np.square(diff, out=diff)
+            diff.sum(axis=2, out=out[start:start + rows])
+        if self.metric == "l2":
+            np.sqrt(out, out=out)
+        return out
 
     def predict(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -173,36 +189,59 @@ class GaussianNbClassifier:
 
 class LinearSvmClassifier:
     """One-vs-rest linear SVM trained by seeded deterministic subgradient
-    descent on the hinge loss (Pegasos-style step sizes)."""
+    descent on the hinge loss (Pegasos-style step sizes).
+
+    Step t shrinks w by (1 - 1/t) and, when sample i violates the margin,
+    adds y_i x_i / (lam t).  Unrolled, w_t = u_t / (lam t), where u_t sums
+    y_i x_i over the violating steps so far (Shalev-Shwartz et al.,
+    "Pegasos", Math. Prog. 2011), so no step shrinks anything: step t
+    violates when y_i (aug_i @ u) < lam (t - 1), and step 1 always does,
+    because w starts at 0.  w is formed once at the end.
+
+    With n rows of d augmented dimensions, a step's margin aug_i @ u costs
+    d multiply-adds.  When n <= d the margins aug @ u are kept instead and
+    a violation adds one row of the Gram matrix aug @ aug.T (n values), so
+    a step costs O(1) and a violation O(n); the n x n Gram matrix is then
+    no larger than aug.  When n > d, u itself is kept: a step costs one
+    d-long dot and a violation adds one row of aug.
+    """
 
     def __init__(self, c=1.0, epochs=200, seed=0):
         self.c = float(c)
         self.epochs = int(epochs)
         self.seed = int(seed)
+        if not (np.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"c must be positive and finite, got {self.c}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
 
     def fit(self, x, y, n_classes):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         y = np.asarray(y, dtype=np.int64)
         n = x.shape[0]
         aug = np.hstack([x, np.ones((n, 1))])  # bias as an extra weight
-        d = aug.shape[1]
-        self.n_classes = n_classes
-        self.w = np.zeros((n_classes, d))
         lam = 1.0 / (self.c * n)
         rng = np.random.default_rng(np.random.SeedSequence(self.seed))
+        keep_margins = n <= aug.shape[1]
+        rows = list(aug @ aug.T if keep_margins else aug)
+        coef = np.zeros((n_classes, n))  # u = coef @ aug, per class
         for c in range(n_classes):
-            target = np.where(y == c, 1.0, -1.0)
-            w = np.zeros(d)
-            t = 0
+            signs = np.where(y == c, 1.0, -1.0).tolist()
+            kept = np.zeros(rows[0].size)  # the margins aug @ u, or u
+            t = 0  # steps taken
             for _ in range(self.epochs):
-                for i in rng.permutation(n):
+                for i in rng.permutation(n).tolist():
+                    margin = (kept.item(i) if keep_margins
+                              else rows[i].dot(kept))
+                    if t == 0 or signs[i] * margin < lam * t:
+                        coef[c, i] += signs[i]
+                        if signs[i] > 0:
+                            kept += rows[i]
+                        else:
+                            kept -= rows[i]
                     t += 1
-                    eta = 1.0 / (lam * t)
-                    violates = target[i] * (aug[i] @ w) < 1.0
-                    w *= (1.0 - eta * lam)
-                    if violates:
-                        w += eta * target[i] * aug[i]
-            self.w[c] = w
+        self.n_classes = n_classes
+        self.w = (coef @ aug) / (lam * self.epochs * n)
         return self
 
     def scores(self, x):
@@ -429,40 +468,27 @@ def bagging_train(dataset, classifier_spec, n=10, holdout_fraction=0.10,
     return members
 
 
-def weighted_vote(votes, n_classes):
-    """Sum vote weights per label and return the winning label id.
-
-    votes is an iterable of (label_id, weight); weights are accumulated in
-    iteration order and ties resolve to the lowest class id (argmax on the
-    summed array).
-    """
-    votes = list(votes)
-    if not votes:
-        raise ValueError("no votes")
-    sums = np.zeros(n_classes)
-    for label, weight in votes:
-        sums[int(label)] += weight
-    return int(np.argmax(sums))
-
-
-def ensemble_predict(modalities, samples, n_classes):
+def ensemble_predict(modalities, matrices, n_classes):
     """Weighted majority vote across all members of all modalities.
 
-    modalities is a list of member lists; samples the matching list of
-    per-modality feature vectors.  Every member votes its predicted label
-    with its confidence as weight; the label with the highest summed weight
-    wins, ties resolving to the lowest class id.  Summation order is fixed
-    by (modality, member) index.
+    modalities is a list of member lists; matrices the matching list of
+    per-modality (rows, features) matrices.  Every member predicts every
+    row and votes its label with its confidence as weight; per row the
+    label with the highest summed weight wins, ties resolving to the lowest
+    class id.  Weights are added in (modality, member) order.  Returns the
+    (rows,) winning label ids.
     """
     if not any(modalities):
         raise ValueError("no ensemble members")
-    if len(modalities) != len(samples):
-        raise ValueError("need one sample per modality")
-    votes = []
-    for members, sample in zip(modalities, samples):
-        row = np.asarray(sample, dtype=np.float64)[None, :]
+    if len(modalities) != len(matrices):
+        raise ValueError("need one matrix per modality")
+    matrices = [np.atleast_2d(np.asarray(m, dtype=np.float64))
+                for m in matrices]
+    rows = np.arange(matrices[0].shape[0])
+    sums = np.zeros((rows.size, n_classes))
+    for members, matrix in zip(modalities, matrices):
         for member in members:
-            scaled = member.scaler.transform(row) if member.scaler else row
-            votes.append((int(member.classifier.predict(scaled)[0]),
-                          member.confidence))
-    return weighted_vote(votes, n_classes)
+            scaled = member.scaler.transform(matrix) if member.scaler \
+                else matrix
+            sums[rows, member.classifier.predict(scaled)] += member.confidence
+    return sums.argmax(axis=1)

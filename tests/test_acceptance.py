@@ -14,7 +14,7 @@ import pytest
 from avmir import aggregate, audio, cli, concepts, imgprep, ml, shotviz, visual
 from avmir import io as avio
 from avmir.audio import AudioClip
-from conftest import am_noise_clip, sine_clip
+from conftest import am_noise_clip, sine_clip, vote_one_row
 
 
 class _criterion:
@@ -147,7 +147,7 @@ def test_criterion_2_oracle_equivalence(rng):
                         sums[lb] += w
                     best = max(sums)
                     expected = min(c for c in range(3) if sums[c] == best)
-                    assert ml.weighted_vote(votes, 3) == expected
+                    assert vote_one_row(votes, 3) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ def test_criterion_4_synthetic_fusion():
 def test_criterion_5_ensemble_math():
     with _criterion("5 ensemble math worked examples"):
         # one vote for A at 0.9 vs two votes for B at 0.4: sums 0.9 > 0.8
-        winner = ml.weighted_vote([(0, 0.9), (1, 0.4), (1, 0.4)], 2)
+        winner = vote_one_row([(0, 0.9), (1, 0.4), (1, 0.4)], 2)
         assert winner == 0
 
         # ln penalty: 10 x 0.5 for A vs 1 x 0.9 for B

@@ -7,6 +7,7 @@ import pytest
 from avmir import cli
 from avmir import io as avio
 from avmir.audio import AudioClip
+from avmir.ml import LabeledDataset
 
 
 def run(*argv):
@@ -445,3 +446,167 @@ class TestManifestRunner:
         assert run("aggregate", "--manifest", workspace / "gap.json",
                    "--out", workspace / "ten.arff") == 2
         assert "'rock2' has no audio path" in capsys.readouterr().err
+
+
+def write_planted_arff(path, seed, dim, classes=3, per_class=12, signal=0.6):
+    """Class means drawn with std `signal` plus unit Gaussian noise."""
+    rng = np.random.default_rng(seed)
+    means = rng.normal(0.0, signal, (classes, dim))
+    rows, labels = [], []
+    for c in range(classes):
+        rows.append(means[c] + rng.normal(0.0, 1.0, (per_class, dim)))
+        labels += [f"g{c}"] * per_class
+    avio.write_arff(LabeledDataset(np.vstack(rows), labels,
+                                   [f"f{j}" for j in range(dim)]),
+                    path.stem, path)
+
+
+class TestClassifierSettingsExitTwo:
+    @pytest.mark.parametrize("flags, message", [
+        (["--clf", "svm", "--c", "0"], "c must be positive"),
+        (["--clf", "svm", "--c", "-1"], "c must be positive"),
+        (["--clf", "svm", "--c", "inf"], "c must be positive"),
+        (["--clf", "svm", "--epochs", "0"], "epochs must be at least 1"),
+        (["--clf", "knn", "--k", "0"], "k must be at least 1"),
+    ])
+    def test_crossval_rejects_setting(self, tmp_path, capsys, flags,
+                                      message):
+        write_planted_arff(tmp_path / "a.arff", seed=31, dim=4)
+        assert run("crossval", "--arff", tmp_path / "a.arff", *flags,
+                   "--folds", "2", "--repeats", "1",
+                   "--out-dir", tmp_path / "cv") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "cv" / "metrics.json").exists()
+
+
+# Outputs of the commands below, written before the classifier hot loops
+# (the Pegasos sum form, chunked kNN distances and the batched ensemble
+# vote) were rewritten.  Any change to these bytes moves results.
+
+SVM_METRICS = """\
+{
+  "classes": [
+    "g0",
+    "g1",
+    "g2"
+  ],
+  "classifier": "svm",
+  "folds": 3,
+  "mean_accuracy": 0.7222222222222222,
+  "per_class": {
+    "g0": {
+      "f1": 0.8400000000000001,
+      "precision": 0.8076923076923077,
+      "recall": 0.875
+    },
+    "g1": {
+      "f1": 0.5957446808510638,
+      "precision": 0.6086956521739131,
+      "recall": 0.5833333333333334
+    },
+    "g2": {
+      "f1": 0.723404255319149,
+      "precision": 0.7391304347826086,
+      "recall": 0.7083333333333334
+    }
+  },
+  "repeats": 2,
+  "seed": 5,
+  "std_accuracy": 0.10393492741038725
+}
+"""
+
+SVM_CONFUSION = b'truth\\pred,g0,g1,g2\r\ng0,21,2,1\r\ng1,5,14,5\r\ng2,0,7,17\r\n'
+
+KNN_METRICS = """\
+{
+  "classes": [
+    "g0",
+    "g1",
+    "g2"
+  ],
+  "classifier": "knn",
+  "folds": 3,
+  "mean_accuracy": 0.5972222222222222,
+  "per_class": {
+    "g0": {
+      "f1": 0.7457627118644068,
+      "precision": 0.6285714285714286,
+      "recall": 0.9166666666666666
+    },
+    "g1": {
+      "f1": 0.4166666666666667,
+      "precision": 0.4166666666666667,
+      "recall": 0.4166666666666667
+    },
+    "g2": {
+      "f1": 0.5945945945945945,
+      "precision": 0.8461538461538461,
+      "recall": 0.4583333333333333
+    }
+  },
+  "repeats": 2,
+  "seed": 5,
+  "std_accuracy": 0.05726535591135637
+}
+"""
+
+KNN_CONFUSION = b'truth\\pred,g0,g1,g2\r\ng0,22,2,0\r\ng1,12,10,2\r\ng2,1,12,11\r\n'
+
+ENSEMBLE_METRICS = """\
+{
+  "accuracy": 0.5833333333333334,
+  "classes": [
+    "g0",
+    "g1",
+    "g2"
+  ],
+  "classifier": "svm",
+  "confidences": [
+    [
+      0.0,
+      0.0,
+      1.0
+    ],
+    [
+      1.0,
+      0.5,
+      0.5
+    ]
+  ],
+  "members_per_modality": 3,
+  "modalities": [
+    "a.arff",
+    "b.arff"
+  ],
+  "test_rows": 12
+}
+"""
+
+
+class TestPinnedClassifierOutputs:
+    @pytest.fixture
+    def arffs(self, tmp_path, monkeypatch):
+        # relative paths keep the ensemble's "modalities" field fixed
+        monkeypatch.chdir(tmp_path)
+        write_planted_arff(tmp_path / "a.arff", seed=31, dim=16)
+        write_planted_arff(tmp_path / "b.arff", seed=32, dim=8)
+        return tmp_path
+
+    @pytest.mark.parametrize("flags, metrics, confusion", [
+        (["--clf", "svm"], SVM_METRICS, SVM_CONFUSION),
+        (["--clf", "knn", "--k", "3"], KNN_METRICS, KNN_CONFUSION),
+    ])
+    def test_crossval(self, arffs, flags, metrics, confusion):
+        assert run("crossval", "--arff", "a.arff", *flags, "--folds", "3",
+                   "--repeats", "2", "--seed", "5", "--out-dir", "cv") == 0
+        assert (arffs / "cv" / "metrics.json").read_bytes() == \
+            metrics.encode()
+        assert (arffs / "cv" / "confusion.csv").read_bytes() == confusion
+
+    def test_ensemble(self, arffs):
+        assert run("ensemble", "--arff", "a.arff", "--arff", "b.arff",
+                   "--clf", "svm", "--n", "3", "--seed", "5",
+                   "--out-dir", "ens") == 0
+        assert (arffs / "ens" / "metrics.json").read_bytes() == \
+            ENSEMBLE_METRICS.encode()

@@ -5,6 +5,7 @@ import pytest
 
 from avmir import ml
 from avmir.ml import LabeledDataset
+from conftest import fixed_member, vote_one_row
 
 
 def blob_dataset(rng, centers, per_class=20, spread=0.3, schema_dim=None):
@@ -68,6 +69,25 @@ class TestKnn:
         with pytest.raises(ValueError):
             ml.KnnClassifier(k=5).fit([[0.0]], [0], 1)
 
+    @pytest.mark.parametrize("metric", ["l1", "l2"])
+    def test_chunked_distances_equal_one_broadcast(self, rng, monkeypatch,
+                                                   metric):
+        # 200 dims exercise numpy's pairwise summation; a budget of 3 query
+        # rows gives 6 full chunks and a remainder of 2 for 20 queries
+        train = rng.normal(size=(30, 200))
+        y = rng.integers(0, 3, size=30)
+        probes = rng.normal(size=(20, 200))
+        diff = probes[:, None, :] - train[None, :, :]
+        if metric == "l1":
+            expected = np.abs(diff).sum(axis=2)
+        else:
+            expected = np.sqrt((diff ** 2).sum(axis=2))
+        clf = ml.KnnClassifier(k=3, metric=metric).fit(train, y, 3)
+        whole = clf.predict(probes)
+        monkeypatch.setattr(ml, "KNN_CHUNK_BYTES", 3 * train.nbytes + 7)
+        np.testing.assert_array_equal(clf._distances(probes), expected)
+        np.testing.assert_array_equal(clf.predict(probes), whole)
+
 
 class TestGaussianNb:
     def test_separated_blobs(self, rng):
@@ -109,6 +129,68 @@ class TestLinearSvm:
         pred_a = _pipeline_predict(ds, rng)
         pred_b = _pipeline_predict(scaled, rng)
         np.testing.assert_array_equal(pred_a, pred_b)
+
+
+def _pegasos_loop(x, y, n_classes, c, epochs, seed):
+    """Per-step Pegasos reference: shrink w on every step, add on every
+    violation.  Returns w and the share of steps that violated."""
+    n = x.shape[0]
+    aug = np.hstack([x, np.ones((n, 1))])
+    w_all = np.zeros((n_classes, aug.shape[1]))
+    lam = 1.0 / (c * n)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    violations = 0
+    for k in range(n_classes):
+        target = np.where(y == k, 1.0, -1.0)
+        w = np.zeros(aug.shape[1])
+        t = 0
+        for _ in range(epochs):
+            for i in rng.permutation(n):
+                t += 1
+                eta = 1.0 / (lam * t)
+                violates = target[i] * (aug[i] @ w) < 1.0
+                w *= (1.0 - eta * lam)
+                if violates:
+                    w += eta * target[i] * aug[i]
+                    violations += 1
+        w_all[k] = w
+    return w_all, violations / (n_classes * epochs * n)
+
+
+class TestPegasosParity:
+    # (dims, spread, c, epochs, seed, bounds on the share of violating
+    # steps): the bounds make sure both regimes are covered.  45 rows in 3
+    # dims take the form that keeps u (n > d); 24 rows in 40 dims the form
+    # that keeps the margins (n <= d)
+    @pytest.mark.parametrize("dims, spread, c, epochs, seed, share", [
+        (3, 0.3, 1.0, 40, 3, (0.0, 0.1)),    # separable: few violations
+        (3, 3.0, 1.0, 40, 4, (0.5, 1.0)),    # overlapping: most violate
+        (3, 3.0, 0.25, 30, 5, (0.5, 1.0)),
+        (3, 1.0, 8.0, 30, 6, (0.0, 1.0)),
+        (3, 1.0, 1.0, 1, 7, (0.0, 1.0)),     # one epoch
+        (40, 0.3, 1.0, 40, 8, (0.0, 0.1)),
+        (40, 6.0, 0.01, 20, 12, (0.5, 1.0)),
+        (40, 1.0, 1.0, 1, 11, (0.0, 1.0)),
+    ])
+    def test_sum_form_matches_per_step_loop(self, rng, dims, spread, c,
+                                            epochs, seed, share):
+        if dims == 3:
+            centers, per_class = [(0, 0, 0), (2, 2, 0), (0, 2, 2)], 15
+        else:
+            centers, per_class = list(rng.normal(size=(3, dims))), 8
+        ds = blob_dataset(rng, centers, per_class=per_class, spread=spread)
+        x = ml.fit_scaler(ds.matrix).transform(ds.matrix)
+        y = ds.label_ids()
+        expected, violated = _pegasos_loop(x, y, 3, c, epochs, seed)
+        assert share[0] <= violated <= share[1]
+        clf = ml.LinearSvmClassifier(c=c, epochs=epochs, seed=seed).fit(
+            x, y, 3)
+        np.testing.assert_allclose(clf.w, expected, rtol=1e-9,
+                                   atol=1e-9 * np.abs(expected).max())
+        probes = np.vstack([x, rng.normal(size=(40, dims)) * 2.0])
+        aug = np.hstack([probes, np.ones((len(probes), 1))])
+        np.testing.assert_array_equal(clf.predict(probes),
+                                      (aug @ expected.T).argmax(axis=1))
 
 
 def _pipeline_predict(ds, rng):
@@ -263,29 +345,35 @@ class TestBagging:
         assert [m.confidence for m in a] == [m.confidence for m in b]
 
 
-class _FixedClassifier:
-    def __init__(self, label):
-        self.label = label
+class _ColumnClassifier:
+    def __init__(self, column):
+        self.column = column
 
     def predict(self, x):
-        return np.array([self.label])
+        return x[:, self.column].astype(np.int64)
 
 
-def fixed_member(label, confidence):
-    return ml.EnsembleMember(tag="t", classifier=_FixedClassifier(label),
-                             scaler=None, confidence=confidence)
+def _vote_oracle(votes, n_classes):
+    """Weights summed per label in vote order; ties to the lowest id."""
+    sums = [0.0] * n_classes
+    for label, weight in votes:
+        sums[label] += weight
+    best = max(sums)
+    return min(c for c in range(n_classes) if sums[c] == best)
 
 
 class TestEnsemblePredict:
     def test_unanimous(self):
         members = [[fixed_member(0, 0.5), fixed_member(0, 0.1)]]
-        assert ml.ensemble_predict(members, [np.zeros(1)], 2) == 0
+        assert ml.ensemble_predict(members, [np.zeros((1, 1))],
+                                   2).tolist() == [0]
 
     def test_single_strong_vote_beats_two_weak(self):
         # sums: A = 0.9, B = 0.8 -> A wins
         modalities = [[fixed_member(0, 0.9)],
                       [fixed_member(1, 0.4), fixed_member(1, 0.4)]]
-        assert ml.ensemble_predict(modalities, [np.zeros(1)] * 2, 2) == 0
+        assert ml.ensemble_predict(modalities, [np.zeros((1, 1))] * 2,
+                                   2).tolist() == [0]
 
     def test_matches_exhaustive_enumeration(self):
         # all label assignments for up to 3 members x 3 classes against a
@@ -294,13 +382,21 @@ class TestEnsemblePredict:
         for n_members in (1, 2, 3):
             for labels in itertools.product(range(3), repeat=n_members):
                 votes = list(zip(labels, weights[:n_members]))
-                got = ml.weighted_vote(votes, 3)
-                sums = {c: 0.0 for c in range(3)}
-                for lb, w in votes:
-                    sums[lb] += w
-                best = max(sums.values())
-                expected = min(c for c, s in sums.items() if s == best)
-                assert got == expected
+                assert vote_one_row(votes, 3) == _vote_oracle(votes, 3)
+
+    def test_batched_vote_matches_per_row_oracle(self, rng):
+        # each member reads its label from one column, so every row gets its
+        # own votes; weights with equal partial sums make ties common
+        labels = rng.integers(0, 3, size=(60, 4))
+        weights = [0.5, 0.25, 0.25, 0.5]
+        members = [ml.EnsembleMember(tag="t", classifier=_ColumnClassifier(j),
+                                     scaler=None, confidence=weights[j])
+                   for j in range(4)]
+        modalities = [members[:2], members[2:]]
+        matrices = [labels.astype(float), labels.astype(float)]
+        got = ml.ensemble_predict(modalities, matrices, 3)
+        expected = [_vote_oracle(zip(row, weights), 3) for row in labels]
+        assert got.tolist() == expected
 
     def test_tie_breaks_to_lowest_class_id(self):
-        assert ml.weighted_vote([(2, 0.5), (1, 0.5)], 3) == 1
+        assert vote_one_row([(2, 0.5), (1, 0.5)], 3) == 1
