@@ -315,11 +315,15 @@ def cmd_crossval(args):
 
 
 def cmd_ensemble(args):
+    if not 0.0 < args.test_fraction < 1.0:
+        raise ValueError("--test-fraction must lie strictly between 0 and 1, "
+                         f"got {args.test_fraction}")
     datasets = [avio.read_arff(p) for p in args.arff]
     base = datasets[0]
-    for ds in datasets[1:]:
+    for path, ds in zip(args.arff[1:], datasets[1:]):
         if ds.labels != base.labels:
-            raise InputError("modality ARFF files disagree on labels")
+            raise InputError(f"{path}: labels disagree with {args.arff[0]} "
+                             f"({_first_difference(ds.labels, base.labels)})")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -363,6 +367,13 @@ def cmd_ensemble(args):
     print(f"ensemble accuracy {accuracy:.4f} on {len(test_idx)} held-out "
           f"rows ({len(datasets)} modalities x {args.n} members)")
     return 0
+
+
+def _first_difference(labels, expected):
+    if len(labels) != len(expected):
+        return f"{len(labels)} data rows, expected {len(expected)}"
+    row = next(i for i, (a, b) in enumerate(zip(labels, expected)) if a != b)
+    return f"data row {row + 1} is {labels[row]!r}, expected {expected[row]!r}"
 
 
 def cmd_faces(args):

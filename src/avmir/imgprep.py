@@ -1,5 +1,5 @@
 """Frame substrate: letterbox removal, color-space conversions, circular hue
-statistics, CLAHE and ordered dithering.
+statistics and the Bayer threshold map of ordered dithering.
 
 Frames are numpy arrays of shape (height, width, 3), dtype uint8, RGB order.
 All functions here are pure; none mutates its input.  A FrameContext
@@ -335,26 +335,6 @@ def _circular_stats(hues, weights, sin_h, cos_h):
     return CircularStats(angular_mean=mean, angular_deviation=deviation)
 
 
-def clahe(channel, tile=(22, 22), clip_limit=1.0):
-    """Contrast-limited adaptive histogram equalization of a 2-D uint8 raster.
-
-    Per-tile histograms are clipped at clip_limit * tile_area / 256 (no
-    clipping when clip_limit is 0), excess mass is redistributed uniformly
-    and pixel values are remapped with bilinear blending between the four
-    surrounding tile mappings.  Rasters smaller than one tile degrade to
-    global equalization.
-    """
-    channel = np.asarray(channel)
-    if channel.ndim != 2 or channel.dtype != np.uint8:
-        raise ValueError("clahe expects a 2-D uint8 raster")
-    tw, th = int(tile[0]), int(tile[1])
-    if tw < 1 or th < 1:
-        raise ValueError("tile dimensions must be >= 1")
-    if clip_limit < 0:
-        raise ValueError("clip limit must be >= 0")
-    return _kernels.clahe_u8(channel, tw, th, float(clip_limit))
-
-
 def bayer_matrix(order):
     """Recursive Bayer threshold map of the given power-of-two order,
     normalized to [0, 1) with every value k/order**2 appearing exactly once."""
@@ -367,21 +347,3 @@ def bayer_matrix(order):
                       [4 * m + 3, 4 * m + 1]])
         size *= 2
     return m.astype(np.float64) / (order * order)
-
-
-def ordered_dither_quantize(frame, palette, threshold_map=None, spread=64.0):
-    """Quantize a frame to a palette with ordered dithering.
-
-    Each pixel is offset per channel by spread * (map[y mod n, x mod n] - 0.5)
-    and assigned the nearest palette color by Euclidean RGB distance.  With
-    spread 0 this is plain nearest-palette quantization.  Returns an (H, W)
-    int32 array of palette indices.
-    """
-    frame = as_frame(frame)
-    palette = np.asarray(palette, dtype=np.float64)
-    if palette.ndim != 2 or palette.shape[1] != 3 or palette.shape[0] < 1:
-        raise ValueError("palette must be a non-empty list of RGB triples")
-    if threshold_map is None:
-        threshold_map = bayer_matrix(32)
-    return _kernels.dither_indices(frame.astype(np.float64), palette,
-                                   threshold_map, spread)

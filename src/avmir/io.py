@@ -325,8 +325,8 @@ def read_arff(path):
             line = raw.strip()
             if not line or line.startswith("%"):
                 continue
-            upper = line.upper()
             if not in_data:
+                upper = line.upper()
                 if upper.startswith("@RELATION"):
                     continue
                 if upper.startswith("@ATTRIBUTE"):
@@ -360,25 +360,45 @@ def read_arff(path):
                     in_data = True
                     continue
                 raise ArffFormatError(path, f"unexpected header line {line!r}", ln)
-            cells = [c.strip() for c in line.split(",")]
-            if len(cells) != len(schema) + 1:
+            n_values = line.count(",") + 1
+            if n_values != len(schema) + 1:
                 raise ArffFormatError(path,
-                    f"expected {len(schema) + 1} values, got {len(cells)}", ln)
-            try:
-                rows.append([float(c) for c in cells[:-1]])
-            except ValueError:
-                raise ArffFormatError(path, "non-numeric feature value", ln) from None
-            if not np.all(np.isfinite(rows[-1])):
-                raise ArffFormatError(path, "non-finite feature value", ln)
-            label = cells[-1]
+                    f"expected {len(schema) + 1} values, got {n_values}", ln)
+            if schema:
+                values, label = line.rsplit(",", 1)
+                try:
+                    row = _parse_cells(values)
+                except ValueError:
+                    raise ArffFormatError(path, "non-numeric feature value",
+                                          ln) from None
+                if not np.isfinite(row).all():
+                    raise ArffFormatError(path, "non-finite feature value", ln)
+            else:
+                row, label = np.empty(0), line
+            label = label.strip()
             if label not in class_values:
                 raise ArffFormatError(path, f"undeclared class value {label!r}", ln)
+            rows.append(row)
             labels.append(label)
     if not in_data:
         raise ArffFormatError(path, "no @DATA section", 0)
-    matrix = np.array(rows, dtype=np.float64) if rows else \
-        np.zeros((0, len(schema)))
+    matrix = np.stack(rows) if rows else np.zeros((0, len(schema)))
     return LabeledDataset(matrix, labels, schema)
+
+
+def _parse_cells(values):
+    """The comma-separated cells as float64, each read as float(cell.strip())
+    reads it; ValueError when a cell is not a number.
+
+    numpy reads a str cell exactly as float() does.  str.strip() also removes
+    the information separators U+001C to U+001F, which float() rejects, so a
+    row that numpy rejects is read again cell by cell.
+    """
+    cells = values.split(",")
+    try:
+        return np.array(cells, dtype=np.float64)
+    except ValueError:
+        return np.array([float(c.strip()) for c in cells], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

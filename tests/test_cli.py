@@ -468,15 +468,57 @@ class TestClassifierSettingsExitTwo:
         (["--clf", "svm", "--c", "inf"], "c must be positive"),
         (["--clf", "svm", "--epochs", "0"], "epochs must be at least 1"),
         (["--clf", "knn", "--k", "0"], "k must be at least 1"),
+        (["--repeats", "0"], "repeats must be at least 1, got 0"),
+        (["--repeats", "-3"], "repeats must be at least 1, got -3"),
     ])
     def test_crossval_rejects_setting(self, tmp_path, capsys, flags,
                                       message):
         write_planted_arff(tmp_path / "a.arff", seed=31, dim=4)
-        assert run("crossval", "--arff", tmp_path / "a.arff", *flags,
-                   "--folds", "2", "--repeats", "1",
+        assert run("crossval", "--arff", tmp_path / "a.arff",
+                   "--folds", "2", "--repeats", "1", *flags,
                    "--out-dir", tmp_path / "cv") == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "cv" / "metrics.json").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--test-fraction", "0"], "--test-fraction must lie strictly "
+                                   "between 0 and 1, got 0.0"),
+        (["--test-fraction", "-1"], "--test-fraction must lie strictly "
+                                    "between 0 and 1, got -1.0"),
+        (["--test-fraction", "1.0"], "--test-fraction must lie strictly "
+                                     "between 0 and 1, got 1.0"),
+        (["--holdout", "1.5"], "holdout fraction must lie strictly between 0 "
+                               "and 1, got 1.5"),
+        (["--holdout", "0"], "holdout fraction must lie strictly between 0 "
+                             "and 1, got 0.0"),
+        (["--holdout", "nan"], "holdout fraction must lie strictly between 0 "
+                               "and 1, got nan"),
+    ])
+    def test_ensemble_rejects_setting(self, tmp_path, capsys, flags,
+                                      message):
+        write_planted_arff(tmp_path / "a.arff", seed=31, dim=4)
+        assert run("ensemble", "--arff", tmp_path / "a.arff", "--n", "2",
+                   *flags, "--out-dir", tmp_path / "ens") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "ens" / "metrics.json").exists()
+
+    @pytest.mark.parametrize("rows, detail", [
+        (range(35, -1, -1), "data row 1 is 'g2', expected 'g0'"),
+        (range(30), "30 data rows, expected 36"),
+    ], ids=["reordered", "truncated"])
+    def test_ensemble_label_mismatch_names_both_files(self, tmp_path, capsys,
+                                                      rows, detail):
+        write_planted_arff(tmp_path / "a.arff", seed=31, dim=4)
+        write_planted_arff(tmp_path / "b.arff", seed=32, dim=2)
+        ds = avio.read_arff(tmp_path / "b.arff")
+        avio.write_arff(ds.subset(list(rows)), "b", tmp_path / "b.arff")
+        assert run("ensemble", "--arff", tmp_path / "a.arff",
+                   "--arff", tmp_path / "b.arff",
+                   "--out-dir", tmp_path / "ens") == 2
+        err = capsys.readouterr().err
+        assert (f"{tmp_path / 'b.arff'}: labels disagree with "
+                f"{tmp_path / 'a.arff'} ({detail})") in err
+        assert not (tmp_path / "ens" / "metrics.json").exists()
 
 
 # Outputs of the commands below, written before the classifier hot loops

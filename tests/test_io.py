@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avmir import cli, concepts
 from avmir import io as avio
@@ -177,6 +179,118 @@ class TestArff:
         with pytest.raises(ArffFormatError) as err:
             avio.read_arff(tmp_path / "bad.arff")
         assert err.value.line_number == 5
+
+
+def reference_data_rows(data_lines, first_line, n_features, class_values):
+    """Reference parser for ARFF data rows: each cell is stripped and read
+    with float(), and the checks run in read_arff's order (value count,
+    numeric, finite, class).  Returns (matrix, labels) or the first fault
+    as (reason, line number)."""
+    rows, labels = [], []
+    for ln, raw in enumerate(data_lines, start=first_line):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != n_features + 1:
+            return f"expected {n_features + 1} values, got {len(cells)}", ln
+        try:
+            rows.append([float(c) for c in cells[:-1]])
+        except ValueError:
+            return "non-numeric feature value", ln
+        if not np.all(np.isfinite(rows[-1])):
+            return "non-finite feature value", ln
+        if cells[-1] not in class_values:
+            return f"undeclared class value {cells[-1]!r}", ln
+        labels.append(cells[-1])
+    return np.array(rows, dtype=np.float64).reshape(len(rows), n_features), \
+        labels
+
+
+def assert_arff_parity(path, n_features, data_lines):
+    """read_arff and reference_data_rows agree bit for bit on a file with
+    n_features numeric attributes, classes a and b, and these data lines."""
+    header = (["@RELATION r"]
+              + [f"@ATTRIBUTE f{i} NUMERIC" for i in range(n_features)]
+              + ["@ATTRIBUTE class {a,b}", "@DATA"])
+    path.write_bytes("\n".join(header + data_lines + [""]).encode("utf-8"))
+    expected = reference_data_rows(data_lines, len(header) + 1, n_features,
+                                   ["a", "b"])
+    if isinstance(expected[0], str):
+        with pytest.raises(ArffFormatError) as err:
+            avio.read_arff(path)
+        assert (err.value.reason, err.value.line_number) == expected
+        assert str(err.value) == f"{path}: {expected[0]} (line {expected[1]})"
+    else:
+        back = avio.read_arff(path)
+        assert back.matrix.shape == expected[0].shape
+        assert back.matrix.tobytes() == expected[0].tobytes()
+        assert back.labels == expected[1]
+
+
+# spellings float() reads, and a few it rejects
+ARFF_SPELLINGS = ["1_0", "+.5e-3", "1.", ".5", "-0", "-0.0", "1E+2", "5e-324",
+                  "1e999", "-1e999", "nan", "-NaN", "inf", "-Infinity", "١",
+                  "٣.٥", "١_٢", "0x10", "1__0", "_1", "", "1e", "--1", "1 2"]
+ARFF_SPACES = ["", " ", "\t", "\x0b", "\x0c", "\xa0", "\u2003", "\x1c", "\x1f"]
+ARABIC_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+arff_cell = st.tuples(
+    st.sampled_from(ARFF_SPACES),
+    st.one_of(st.floats().map(repr),
+              st.floats(width=32).map(lambda v: f"{v:.9g}"),
+              st.floats(allow_nan=False).map(
+                  lambda v: repr(v).translate(ARABIC_DIGITS)),
+              st.sampled_from(ARFF_SPELLINGS)),
+    st.sampled_from(ARFF_SPACES)).map("".join)
+arff_label = st.sampled_from(["a", "b", " b\t", "a\xa0", "\x1ca", "z", "A"])
+
+
+@st.composite
+def arff_data(draw):
+    n_features = draw(st.integers(0, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["short", "long", "blank"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "% note", " \x1c "])))
+            continue
+        count = n_features + {"row": 0, "short": -1, "long": 1}[kind]
+        cells = [draw(arff_cell) for _ in range(max(count, 0))]
+        lines.append(",".join(cells + [draw(arff_label)]))
+    return n_features, lines
+
+
+class TestArffParity:
+    @pytest.mark.parametrize("n_features, lines", [
+        (3, [" 1.5 ,\t-2\xa0, 3e0 , a ", "\x1c4\x1c,5,6,b"]),
+        (2, ["1_0,+.5e-3,a", "١,٣.٥,b", "5e-324,-0,a"]),
+        (1, ["nan,a"]),
+        (1, ["1e999,a"]),
+        (2, ["1,2,a", "1,2,3,a"]),
+        (1, ["1,z"]),
+        (0, ["a", " b ", "%", ""]),
+        (0, ["1,a"]),
+        (2, ["1,2,a", "x,2,a", "1,2,3,4,b"]),
+        (2, ["1,2,3,4,b", "1,2,a", "x,2,a"]),
+    ], ids=["whitespace", "exotic-spellings", "nan", "overflow-to-inf",
+            "wrong-count", "undeclared-label", "zero-features",
+            "zero-features-wrong-count", "two-faults-numeric-first",
+            "two-faults-count-first"])
+    def test_matches_reference(self, tmp_path, n_features, lines):
+        assert_arff_parity(tmp_path / "t.arff", n_features, lines)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=arff_data())
+    def test_generated_files_match_reference(self, tmp_path_factory, data):
+        assert_arff_parity(tmp_path_factory.mktemp("arff") / "t.arff", *data)
+
+    def test_zero_feature_roundtrip(self, tmp_path):
+        ds = LabeledDataset(np.zeros((3, 0)), ["x", "y", "x"], [])
+        avio.write_arff(ds, "rel", tmp_path / "t.arff")
+        back = avio.read_arff(tmp_path / "t.arff")
+        assert back.matrix.shape == (3, 0)
+        assert back.labels == ["x", "y", "x"]
 
 
 def build_manifest(tmp_path, per_class=6, classes=("rock", "pop"),

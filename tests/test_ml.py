@@ -72,8 +72,10 @@ class TestKnn:
     @pytest.mark.parametrize("metric", ["l1", "l2"])
     def test_chunked_distances_equal_one_broadcast(self, rng, monkeypatch,
                                                    metric):
-        # 200 dims exercise numpy's pairwise summation; a budget of 3 query
-        # rows gives 6 full chunks and a remainder of 2 for 20 queries
+        # 200 dims exercise numpy's pairwise summation; at 200 dims the
+        # default budget gives tiles of 21 pairs a side, and the budgets set
+        # below give tiles of 8 and 3, so 20 queries and 30 training rows
+        # leave partial tiles (remainders 20 and 9, 4 and 6, 2 and 0)
         train = rng.normal(size=(30, 200))
         y = rng.integers(0, 3, size=30)
         probes = rng.normal(size=(20, 200))
@@ -83,10 +85,12 @@ class TestKnn:
         else:
             expected = np.sqrt((diff ** 2).sum(axis=2))
         clf = ml.KnnClassifier(k=3, metric=metric).fit(train, y, 3)
-        whole = clf.predict(probes)
-        monkeypatch.setattr(ml, "KNN_CHUNK_BYTES", 3 * train.nbytes + 7)
         np.testing.assert_array_equal(clf._distances(probes), expected)
-        np.testing.assert_array_equal(clf.predict(probes), whole)
+        whole = clf.predict(probes)
+        for tile in (8, 3):
+            monkeypatch.setattr(ml, "KNN_TILE_BYTES", tile * tile * 200 * 8)
+            np.testing.assert_array_equal(clf._distances(probes), expected)
+            np.testing.assert_array_equal(clf.predict(probes), whole)
 
 
 class TestGaussianNb:
