@@ -30,8 +30,11 @@ from . import __version__, aggregate, audio, concepts, ml, shotviz, visual
 from . import io as avio
 from .errors import InputError
 
-AUDIO_FEATURES = ("rp", "rh", "ssd", "mvd", "tssd", "trh", "mfcc", "chroma")
-VISUAL_FEATURES = ("gcs", "gev", "cf", "cn", "waf", "ic", "lfp")
+# dims of one track's audio features; mfcc and chroma are the mean and std
+# of 13 coefficients and 12 pitch classes
+_AUDIO_DIMS = {**audio.TRACK_FEATURE_DIMS, "mfcc": 26, "chroma": 24}
+AUDIO_FEATURES = tuple(_AUDIO_DIMS)
+VISUAL_FEATURES = (*visual.FRAME_FEATURE_DIMS, "lfp")
 
 
 def write_json(path, payload):
@@ -101,11 +104,6 @@ def _source_rows(manifest_path, source, label, field, row_fn, jobs=1):
     else:
         rows = [row_fn(p) for p in paths]
     return [e.label for e in entries], rows
-
-
-# dims of one track's audio features; mfcc and chroma are the mean and std
-# of 13 coefficients and 12 pitch classes
-_AUDIO_DIMS = {**audio.TRACK_FEATURE_DIMS, "mfcc": 26, "chroma": 24}
 
 
 def _audio_feature_vector(wav_path, features):
@@ -323,7 +321,7 @@ def cmd_ensemble(args):
     for path, ds in zip(args.arff[1:], datasets[1:]):
         if ds.labels != base.labels:
             raise InputError(f"{path}: labels disagree with {args.arff[0]} "
-                             f"({_first_difference(ds.labels, base.labels)})")
+                             f"({ml.first_difference(ds.labels, base.labels)})")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -367,13 +365,6 @@ def cmd_ensemble(args):
     print(f"ensemble accuracy {accuracy:.4f} on {len(test_idx)} held-out "
           f"rows ({len(datasets)} modalities x {args.n} members)")
     return 0
-
-
-def _first_difference(labels, expected):
-    if len(labels) != len(expected):
-        return f"{len(labels)} data rows, expected {len(expected)}"
-    row = next(i for i, (a, b) in enumerate(zip(labels, expected)) if a != b)
-    return f"data row {row + 1} is {labels[row]!r}, expected {expected[row]!r}"
 
 
 def cmd_faces(args):
@@ -429,17 +420,17 @@ def cmd_salience(args):
 
 
 def cmd_meancolorbar(args):
-    stream = avio.read_frames(args.frames, fps=args.fps)
-    bar = shotviz.mean_color_bar(stream, resample_height=args.height)
-    avio.write_ppm(args.out, bar.columns)
-    print(f"wrote {bar.columns.shape[1]}-column mean-color bar to {args.out}")
+    bar = shotviz.mean_color_bar(avio.read_frames(args.frames),
+                                 resample_height=args.height)
+    avio.write_ppm(args.out, bar)
+    print(f"wrote {bar.shape[1]}-column mean-color bar to {args.out}")
     return 0
 
 
 def cmd_cutscan(args):
-    stream = avio.read_frames(args.frames, fps=args.fps)
-    profile = shotviz.frame_activity(stream, args.metric)
-    boundaries = shotviz.naive_cut_detect(profile, window=args.window,
+    distances = shotviz.frame_activity(avio.read_frames(args.frames),
+                                       args.metric)
+    boundaries = shotviz.naive_cut_detect(distances, window=args.window,
                                           kappa=args.kappa)
     write_json(args.out, {"metric": args.metric, "window": args.window,
                           "kappa": args.kappa, "boundaries": boundaries})
@@ -615,14 +606,12 @@ def build_parser():
     p = add("meancolorbar", cmd_meancolorbar,
             help="mean-color bar image of a frame stream")
     p.add_argument("--frames", type=Path, required=True)
-    p.add_argument("--fps", type=float, default=25.0)
     p.add_argument("--height", type=int)
     p.add_argument("--out", type=Path, required=True)
 
     p = add("cutscan", cmd_cutscan,
             help="naive adaptive-threshold cut detection (baseline)")
     p.add_argument("--frames", type=Path, required=True)
-    p.add_argument("--fps", type=float, default=25.0)
     p.add_argument("--metric", default="mean-rgb-l1",
                    choices=sorted(shotviz.ACTIVITY_METRICS))
     p.add_argument("--window", type=int, default=15)

@@ -121,9 +121,8 @@ class FrameContext:
 
     frame is the (H, W, 3) uint8 frame.  ihls, lch and hsv are each
     converted on first read and kept, so every feature reading a color
-    space shares one conversion.  shape is the frame's, so code that reads
-    only a frame's size can take a context in its place (perfbench's
-    frame_features hook counts pixels that way).
+    space shares one conversion.  shape is the frame's (perfbench's
+    frame_features hook counts pixels by it).
     """
 
     def __init__(self, frame):
@@ -132,14 +131,22 @@ class FrameContext:
 
     @cached_property
     def ihls(self):
+        """The IHLS color space (brightness-independent saturation).
+
+        Luminance is the weighted RGB sum, saturation is max-min and hue is
+        the angle in the chromatic plane; achromatic pixels keep hue 0 and
+        are excluded via the chromatic mask.
+        """
         return IhlsFrame(*_by_rows(_ihls_planes, self.frame))
 
     @cached_property
     def lch(self):
+        """Cylindrical CIELAB: sRGB -> linear -> XYZ (D65) -> LAB -> LCH."""
         return LchFrame(*_by_rows(_lch_planes, self.frame))
 
     @cached_property
     def hsv(self):
+        """(h, s, v) planes with h in degrees [0, 360), s and v in [0, 1]."""
         return _by_rows(_hsv_planes, self.frame)
 
 
@@ -174,16 +181,6 @@ def strip_letterbox(frame):
     if left >= right:
         return frame
     return frame[top:bottom, left:right]
-
-
-def rgb_to_ihls(frame):
-    """Convert to the IHLS color space (brightness-independent saturation).
-
-    Luminance is the weighted RGB sum, saturation is max-min and hue is the
-    angle in the chromatic plane; achromatic pixels keep hue 0 and are
-    excluded via the chromatic mask.
-    """
-    return FrameContext(frame).ihls
 
 
 def _ihls_planes(frame):
@@ -222,11 +219,6 @@ def _lab_f(t):
                     t / (3.0 * delta * delta) + 4.0 / 29.0)
 
 
-def rgb_to_lch(frame):
-    """Convert to cylindrical CIELAB: sRGB -> linear -> XYZ (D65) -> LAB -> LCH."""
-    return FrameContext(frame).lch
-
-
 def _lch_planes(frame):
     xyz = _LINEAR_LEVELS[frame] @ _SRGB_TO_XYZ.T
     xyz /= _WHITE_XYZ
@@ -241,11 +233,6 @@ def _lch_planes(frame):
     C = np.hypot(a, b)
     H = wrap_angle(np.arctan2(b, a))
     return L, C, H
-
-
-def rgb_to_hsv(frame):
-    """RGB -> HSV with H in degrees [0, 360), S and V in [0, 1]."""
-    return FrameContext(frame).hsv
 
 
 def _hsv_planes(frame):
@@ -266,7 +253,7 @@ def _hsv_planes(frame):
 
 
 def hsv_to_rgb(h, s, v):
-    """Inverse of rgb_to_hsv; returns a uint8 frame."""
+    """Inverse of FrameContext.hsv; returns a uint8 frame."""
     h, s, v = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64)
                                     for x in (h, s, v)))
     if h.ndim == 0:

@@ -154,8 +154,8 @@ def _read_ppm_dir(directory, fps):
 
 
 def _read_raw_stream(path):
-    fh = open(path, "rb")
-    header = fh.readline()
+    with open(path, "rb") as fh:
+        header = fh.readline()
     try:
         meta = json.loads(header.decode("ascii"))
         if not isinstance(meta, dict):
@@ -167,12 +167,14 @@ def _read_raw_stream(path):
         if not (np.isfinite(fps) and fps > 0):
             raise ValueError(f"fps {fps} is not finite and positive")
     except (ValueError, KeyError, TypeError) as exc:
-        fh.close()
         raise InputError(f"bad raw-stream preamble in {path}: {exc}") from None
     frame_bytes = width * height * 3
 
     def gen():
-        try:
+        # the file is opened at the first frame and closed when the stream
+        # ends or is discarded, so an unread stream holds no handle
+        with open(path, "rb") as fh:
+            fh.seek(len(header))
             index = 0
             while True:
                 payload = fh.read(frame_bytes)
@@ -185,8 +187,6 @@ def _read_raw_stream(path):
                 yield np.frombuffer(payload, dtype=np.uint8).reshape(
                     height, width, 3)
                 index += 1
-        finally:
-            fh.close()
 
     return FrameStream(width=width, height=height, fps=fps, _iterator=gen())
 

@@ -403,6 +403,15 @@ def cross_validate(dataset, classifier_spec, folds, paper_normalization=False):
     )
 
 
+def first_difference(labels, expected):
+    """Where two unequal label lists first differ: their row counts, or the
+    first differing data row (counted from 1)."""
+    if len(labels) != len(expected):
+        return f"{len(labels)} data rows, expected {len(expected)}"
+    row = next(i for i, (a, b) in enumerate(zip(labels, expected)) if a != b)
+    return f"data row {row + 1} is {labels[row]!r}, expected {expected[row]!r}"
+
+
 def early_fuse(parts):
     """Column-concatenate named feature parts into one dataset.
 
@@ -413,13 +422,13 @@ def early_fuse(parts):
     parts = list(parts)
     if not parts:
         raise ValueError("nothing to fuse")
-    base = parts[0][1]
+    base_name, base = parts[0]
     matrices, schema = [], []
     for name, ds in parts:
-        if ds.n != base.n:
-            raise InputError(f"part {name!r} has {ds.n} rows, expected {base.n}")
         if ds.labels != base.labels:
-            raise InputError(f"part {name!r} labels do not match")
+            raise InputError(
+                f"part {name!r} labels disagree with part {base_name!r} "
+                f"({first_difference(ds.labels, base.labels)})")
         matrices.append(ds.matrix)
         schema.extend(f"{name}.{col}" for col in ds.schema)
     return LabeledDataset(np.hstack(matrices), list(base.labels), schema)

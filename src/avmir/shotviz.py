@@ -7,26 +7,12 @@ flashes), and the test suite pins that failure mode as a fixture instead of
 hiding it.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import imgprep
 from .concepts import chi_square
 
 HIST_CHI2_BINS = 64  # per-channel bins of the histogram-chi2 activity metric
-
-
-@dataclass
-class MeanColorBar:
-    """One RGB mean column per frame; width equals the frame count."""
-    columns: np.ndarray  # (height, n_frames, 3) uint8
-
-
-@dataclass
-class ActivityProfile:
-    distances: np.ndarray  # (n_frames - 1,)
-    metric: str
 
 
 def _resample_column(column, height):
@@ -37,7 +23,8 @@ def _resample_column(column, height):
 
 
 def mean_color_bar(frames, resample_height=None):
-    """Column per frame of per-row channel means.
+    """Mean-color bar: an (H, n_frames, 3) uint8 image whose column k holds
+    the per-row channel means of frame k.
 
     With resample_height each column is linearly resampled to a fixed
     height, which also permits mixing frame sizes.
@@ -60,7 +47,7 @@ def mean_color_bar(frames, resample_height=None):
     if not columns:
         raise ValueError("empty frame stream")
     bar = np.stack(columns, axis=1)
-    return MeanColorBar(columns=np.clip(np.round(bar), 0, 255).astype(np.uint8))
+    return np.clip(np.round(bar), 0, 255).astype(np.uint8)
 
 
 def _mean_rgb_l1(a, b):
@@ -83,7 +70,8 @@ ACTIVITY_METRICS = {"mean-rgb-l1": _mean_rgb_l1, "histogram-chi2": _hist_chi2}
 
 
 def frame_activity(frames, metric="mean-rgb-l1"):
-    """Normalized distance between each consecutive frame pair."""
+    """Normalized distance between each consecutive frame pair, an
+    (n_frames - 1,) array."""
     try:
         fn = ACTIVITY_METRICS[metric]
     except KeyError:
@@ -97,15 +85,15 @@ def frame_activity(frames, metric="mean-rgb-l1"):
         prev = frame
     if len(distances) < 1:
         raise ValueError("need at least two frames")
-    return ActivityProfile(distances=np.array(distances), metric=metric)
+    return np.array(distances)
 
 
-def naive_cut_detect(profile, window=15, kappa=3.0):
-    """Sliding-window peak picking over an activity profile.
+def naive_cut_detect(distances, window=15, kappa=3.0):
+    """Sliding-window peak picking over frame_activity distances.
 
     Transition i is flagged when its distance exceeds kappa times the window
     median and is the window maximum; returned indices are the frame numbers
-    where the new shot starts (profile index + 1), strictly increasing.
+    where the new shot starts (distance index + 1), strictly increasing.
     Known failure modes on music-video effects are intentional and asserted
     by fixtures, not worked around.
     """
@@ -113,7 +101,7 @@ def naive_cut_detect(profile, window=15, kappa=3.0):
         raise ValueError("window must be odd and >= 3")
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
-    d = profile.distances
+    d = np.asarray(distances)
     half = window // 2
     boundaries = []
     for i in range(d.size):

@@ -41,6 +41,18 @@ CN_BAYER_ORDER = 32
 CN_DITHER_SPREAD = 64.0
 _CN_BAYER_MAP = imgprep.bayer_matrix(CN_BAYER_ORDER)
 
+# Colorfulness: the RGB cube split into CF_PARTITIONS^3 cells; the EMD ground
+# distance CF_COST is Euclidean between cell centers, its largest value is
+# Dmax and the ideal distribution of a maximally colorful image is uniform
+CF_PARTITIONS = 4
+_CF_AXIS = (np.arange(CF_PARTITIONS) + 0.5) * (256.0 / CF_PARTITIONS)
+CF_CENTERS = np.stack(np.meshgrid(_CF_AXIS, _CF_AXIS, _CF_AXIS, indexing="ij"),
+                      axis=-1).reshape(-1, 3)
+CF_COST = np.sqrt(((CF_CENTERS[:, None, :] - CF_CENTERS[None, :, :]) ** 2)
+                  .sum(axis=-1))
+_CF_DMAX = CF_COST.max()
+_CF_IDEAL = np.full(len(CF_CENTERS), 1.0 / len(CF_CENTERS))
+
 SEGMENT_BLOCK = 16       # side of the Itten-contrast grid cells (pixels)
 LFP_MAX_MOD_FREQ = 10.0  # highest LFP modulation frequency kept (Hz)
 LFP_WINDOW = 512         # LFP FFT window (frames)
@@ -56,13 +68,6 @@ CHROMA_RANGE = 134.0
 
 
 @dataclass
-class FrameFeature:
-    name: str
-    values: np.ndarray
-    degenerate: bool = False
-
-
-@dataclass
 class SegmentationMap:
     labels: np.ndarray          # (H, W) int segment ids, contiguous from 0
     segment_count: int
@@ -75,7 +80,6 @@ class SegmentationMap:
 @dataclass
 class LfpPattern:
     lightness_bins: int
-    modulation_bins: int
     values: np.ndarray          # (B, M) nonnegative magnitudes
     mod_frequencies: np.ndarray  # (M,) Hz
     short_input: bool = False   # fewer frames than one analysis window
@@ -92,26 +96,24 @@ def gcs(ihls):
     angular mean/deviation of hue and their saturation-weighted variants.
 
     Hue statistics use chromatic pixels only; a frame without any chromatic
-    pixel gets (0, sqrt(2)) for both hue stats and the degenerate flag.
+    pixel gets (0, sqrt(2)) for both hue stats.
     """
     mean_sat = float(ihls.saturation.mean())
     mean_lum = float(ihls.luminance.mean())
 
     hues = ihls.hue[ihls.chromatic]
     if hues.size == 0:
-        values = np.array([mean_sat, mean_lum,
-                           0.0, MAX_DEVIATION, 0.0, MAX_DEVIATION])
-        return FrameFeature("gcs", values, degenerate=True)
+        return np.array([mean_sat, mean_lum,
+                         0.0, MAX_DEVIATION, 0.0, MAX_DEVIATION])
 
     # both statistics share the sines and cosines of the hues
     sin_h, cos_h = np.sin(hues), np.cos(hues)
     plain = imgprep._circular_stats(hues, None, sin_h, cos_h)
     weighted = imgprep._circular_stats(
         hues, ihls.saturation[ihls.chromatic], sin_h, cos_h)
-    values = np.array([mean_sat, mean_lum,
-                       plain.angular_mean, plain.angular_deviation,
-                       weighted.angular_mean, weighted.angular_deviation])
-    return FrameFeature("gcs", values)
+    return np.array([mean_sat, mean_lum,
+                     plain.angular_mean, plain.angular_deviation,
+                     weighted.angular_mean, weighted.angular_deviation])
 
 
 def gev_values(brightness, saturation):
@@ -127,54 +129,26 @@ def gev_values(brightness, saturation):
 
 def gev(ihls):
     """Global emotion values of a frame (3 values)."""
-    return FrameFeature("gev", gev_values(ihls.luminance.mean(),
-                                          ihls.saturation.mean()))
+    return gev_values(ihls.luminance.mean(), ihls.saturation.mean())
 
 
-def _rgb_cell_centers(partitions):
-    step = 256.0 / partitions
-    axis = (np.arange(partitions) + 0.5) * step
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-    return grid.reshape(-1, 3)
-
-
-def rgb_histogram(frame, partitions):
-    """Normalized histogram over an RGB cube split into partitions^3 cells."""
+def rgb_histogram(frame):
+    """Normalized histogram over the CF_PARTITIONS^3 cells of the RGB cube,
+    in CF_CENTERS order."""
     frame = imgprep.as_frame(frame)
-    idx = (frame.astype(np.int64) * partitions) // 256
-    flat = (idx[..., 0] * partitions + idx[..., 1]) * partitions + idx[..., 2]
-    counts = np.bincount(flat.ravel(), minlength=partitions ** 3)
+    idx = (frame.astype(np.int64) * CF_PARTITIONS) // 256
+    flat = ((idx[..., 0] * CF_PARTITIONS + idx[..., 1]) * CF_PARTITIONS
+            + idx[..., 2])
+    counts = np.bincount(flat.ravel(), minlength=len(CF_CENTERS))
     return counts.astype(np.float64) / counts.sum()
 
 
-def colorfulness(frame, partitions=4):
-    """Colorfulness score: Dmax - EMD(frame histogram, uniform ideal).
-
-    The ideal distribution of a maximally colorful image is uniform over all
-    partitioned RGB cells; ground distance is Euclidean between cell centers
-    and Dmax is the largest center distance, so a larger score means a more
-    colorful frame.
+def colorfulness(frame):
+    """Colorfulness score (1 value): Dmax - EMD(frame histogram, uniform
+    ideal) over the CF cells, so a larger score means a more colorful frame.
     """
-    if partitions < 2:
-        raise ValueError("partitions must be >= 2")
-    hist = rgb_histogram(frame, partitions)
-    centers = _rgb_cell_centers(partitions)
-    diff = centers[:, None, :] - centers[None, :, :]
-    cost = np.sqrt((diff ** 2).sum(axis=-1))
-    ideal = np.full(hist.shape, 1.0 / hist.size)
-    distance = _kernels.emd(hist, ideal, cost)
-    return FrameFeature("cf", np.array([cost.max() - distance]))
-
-
-def color_names(frame):
-    """Eight-bin elementary-color histogram of an enhanced, dithered frame.
-
-    Pipeline: HSV conversion, CLAHE on the value channel (and, with the same
-    parameters, on saturation), ordered-dither quantization against the
-    8-color palette with a Bayer threshold map, then a normalized index
-    histogram.  Order: magenta, red, yellow, green, cyan, blue, black, white.
-    """
-    return _color_names(imgprep.FrameContext(frame).hsv)
+    distance = _kernels.emd(rgb_histogram(frame), _CF_IDEAL, CF_COST)
+    return np.array([_CF_DMAX - distance])
 
 
 def _clahe_unit(plane):
@@ -183,13 +157,21 @@ def _clahe_unit(plane):
     return _kernels.clahe_u8(levels, *CN_CLAHE_TILE, CN_CLAHE_CLIP_LIMIT) / 255.0
 
 
-def _color_names(hsv):
+def color_names(hsv):
+    """Eight-bin elementary-color histogram of an enhanced, dithered frame,
+    given its (h, s, v) planes (imgprep.FrameContext.hsv).
+
+    Pipeline: CLAHE on the value channel (and, with the same parameters, on
+    saturation), ordered-dither quantization against the 8-color palette
+    with a Bayer threshold map, then a normalized index histogram.  Order:
+    magenta, red, yellow, green, cyan, blue, black, white.
+    """
     h, s, v = hsv
     enhanced = imgprep.hsv_to_rgb(h, _clahe_unit(s), _clahe_unit(v))
     indices = _kernels.dither_indices(enhanced, CN_PALETTE, _CN_BAYER_MAP,
                                       CN_DITHER_SPREAD)
     counts = np.bincount(indices.ravel(), minlength=len(CN_PALETTE))
-    return FrameFeature("cn", counts.astype(np.float64) / counts.sum())
+    return counts.astype(np.float64) / counts.sum()
 
 
 def _triangular_memberships(x, centers):
@@ -280,8 +262,7 @@ def waf(lch, sharpness):
     mad = np.abs(chroma - chroma.mean()).mean()
     factor_two[6] = min(mad / (CHROMA_RANGE / 2.0), 1.0)
 
-    values = np.concatenate([factor_one, factor_two, [float(sharpness)]])
-    return FrameFeature("waf", values)
+    return np.concatenate([factor_one, factor_two, [float(sharpness)]])
 
 
 def segment_frame(lch):
@@ -322,7 +303,7 @@ def itten_contrasts(seg):
     segment area shares.
     """
     if seg.segment_count <= 1:
-        return FrameFeature("ic", np.zeros(4))
+        return np.zeros(4)
 
     areas = seg.areas / seg.areas.sum()
 
@@ -345,11 +326,10 @@ def itten_contrasts(seg):
         hue = 0.0
         warm_cold = 0.0
 
-    values = np.clip(np.array([light_dark, sat, hue, warm_cold]), 0.0, 1.0)
-    return FrameFeature("ic", values)
+    return np.clip(np.array([light_dark, sat, hue, warm_cold]), 0.0, 1.0)
 
 
-def lightness_histogram(lch, bins=24):
+def lightness_histogram(lch, bins):
     """Normalized histogram of the CIELAB L channel over [0, 100]."""
     counts, _ = np.histogram(lch.L, bins=bins, range=(0.0, 100.0))
     return counts.astype(np.float64) / lch.L.size
@@ -385,21 +365,9 @@ def lfp_from_histograms(hists, fps):
         acc += np.abs(np.fft.rfft(seg, axis=0))[keep]
     acc /= n_windows
 
-    return LfpPattern(lightness_bins=b, modulation_bins=int(keep.sum()),
-                      values=acc.T, mod_frequencies=freqs[keep],
+    return LfpPattern(lightness_bins=b, values=acc.T,
+                      mod_frequencies=freqs[keep],
                       short_input=t < LFP_WINDOW)
-
-
-def lfp(frames, fps, bins=24):
-    """Lightness fluctuation pattern of an RGB frame sequence.
-
-    Frames are converted to CIELAB and reduced to per-frame lightness
-    histograms before the modulation analysis; see lfp_from_histograms.
-    """
-    hists = [lightness_histogram(imgprep.rgb_to_lch(f), bins) for f in frames]
-    if len(hists) < 2:
-        raise ValueError("need at least two frames")
-    return lfp_from_histograms(np.array(hists), fps)
 
 
 def _band_sums(pattern, n_bands):
@@ -433,16 +401,13 @@ LFP_PRESET_BINS = {"paper-80": 8, "paper-60": 24}
 LFP_PRESET_DIMS = {"paper-80": 80, "paper-60": 60}
 
 
-def frame_features(frame, features):
-    """Compute the requested per-frame feature sets for one frame.
+def frame_features(ctx, features):
+    """The requested per-frame feature sets of one imgprep.FrameContext,
+    as a dict name -> float64 array.
 
-    frame is an RGB frame or an imgprep.FrameContext; pass a context to
-    share its color conversions with the caller.  Each color space is
-    converted at most once, and only if a requested feature reads it.
-    Returns a dict name -> FrameFeature.
+    Each color space is converted at most once, and only if a requested
+    feature reads it.
     """
-    ctx = frame if isinstance(frame, imgprep.FrameContext) \
-        else imgprep.FrameContext(frame)
     out = {}
     for name in features:
         if name == "gcs":
@@ -452,7 +417,7 @@ def frame_features(frame, features):
         elif name == "cf":
             out[name] = colorfulness(ctx.frame)
         elif name == "cn":
-            out[name] = _color_names(ctx.hsv)
+            out[name] = color_names(ctx.hsv)
         elif name == "waf":
             out[name] = waf(ctx.lch, blur_measure(ctx.ihls.luminance * 255.0))
         elif name == "ic":
@@ -486,7 +451,7 @@ def extract_video_features(frames, features, fps=25.0, lfp_preset="paper-80",
         ctx = imgprep.FrameContext(frame)
         feats = frame_features(ctx, wanted)
         for name in wanted:
-            rows[name].append(feats[name].values)
+            rows[name].append(feats[name])
         if want_lfp:
             hists.append(lightness_histogram(ctx.lch,
                                              LFP_PRESET_BINS[lfp_preset]))

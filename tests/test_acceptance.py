@@ -51,15 +51,16 @@ def test_criterion_1_dimensionality_conformance(rng):
         # visual family: aggregated dims and the 360-dim combination
         frames = [rng.integers(0, 256, size=(32, 32, 3), dtype=np.uint8)
                   for _ in range(30)]
-        matrices, _ = visual.extract_video_features(
-            frames, list(visual.FRAME_FEATURE_DIMS), crop_letterbox=False)
+        with pytest.warns(UserWarning, match="fewer frames"):
+            matrices, pattern = visual.extract_video_features(
+                frames, [*visual.FRAME_FEATURE_DIMS, "lfp"],
+                lfp_preset="paper-80", crop_letterbox=False)
         aggregated = {name: aggregate.moments(m, aggregate.VISUAL_MOMENTS)
                       for name, m in matrices.items()}
         expected = {"gcs": 42, "gev": 21, "cf": 7, "cn": 56, "ic": 28,
                     "waf": 126}
         for name, dim in expected.items():
             assert aggregated[name].shape == (dim,), name
-        pattern = visual.lfp(frames, fps=25.0, bins=8)
         lfp80 = visual.lfp_feature(pattern, "paper-80")
         assert lfp80.shape == (80,)
         combined = sum(v.size for v in aggregated.values()) + lfp80.size
@@ -162,7 +163,8 @@ def test_criterion_3_signal_checks():
             bright = int(np.floor(4.0 * i / 25.0)) % 2  # 2 Hz square wave
             v = 200 if bright else 60
             frames.append(np.full((8, 8, 3), v, np.uint8))
-        pattern = visual.lfp(frames, fps=25.0)
+        _, pattern = visual.extract_video_features(
+            frames, ["lfp"], lfp_preset="paper-60", crop_letterbox=False)
         active = pattern.values.sum(axis=1).argmax()
         peak = int(pattern.values[active].argmax())
         target = int(np.abs(pattern.mod_frequencies - 2.0).argmin())
@@ -213,7 +215,7 @@ def _fusion_datasets():
             for _ in range(12):
                 noise = r.integers(-25, 26, size=(12, 12, 3))
                 frames.append(np.clip(base + noise, 0, 255).astype(np.uint8))
-            gcs_rows = [visual.gcs(imgprep.rgb_to_ihls(f)).values
+            gcs_rows = [visual.gcs(imgprep.FrameContext(f).ihls)
                         for f in frames]
             visual_rows.append(aggregate.moments(np.array(gcs_rows),
                                                  aggregate.VISUAL_MOMENTS))
@@ -334,7 +336,7 @@ def test_criterion_7_cut_detector_overfires_on_strobe():
             bright = int(np.floor(4.0 * i / 25.0)) % 2
             v = 235 if bright else 15
             frames.append(np.full((8, 8, 3), v, np.uint8))
-        profile = shotviz.frame_activity(frames)
-        boundaries = shotviz.naive_cut_detect(profile)
+        distances = shotviz.frame_activity(frames)
+        boundaries = shotviz.naive_cut_detect(distances)
         true_scene_count = 1
         assert len(boundaries) > true_scene_count

@@ -520,6 +520,23 @@ class TestClassifierSettingsExitTwo:
                 f"{tmp_path / 'a.arff'} ({detail})") in err
         assert not (tmp_path / "ens" / "metrics.json").exists()
 
+    @pytest.mark.parametrize("rows, detail", [
+        (range(35, -1, -1), "data row 1 is 'g2', expected 'g0'"),
+        (range(30), "30 data rows, expected 36"),
+    ], ids=["reordered", "truncated"])
+    def test_fuse_label_mismatch_names_both_parts(self, tmp_path, capsys,
+                                                  rows, detail):
+        write_planted_arff(tmp_path / "a.arff", seed=31, dim=4)
+        write_planted_arff(tmp_path / "b.arff", seed=32, dim=2)
+        ds = avio.read_arff(tmp_path / "b.arff")
+        avio.write_arff(ds.subset(list(rows)), "b", tmp_path / "b.arff")
+        assert run("fuse", "--arff", f"audio={tmp_path / 'a.arff'}",
+                   "--arff", tmp_path / "b.arff",
+                   "--out", tmp_path / "fused.arff") == 2
+        err = capsys.readouterr().err
+        assert f"part 'b' labels disagree with part 'audio' ({detail})" in err
+        assert not (tmp_path / "fused.arff").exists()
+
 
 # Outputs of the commands below, written before the classifier hot loops
 # (the Pegasos sum form, chunked kNN distances and the batched ensemble

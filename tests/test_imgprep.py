@@ -43,19 +43,19 @@ class TestStripLetterbox:
 
 class TestIhls:
     def test_black(self):
-        ih = imgprep.rgb_to_ihls(solid_frame(0, 0, 0))
+        ih = imgprep.FrameContext(solid_frame(0, 0, 0)).ihls
         assert ih.luminance[0, 0] == 0.0
         assert ih.saturation[0, 0] == 0.0
         assert not ih.chromatic[0, 0]
 
     @pytest.mark.parametrize("g", [1, 77, 128, 254])
     def test_gray_has_zero_saturation(self, g):
-        ih = imgprep.rgb_to_ihls(solid_frame(g, g, g))
+        ih = imgprep.FrameContext(solid_frame(g, g, g)).ihls
         assert ih.saturation[0, 0] == 0.0
         assert not ih.chromatic[0, 0]
 
     def test_pure_red(self):
-        ih = imgprep.rgb_to_ihls(solid_frame(255, 0, 0))
+        ih = imgprep.FrameContext(solid_frame(255, 0, 0)).ihls
         assert ih.hue[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert ih.saturation[0, 0] == pytest.approx(1.0)
         assert ih.chromatic[0, 0]
@@ -65,30 +65,30 @@ class TestIhls:
         levels = np.arange(0, 256, 51, dtype=np.uint8)
         r, g, b = np.meshgrid(levels, levels, levels, indexing="ij")
         frame = np.stack([r, g, b], axis=-1).reshape(1, -1, 3)
-        ih = imgprep.rgb_to_ihls(frame)
+        ih = imgprep.FrameContext(frame).ihls
         expect = (frame.max(axis=2) - frame.min(axis=2)) / 255.0
         np.testing.assert_allclose(ih.saturation, expect, atol=1e-12)
 
     def test_hue_range(self, rng):
-        ih = imgprep.rgb_to_ihls(random_frame(rng))
+        ih = imgprep.FrameContext(random_frame(rng)).ihls
         assert np.all(ih.hue >= 0.0)
         assert np.all(ih.hue < 2.0 * np.pi)
 
 
 class TestLch:
     def test_black(self):
-        lch = imgprep.rgb_to_lch(solid_frame(0, 0, 0))
+        lch = imgprep.FrameContext(solid_frame(0, 0, 0)).lch
         assert lch.L[0, 0] == pytest.approx(0.0, abs=1e-9)
         assert lch.C[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_white_is_whitepoint(self):
-        lch = imgprep.rgb_to_lch(solid_frame(255, 255, 255))
+        lch = imgprep.FrameContext(solid_frame(255, 255, 255)).lch
         assert lch.L[0, 0] == pytest.approx(100.0, abs=1e-6)
         assert lch.C[0, 0] == pytest.approx(0.0, abs=1e-6)
 
     def test_red_reference_values(self):
         # independent sRGB -> LAB computation: L 53.2408, a 80.0925, b 67.2032
-        lch = imgprep.rgb_to_lch(solid_frame(255, 0, 0))
+        lch = imgprep.FrameContext(solid_frame(255, 0, 0)).lch
         assert lch.L[0, 0] == pytest.approx(53.24, abs=0.01)
         assert lch.C[0, 0] == pytest.approx(104.55, abs=0.01)
 
@@ -256,14 +256,14 @@ class TestHsv:
 
     def test_roundtrip(self, rng):
         frame = random_frame(rng, 24, 24)
-        h, s, v = imgprep.rgb_to_hsv(frame)
+        h, s, v = imgprep.FrameContext(frame).hsv
         back = imgprep.hsv_to_rgb(h, s, v)
         assert np.abs(back.astype(int) - frame.astype(int)).max() <= 1
 
     def test_primaries(self):
-        h, s, v = imgprep.rgb_to_hsv(solid_frame(255, 0, 0))
+        h, s, v = imgprep.FrameContext(solid_frame(255, 0, 0)).hsv
         assert h[0, 0] == 0.0 and s[0, 0] == 1.0 and v[0, 0] == 1.0
-        h, s, v = imgprep.rgb_to_hsv(solid_frame(0, 255, 0))
+        h, s, v = imgprep.FrameContext(solid_frame(0, 255, 0)).hsv
         assert h[0, 0] == pytest.approx(120.0)
-        h, s, v = imgprep.rgb_to_hsv(solid_frame(0, 0, 255))
+        h, s, v = imgprep.FrameContext(solid_frame(0, 0, 255)).hsv
         assert h[0, 0] == pytest.approx(240.0)

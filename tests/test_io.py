@@ -1,3 +1,4 @@
+import gc
 import json
 import pickle
 import struct
@@ -106,6 +107,18 @@ class TestFrameStreams:
         assert first.shape == (2, 2, 3)
         with pytest.raises(InputError):
             next(it)
+
+    def test_dropped_streams_leave_no_open_file(self, tmp_path):
+        # a leaked handle's ResourceWarning fails the test under the suite's
+        # warning filters
+        path = tmp_path / "clip.rgb"
+        avio.write_raw_stream(path, [np.zeros((2, 2, 3), np.uint8)] * 3)
+        unread = avio.read_frames(path)
+        del unread
+        partly_read = iter(avio.read_frames(path))
+        next(partly_read)
+        del partly_read
+        gc.collect()
 
     def test_ppm_dir_in_name_order(self, tmp_path, rng):
         a = rng.integers(0, 256, size=(3, 3, 3), dtype=np.uint8)

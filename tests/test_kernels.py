@@ -13,7 +13,7 @@ import pytest
 
 from avmir._kernels import (_clahe_maps, clahe_u8, dither_indices, emd,
                             lbp_codes)
-from avmir.visual import _rgb_cell_centers, rgb_histogram
+from avmir.visual import CF_COST, rgb_histogram
 from conftest import random_frame
 
 
@@ -254,8 +254,6 @@ def test_emd_matches_lp_oracle(rng):
 
     # colourfulness input: frame histograms over the 4^3 RGB cell centres
     # against the uniform ideal, Euclidean ground distance, both directions
-    centers = _rgb_cell_centers(4)
-    cf_cost = np.sqrt(((centers[:, None] - centers[None]) ** 2).sum(axis=-1))
     uniform = np.full(64, 1.0 / 64.0)
     hists = []
     for occupied in range(1, 10):
@@ -279,11 +277,11 @@ def test_emd_matches_lp_oracle(rng):
     for trial in range(3):
         boxed = np.zeros((24, 16, 3), dtype=np.uint8)
         boxed[4:20] = random_frame(rng)
-        hists.append((f"noise {trial}", rgb_histogram(random_frame(rng), 4)))
-        hists.append((f"letterboxed {trial}", rgb_histogram(boxed, 4)))
+        hists.append((f"noise {trial}", rgb_histogram(random_frame(rng))))
+        hists.append((f"letterboxed {trial}", rgb_histogram(boxed)))
     for name, hist in hists:
-        cases.append((name, hist, uniform, cf_cost))
-        cases.append((name + " reversed", uniform, hist, cf_cost))
+        cases.append((name, hist, uniform, CF_COST))
+        cases.append((name + " reversed", uniform, hist, CF_COST))
 
     for name, supply, demand, cost in cases:
         got = emd(supply, demand, cost)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from avmir import ml
+from avmir.errors import InputError
 from avmir.ml import LabeledDataset
 from conftest import fixed_member, vote_one_row
 
@@ -326,7 +327,8 @@ class TestEarlyFuse:
     def test_label_mismatch_raises(self, rng):
         a = LabeledDataset(np.zeros((2, 1)), ["x", "y"], ["f"])
         b = LabeledDataset(np.zeros((2, 1)), ["y", "x"], ["g"])
-        with pytest.raises(Exception, match="labels"):
+        with pytest.raises(InputError, match=r"part 'b' labels disagree with "
+                           r"part 'a' \(data row 1 is 'y', expected 'x'\)"):
             ml.early_fuse([("a", a), ("b", b)])
 
 

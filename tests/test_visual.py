@@ -15,15 +15,14 @@ def make_lch(l_values, c_values, h_values):
 
 class TestGcs:
     def test_all_black_is_degenerate(self):
-        feat = visual.gcs(imgprep.rgb_to_ihls(solid_frame(0, 0, 0)))
-        assert feat.degenerate
-        assert feat.values[0] == 0.0
-        assert feat.values[1] == 0.0
-        assert feat.values[3] == pytest.approx(np.sqrt(2.0))
+        values = visual.gcs(imgprep.FrameContext(solid_frame(0, 0, 0)).ihls)
+        assert values[0] == 0.0
+        assert values[1] == 0.0
+        assert values[3] == pytest.approx(np.sqrt(2.0))
 
     def test_pure_red(self):
-        feat = visual.gcs(imgprep.rgb_to_ihls(solid_frame(255, 0, 0)))
-        sat, lum, mean_h, dev_h, wmean_h, wdev_h = feat.values
+        ihls = imgprep.FrameContext(solid_frame(255, 0, 0)).ihls
+        sat, lum, mean_h, dev_h, wmean_h, wdev_h = visual.gcs(ihls)
         assert sat == pytest.approx(1.0)
         assert mean_h == pytest.approx(0.0, abs=1e-9)
         assert dev_h == pytest.approx(0.0, abs=1e-9)
@@ -35,15 +34,16 @@ class TestGcs:
         frame[0, :, 0] = 255              # red: hue 0
         frame[1, :, 1] = 255              # green-cyan side
         frame[1, :, 2] = 255              # cyan: hue pi, saturation 1
-        feat = visual.gcs(imgprep.rgb_to_ihls(frame))
-        _, _, mean_h, dev_h, wmean_h, wdev_h = feat.values
+        ihls = imgprep.FrameContext(frame).ihls
+        _, _, mean_h, dev_h, wmean_h, wdev_h = visual.gcs(ihls)
         assert dev_h == pytest.approx(np.sqrt(2.0), abs=1e-9)
         assert wdev_h == pytest.approx(np.sqrt(2.0), abs=1e-9)
         # equal saturations: weighted and unweighted stats agree
         assert wmean_h == pytest.approx(mean_h, abs=1e-9)
 
     def test_dimension(self, rng):
-        assert visual.gcs(imgprep.rgb_to_ihls(random_frame(rng))).values.shape == (6,)
+        ihls = imgprep.FrameContext(random_frame(rng)).ihls
+        assert visual.gcs(ihls).shape == (6,)
 
 
 class TestGev:
@@ -68,61 +68,60 @@ class TestGev:
 
 class TestColorfulness:
     def test_uniform_histogram_is_maximal(self, rng):
-        # frame hitting all 8 cells of a 2-partition cube equally
-        corners = np.array([[c * 255 for c in (r, g, b)]
-                            for r in (0, 1) for g in (0, 1) for b in (0, 1)])
-        frame = corners[np.tile(np.arange(8), 8)].reshape(8, 8, 3).astype(np.uint8)
-        feat = visual.colorfulness(frame, partitions=2)
-        centers = visual._rgb_cell_centers(2)
-        diff = centers[:, None] - centers[None, :]
-        dmax = np.sqrt((diff ** 2).sum(-1)).max()
-        assert feat.values[0] == pytest.approx(dmax, abs=1e-9)
+        # frame hitting every cell of the partitioned cube once, at its center
+        frame = visual.CF_CENTERS.reshape(8, 8, 3).astype(np.uint8)
+        # the farthest centers are opposite corner cells, 3/4 of 256 apart
+        # along each axis
+        dmax = 192.0 * np.sqrt(3.0)
+        assert visual.colorfulness(frame)[0] == pytest.approx(dmax, abs=1e-9)
 
     def test_single_color_closed_form(self):
         # point mass -> uniform: optimal transport is forced, cost is the
         # mean distance from the occupied cell to all cells
         frame = solid_frame(10, 10, 10)
-        feat = visual.colorfulness(frame, partitions=2)
-        centers = visual._rgb_cell_centers(2)
-        dists = np.sqrt(((centers - centers[0]) ** 2).sum(axis=1))
+        dists = visual.CF_COST[0]
         expected = dists.max() - dists.mean()
-        assert feat.values[0] == pytest.approx(expected, abs=1e-9)
+        assert visual.colorfulness(frame)[0] == pytest.approx(expected,
+                                                              abs=1e-9)
 
     def test_noise_beats_flat_color(self, rng):
         noisy = visual.colorfulness(random_frame(rng, 32, 32))
         flat = visual.colorfulness(solid_frame(80, 120, 200, 32, 32))
-        assert noisy.values[0] > flat.values[0]
+        assert noisy[0] > flat[0]
 
     def test_permutation_invariant(self, rng):
         frame = random_frame(rng, 12, 12)
         shuffled = frame.reshape(-1, 3)[rng.permutation(144)].reshape(12, 12, 3)
-        a = visual.colorfulness(frame).values[0]
-        b = visual.colorfulness(shuffled).values[0]
+        a = visual.colorfulness(frame)[0]
+        b = visual.colorfulness(shuffled)[0]
         assert a == pytest.approx(b, abs=1e-9)
+
+
+def frame_color_names(frame):
+    return visual.color_names(imgprep.FrameContext(frame).hsv)
 
 
 class TestColorNames:
     def test_all_black(self):
-        feat = visual.color_names(solid_frame(0, 0, 0, 40, 40))
+        values = frame_color_names(solid_frame(0, 0, 0, 40, 40))
         black_idx = visual.CN_COLOR_ORDER.index("black")
-        assert feat.values[black_idx] == 1.0
+        assert values[black_idx] == 1.0
 
     def test_pure_red(self):
-        feat = visual.color_names(solid_frame(255, 0, 0, 40, 40))
-        assert feat.values[visual.CN_COLOR_ORDER.index("red")] >= 0.99
+        values = frame_color_names(solid_frame(255, 0, 0, 40, 40))
+        assert values[visual.CN_COLOR_ORDER.index("red")] >= 0.99
 
     def test_histogram_sums_to_one(self, rng):
         for _ in range(5):
-            feat = visual.color_names(random_frame(rng, 30, 30))
-            assert feat.values.sum() == pytest.approx(1.0, abs=1e-9)
-            assert feat.values.shape == (8,)
+            values = frame_color_names(random_frame(rng, 30, 30))
+            assert values.sum() == pytest.approx(1.0, abs=1e-9)
+            assert values.shape == (8,)
 
 
 class TestWaf:
     def test_all_black_mass_in_very_dark(self):
-        lch = imgprep.rgb_to_lch(solid_frame(0, 0, 0))
-        feat = visual.waf(lch, sharpness=0.37)
-        values = feat.values
+        lch = imgprep.FrameContext(solid_frame(0, 0, 0)).lch
+        values = visual.waf(lch, sharpness=0.37)
         # factor one: 5 levels x (cold, warm); all mass in the first level
         assert values[0] + values[1] == pytest.approx(1.0)
         assert values[2:10].sum() == pytest.approx(0.0)
@@ -131,8 +130,8 @@ class TestWaf:
         assert values[17] == pytest.approx(0.37)
 
     def test_mid_gray_centered_lightness(self):
-        lch = imgprep.rgb_to_lch(solid_frame(128, 128, 128))
-        values = visual.waf(lch, 0.0).values
+        lch = imgprep.FrameContext(solid_frame(128, 128, 128)).lch
+        values = visual.waf(lch, 0.0)
         mid = values[4] + values[5]           # level 2 (center 50)
         assert mid > 0.5
         assert values[10:16].sum() == pytest.approx(0.0)
@@ -141,15 +140,15 @@ class TestWaf:
         lch = make_lch([50.0] * 8,
                        [45.0] * 8,
                        [np.deg2rad(30)] * 4 + [np.deg2rad(200)] * 4)
-        values = visual.waf(lch, 0.0).values
+        values = visual.waf(lch, 0.0)
         warm = values[10] + values[12] + values[14]
         cool = values[11] + values[13] + values[15]
         assert warm == pytest.approx(cool, abs=0.01)
         assert warm > 0
 
     def test_dimension_and_range(self, rng):
-        lch = imgprep.rgb_to_lch(random_frame(rng))
-        values = visual.waf(lch, 0.5).values
+        lch = imgprep.FrameContext(random_frame(rng)).lch
+        values = visual.waf(lch, 0.5)
         assert values.shape == (18,)
         assert np.all(values >= 0.0) and np.all(values <= 1.0)
 
@@ -252,17 +251,19 @@ class TestBlurMeasure:
 
 class TestSegmentFrame:
     def test_grid_counts(self, rng):
-        seg = visual.segment_frame(imgprep.rgb_to_lch(random_frame(rng, 64, 64)))
+        lch = imgprep.FrameContext(random_frame(rng, 64, 64)).lch
+        seg = visual.segment_frame(lch)
         assert seg.segment_count == 16
         assert np.all(seg.areas == 256)
 
     def test_ids_contiguous(self, rng):
-        seg = visual.segment_frame(imgprep.rgb_to_lch(random_frame(rng, 33, 47)))
+        lch = imgprep.FrameContext(random_frame(rng, 33, 47)).lch
+        seg = visual.segment_frame(lch)
         assert set(np.unique(seg.labels)) == set(range(seg.segment_count))
 
     def test_mean_l_matches_brute_force(self, rng):
         frame = random_frame(rng, 32, 32)
-        lch = imgprep.rgb_to_lch(frame)
+        lch = imgprep.FrameContext(frame).lch
         seg = visual.segment_frame(lch)
         for sid in range(seg.segment_count):
             mask = seg.labels == sid
@@ -281,26 +282,27 @@ class TestIttenContrasts:
 
     def test_uniform_frame_all_zero(self, rng):
         frame = solid_frame(90, 40, 160, 32, 32)
-        seg = visual.segment_frame(imgprep.rgb_to_lch(frame))
-        np.testing.assert_allclose(visual.itten_contrasts(seg).values, 0.0,
+        seg = visual.segment_frame(imgprep.FrameContext(frame).lch)
+        np.testing.assert_allclose(visual.itten_contrasts(seg), 0.0,
                                    atol=1e-9)
 
     def test_full_lightness_contrast(self):
         seg = self._two_segment_map([0.0, 100.0], [30.0, 30.0], [1.0, 1.0])
-        values = visual.itten_contrasts(seg).values
+        values = visual.itten_contrasts(seg)
         assert values[0] == pytest.approx(1.0)
         assert values[2] == pytest.approx(0.0, abs=1e-9)  # same hue
 
     def test_warm_cold_balance(self):
         seg = self._two_segment_map([50.0, 50.0], [40.0, 40.0],
                                     [np.deg2rad(30), np.deg2rad(200)])
-        values = visual.itten_contrasts(seg).values
+        values = visual.itten_contrasts(seg)
         assert values[3] == pytest.approx(1.0)
 
     def test_single_segment_is_zero(self, rng):
-        seg = visual.segment_frame(imgprep.rgb_to_lch(random_frame(rng, 8, 8)))
+        lch = imgprep.FrameContext(random_frame(rng, 8, 8)).lch
+        seg = visual.segment_frame(lch)
         assert seg.segment_count == 1
-        np.testing.assert_allclose(visual.itten_contrasts(seg).values, 0.0)
+        np.testing.assert_allclose(visual.itten_contrasts(seg), 0.0)
 
 
 def blink_frames(freq_hz, fps, count, low=60, high=200, size=8):
@@ -312,15 +314,22 @@ def blink_frames(freq_hz, fps, count, low=60, high=200, size=8):
     return frames
 
 
+def lfp_pattern(frames, preset="paper-60"):
+    """The LFP pattern extract_video_features finds in uncropped frames."""
+    _, pattern = visual.extract_video_features(
+        frames, ["lfp"], lfp_preset=preset, crop_letterbox=False)
+    return pattern
+
+
 class TestLfp:
     def test_constant_video_is_silent(self):
         frames = [solid_frame(90, 90, 90)] * 550
-        pattern = visual.lfp(frames, fps=25.0)
+        pattern = lfp_pattern(frames)
         assert not pattern.short_input
         np.testing.assert_allclose(pattern.values, 0.0, atol=1e-9)
 
     def test_blink_located_within_one_bin(self):
-        pattern = visual.lfp(blink_frames(2.0, 25.0, 512), fps=25.0)
+        pattern = lfp_pattern(blink_frames(2.0, 25.0, 512))
         active = pattern.values.sum(axis=1).argmax()
         peak = pattern.values[active].argmax()
         target = np.abs(pattern.mod_frequencies - 2.0).argmin()
@@ -344,10 +353,10 @@ class TestLfp:
 
     def test_preset_dimensions(self):
         frames = blink_frames(2.0, 25.0, 64)
-        p80 = visual.lfp(frames, 25.0, bins=8)
-        assert visual.lfp_feature(p80, "paper-80").shape == (80,)
-        p60 = visual.lfp(frames, 25.0, bins=24)
-        assert visual.lfp_feature(p60, "paper-60").shape == (60,)
+        for preset, dims in visual.LFP_PRESET_DIMS.items():
+            with pytest.warns(UserWarning, match="fewer frames"):
+                pattern = lfp_pattern(frames, preset)
+            assert visual.lfp_feature(pattern, preset).shape == (dims,)
 
     def test_fps_too_low_raises(self, rng):
         with pytest.raises(ValueError):
@@ -370,11 +379,11 @@ class TestFrameContext:
     @staticmethod
     def _separately(frame):
         """Each feature from planes converted on their own."""
-        ihls = imgprep.rgb_to_ihls(frame)
-        lch = imgprep.rgb_to_lch(frame)
+        ihls = imgprep.FrameContext(frame).ihls
+        lch = imgprep.FrameContext(frame).lch
         return {
             "gcs": visual.gcs(ihls), "gev": visual.gev(ihls),
-            "cf": visual.colorfulness(frame), "cn": visual.color_names(frame),
+            "cf": visual.colorfulness(frame), "cn": frame_color_names(frame),
             "waf": visual.waf(lch, visual.blur_measure(ihls.luminance * 255.0)),
             "ic": visual.itten_contrasts(visual.segment_frame(lch)),
         }
@@ -384,12 +393,10 @@ class TestFrameContext:
         frame = _parity_frames()[name]
         before = frame.copy()
         want = self._separately(frame)
-        for source in (frame, imgprep.FrameContext(frame)):
-            got = visual.frame_features(source, self.FEATURES)
-            assert list(got) == self.FEATURES
-            for feat in self.FEATURES:
-                assert np.array_equal(got[feat].values, want[feat].values), feat
-                assert got[feat].degenerate == want[feat].degenerate, feat
+        got = visual.frame_features(imgprep.FrameContext(frame), self.FEATURES)
+        assert list(got) == self.FEATURES
+        for feat in self.FEATURES:
+            assert np.array_equal(got[feat], want[feat]), feat
         assert np.array_equal(frame, before)
 
     @pytest.mark.parametrize("name", list(_parity_frames()))
@@ -402,9 +409,9 @@ class TestFrameContext:
                 frames, self.FEATURES + ["lfp"], lfp_preset="paper-60")
         cropped = [imgprep.strip_letterbox(f) for f in frames]
         for feat in self.FEATURES:
-            want = [self._separately(c)[feat].values for c in cropped]
+            want = [self._separately(c)[feat] for c in cropped]
             assert np.array_equal(matrices[feat], np.array(want)), feat
-        hists = [visual.lightness_histogram(imgprep.rgb_to_lch(c), 24)
+        hists = [visual.lightness_histogram(imgprep.FrameContext(c).lch, 24)
                  for c in cropped]
         want_lfp = visual.lfp_from_histograms(np.array(hists), 25.0)
         assert np.array_equal(pattern.values, want_lfp.values)
@@ -414,17 +421,19 @@ class TestFrameContext:
         ctx = imgprep.FrameContext(random_frame(rng))
         visual.frame_features(ctx, self.FEATURES)
         assert ctx.lch is ctx.lch and ctx.ihls is ctx.ihls
-        fresh = imgprep.rgb_to_lch(ctx.frame)
+        fresh = imgprep.FrameContext(ctx.frame).lch
         assert np.array_equal(ctx.lch.L, fresh.L)
         assert np.array_equal(ctx.lch.H, fresh.H)
-        h, s, v = imgprep.rgb_to_hsv(ctx.frame)
+        h, s, v = imgprep.FrameContext(ctx.frame).hsv
         assert all(np.array_equal(a, b) for a, b in zip(ctx.hsv, (h, s, v)))
 
 
 class TestFrameDims:
     def test_per_frame_dimensions_match_table(self, rng):
         frame = random_frame(rng, 33, 44)
-        feats = visual.frame_features(frame, list(visual.FRAME_FEATURE_DIMS))
+        feats = visual.frame_features(imgprep.FrameContext(frame),
+                                      list(visual.FRAME_FEATURE_DIMS))
         for name, dim in visual.FRAME_FEATURE_DIMS.items():
-            assert feats[name].values.shape == (dim,), name
-            assert np.all(np.isfinite(feats[name].values)), name
+            assert feats[name].shape == (dim,), name
+            assert feats[name].dtype == np.float64, name
+            assert np.all(np.isfinite(feats[name])), name
