@@ -64,13 +64,13 @@ class SegmentBundle:
             raise ValueError("segment lengths must be positive")
 
 
-def validate_moment_spec(spec):
+def validate_moment_spec(spec, known=_KNOWN_MOMENTS):
     spec = tuple(spec)
     if not spec:
         raise ValueError("moment spec must be non-empty")
     if len(set(spec)) != len(spec):
         raise ValueError("moment spec must not contain duplicates")
-    unknown = set(spec) - _KNOWN_MOMENTS
+    unknown = set(spec).difference(known)
     if unknown:
         raise ValueError(f"unknown moments: {sorted(unknown)}")
     return spec

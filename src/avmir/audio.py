@@ -26,11 +26,6 @@ BARK_EDGES = np.array([
     2000, 2320, 2700, 3150, 3700, 4400, 5300, 6400, 7700, 9500, 12000, 15500,
 ], dtype=np.float64)
 
-BARK_CENTERS = np.array([
-    50, 150, 250, 350, 450, 570, 700, 840, 1000, 1175, 1370, 1600, 1850,
-    2150, 2500, 2900, 3400, 4000, 4800, 5800, 7000, 8500, 10750, 13750,
-], dtype=np.float64)
-
 # dB offset of the 40-phon equal-loudness contour relative to 1 kHz at each
 # Bark center (ISO 226 shape)
 _CONTOUR_40 = np.array([
@@ -91,7 +86,6 @@ class Sonogram:
     """Bark-band x time loudness matrix in sone."""
     values: np.ndarray      # (24, T)
     frame_rate: float       # sonogram frames per second
-    sample_rate: int
 
 
 def _lowpass_taps(sample_rate):
@@ -201,8 +195,7 @@ def sonogram(clip):
     """Psychoacoustically transformed spectrogram (Bark / dB / phon / sone)."""
     power, frame_rate = bark_power(clip)
     values = sone_from_phon(phon_from_db(db_from_power(power)))
-    return Sonogram(values=values, frame_rate=frame_rate,
-                    sample_rate=clip.sample_rate)
+    return Sonogram(values=values, frame_rate=frame_rate)
 
 
 def fluctuation_weight(freqs):

@@ -36,6 +36,9 @@ _AUDIO_DIMS = {**audio.TRACK_FEATURE_DIMS, "mfcc": 26, "chroma": 24}
 AUDIO_FEATURES = tuple(_AUDIO_DIMS)
 VISUAL_FEATURES = (*visual.FRAME_FEATURE_DIMS, "lfp")
 
+# the flags (argparse dests) each --clf passes to its classifier, if any
+CLASSIFIER_FLAGS = {"knn": ("k", "metric"), "svm": ("c", "epochs", "seed")}
+
 
 def write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
@@ -224,10 +227,8 @@ def cmd_aggregate(args):
 
 
 def cmd_ingest_concepts(args):
+    spec = concepts.moment_spec(args.moments)
     vocab = concepts.read_vocabulary(args.vocab)
-    spec = args.moments.lower()
-    if spec not in concepts.CONCEPT_PRESETS:
-        spec = tuple(m.strip() for m in args.moments.split(",") if m.strip())
     labels, rows = _source_rows(
         args.manifest, args.scores, args.label, "concepts",
         partial(_concept_vector, vocab=vocab, spec=spec))
@@ -255,17 +256,8 @@ def cmd_fuse(args):
 
 
 def _classifier_spec(args):
-    name = args.clf.lower()
-    if name == "knn":
-        return ("knn", {"k": args.k, "metric": args.metric})
-    if name == "nb":
-        return ("nb", {})
-    if name == "svm":
-        return ("svm", {"c": args.c, "epochs": args.epochs,
-                        "seed": args.seed})
-    if name == "majority":
-        return ("majority", {})
-    raise InputError(f"unknown classifier {args.clf!r}")
+    return args.clf, {flag: getattr(args, flag)
+                      for flag in CLASSIFIER_FLAGS.get(args.clf, ())}
 
 
 def cmd_crossval(args):
@@ -326,26 +318,18 @@ def cmd_ensemble(args):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    by_class = {}
-    for i, lb in enumerate(base.labels):
-        by_class.setdefault(lb, []).append(i)
     test_idx = []
-    for lb in sorted(by_class):
-        members = by_class[lb]
-        order = rng.permutation(len(members))
-        take = max(1, int(round(args.test_fraction * len(members))))
-        test_idx.extend(members[i] for i in order[:take])
+    for order in ml.shuffled_by_class(base.labels, rng).values():
+        take = max(1, int(round(args.test_fraction * len(order))))
+        test_idx.extend(order[:take])
     test_idx = sorted(test_idx)
     train_idx = sorted(set(range(base.n)) - set(test_idx))
 
     classes = base.classes
-    modalities = []
-    for tag, ds in zip(args.arff, datasets):
-        train = ds.subset(train_idx)
-        modalities.append(ml.bagging_train(
-            train, _classifier_spec(args), n=args.n,
-            holdout_fraction=args.holdout, seed=args.seed,
-            tag=str(tag), classes=classes))
+    modalities = [ml.bagging_train(ds.subset(train_idx), _classifier_spec(args),
+                                   n=args.n, holdout_fraction=args.holdout,
+                                   seed=args.seed, classes=classes)
+                  for ds in datasets]
 
     pred = ml.ensemble_predict(modalities,
                                [ds.matrix[test_idx] for ds in datasets],
@@ -500,6 +484,13 @@ def build_parser():
         p.set_defaults(func=fn)
         return p
 
+    def add_classifier_flags(p):
+        p.add_argument("--clf", default="svm", choices=list(ml.CLASSIFIERS))
+        p.add_argument("--k", type=int, default=1)
+        p.add_argument("--metric", default="l2", choices=["l1", "l2"])
+        p.add_argument("--c", type=float, default=1.0)
+        p.add_argument("--epochs", type=int, default=ml.SVM_EPOCHS)
+
     p = add("extract-audio", cmd_extract_audio,
             help="psychoacoustic track features from WAV audio")
     src = p.add_mutually_exclusive_group(required=True)
@@ -558,12 +549,7 @@ def build_parser():
     p = add("crossval", cmd_crossval,
             help="stratified repeated cross-validation of one feature set")
     p.add_argument("--arff", type=Path, required=True)
-    p.add_argument("--clf", default="svm",
-                   choices=["knn", "nb", "svm", "majority"])
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--metric", default="l2", choices=["l1", "l2"])
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--epochs", type=int, default=60)
+    add_classifier_flags(p)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -575,12 +561,7 @@ def build_parser():
             help="bagged weighted-majority ensemble over modalities")
     p.add_argument("--arff", action="append", type=Path, required=True,
                    help="one feature ARFF per modality, aligned rows")
-    p.add_argument("--clf", default="svm",
-                   choices=["knn", "nb", "svm", "majority"])
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--metric", default="l2", choices=["l1", "l2"])
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--epochs", type=int, default=60)
+    add_classifier_flags(p)
     p.add_argument("--n", type=int, default=10,
                    help="ensemble members per modality")
     p.add_argument("--holdout", type=float, default=0.10)

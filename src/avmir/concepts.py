@@ -57,23 +57,23 @@ class ArtistScoreBoard:
     winner: str
 
 
-def aggregate_concepts(seq, spec=("max", "mean")):
+def moment_spec(text):
+    """The moment tuple that text names: a CONCEPT_PRESETS name in any case,
+    or a comma list of CONCEPT_MOMENTS names (ValueError if empty, repeated
+    or unknown)."""
+    if text.lower() in CONCEPT_PRESETS:
+        return CONCEPT_PRESETS[text.lower()]
+    return aggregate.validate_moment_spec(
+        (m.strip() for m in text.split(",") if m.strip()), CONCEPT_MOMENTS)
+
+
+def aggregate_concepts(seq, spec):
     """Aggregate a concept-score sequence into a fixed vector.
 
-    spec is an ordered subset of CONCEPT_MOMENTS (or one of the preset
-    names in CONCEPT_PRESETS); the moments follow the aggregate module's
-    convention.  The output is block-major, one block of vocabulary-size
-    values per moment.
+    spec is a moment tuple from moment_spec; the moments follow the
+    aggregate module's convention.  The output is block-major, one block of
+    vocabulary-size values per moment.
     """
-    if isinstance(spec, str):
-        try:
-            spec = CONCEPT_PRESETS[spec.lower()]
-        except KeyError:
-            raise ValueError(f"unknown concept preset: {spec!r}") from None
-    spec = aggregate.validate_moment_spec(spec)
-    unknown = set(spec) - set(CONCEPT_MOMENTS)
-    if unknown:
-        raise ValueError(f"unknown moments: {sorted(unknown)}")
     if seq.rows.shape[0] == 0:
         raise ValueError("empty concept sequence")
     cols = aggregate._moment_columns(seq.rows, spec)
@@ -81,8 +81,6 @@ def aggregate_concepts(seq, spec=("max", "mean")):
 
 
 def concept_schema(vocabulary, spec):
-    if isinstance(spec, str):
-        spec = CONCEPT_PRESETS[spec.lower()]
     return [f"{m}_{c}" for m in spec for c in vocabulary]
 
 

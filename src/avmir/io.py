@@ -13,24 +13,26 @@ import re
 import struct
 import warnings
 from dataclasses import dataclass
-from io import StringIO
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 
 import numpy as np
 
 from .audio import AudioClip
 from .errors import ArffFormatError, InputError, WavFormatError
-from .ml import LabeledDataset
+from .ml import LabeledDataset, shuffled_by_class
 
 
 def open_text(path, newline=None):
     """A UTF-8 text file as a stream that reads like open(path, "r",
     encoding="utf-8", newline=newline); invalid UTF-8 raises InputError
     naming the file and the byte offset of the first invalid sequence."""
+    data = Path(path).read_bytes()
     try:
-        return StringIO(Path(path).read_bytes().decode("utf-8"), newline=newline)
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+    return TextIOWrapper(BytesIO(data), encoding="utf-8", newline=newline)
 
 
 # ---------------------------------------------------------------------------
@@ -96,17 +98,6 @@ def _decode_pcm(path, data, body, size, fmt):
     if samples.size == 0:
         raise WavFormatError(path, "empty data chunk", body)
     return AudioClip(samples, sample_rate)
-
-
-def write_wav(path, clip):
-    """Write a mono 16-bit PCM WAV file."""
-    samples = np.clip(clip.samples, -1.0, 1.0)
-    pcm = np.round(samples * 32767.0).astype("<i2").tobytes()
-    header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + len(pcm), b"WAVE", b"fmt ", 16, 1, 1,
-        clip.sample_rate, clip.sample_rate * 2, 2, 16, b"data", len(pcm))
-    Path(path).write_bytes(header + pcm)
 
 
 # ---------------------------------------------------------------------------
@@ -191,24 +182,6 @@ def _read_raw_stream(path):
     return FrameStream(width=width, height=height, fps=fps, _iterator=gen())
 
 
-def write_raw_stream(path, frames, fps=25.0):
-    """Write frames in the raw-RGB24-with-preamble format; returns the count."""
-    frames = iter(frames)
-    first = np.ascontiguousarray(next(frames), dtype=np.uint8)
-    h, w = first.shape[:2]
-    count = 0
-    with open(path, "wb") as fh:
-        fh.write(json.dumps({"width": w, "height": h, "fps": fps}).encode()
-                 + b"\n")
-        for frame in (first, *frames):
-            frame = np.ascontiguousarray(frame, dtype=np.uint8)
-            if frame.shape != (h, w, 3):
-                raise ValueError("all frames must share the first frame's shape")
-            fh.write(frame.tobytes())
-            count += 1
-    return count
-
-
 def _read_pnm_header(data, path, magic):
     if not data.startswith(magic):
         raise InputError(f"{path}: not a {magic.decode()} file")
@@ -266,14 +239,6 @@ def write_ppm(path, image):
 def read_pgm(path):
     """Binary PGM (P5, maxval 255) -> (H, W) uint8."""
     return _read_pnm(path, b"P5", 1)[:, :, 0]
-
-
-def write_pgm(path, image):
-    image = np.ascontiguousarray(image, dtype=np.uint8)
-    h, w = image.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(image.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +401,8 @@ def load_manifest(path, check_paths=True):
     """Load a JSON manifest; validates id uniqueness and path existence."""
     path = Path(path)
     try:
-        raw = json.load(open_text(path))
+        with open_text(path) as fh:
+            raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict) or "entries" not in raw:
@@ -516,13 +482,13 @@ def make_splits(manifest, spec):
         return int(round(spec.train_fraction * n))
 
     if spec.group_filter == "none":
+        ids = [e.track_id for e in manifest]
         train, test = [], []
-        for label in sorted(by_class):
-            entries = by_class[label]
-            order = rng.permutation(len(entries))
+        for label, order in shuffled_by_class([e.label for e in manifest],
+                                              rng).items():
             cut = want(label)
-            train.extend(entries[i].track_id for i in order[:cut])
-            test.extend(entries[i].track_id for i in order[cut:])
+            train.extend(ids[i] for i in order[:cut])
+            test.extend(ids[i] for i in order[cut:])
         return sorted(train), sorted(test)
 
     groups = {}
@@ -573,8 +539,3 @@ def make_splits(manifest, spec):
 
 def write_id_list(path, ids):
     Path(path).write_text("\n".join(ids) + "\n", encoding="utf-8")
-
-
-def read_id_list(path):
-    return [line for line in open_text(path).read().splitlines()
-            if line.strip()]

@@ -75,15 +75,12 @@ class Scaler:
         return (np.asarray(matrix, dtype=np.float64) - self.mean) / self.std
 
 
-def fit_scaler(matrix):
-    return Scaler().fit(matrix)
-
-
 # ---------------------------------------------------------------------------
 # classifiers: each has fit(X, y, n_classes) and predict(X) -> int labels
 # ---------------------------------------------------------------------------
 
 KNN_TILE_BYTES = 720 * 2**10  # budget of one square tile of kNN differences
+SVM_EPOCHS = 60  # default passes of LinearSvmClassifier, and of --epochs
 
 
 class KnnClassifier:
@@ -215,7 +212,7 @@ class LinearSvmClassifier:
     d-long dot and a violation adds one row of aug.
     """
 
-    def __init__(self, c=1.0, epochs=200, seed=0):
+    def __init__(self, c=1.0, epochs=SVM_EPOCHS, seed=0):
         self.c = float(c)
         self.epochs = int(epochs)
         self.seed = int(seed)
@@ -276,27 +273,44 @@ class MajorityClassifier:
         return np.full(x.shape[0], self.label, dtype=np.int64)
 
 
+CLASSIFIERS = {"knn": KnnClassifier, "nb": GaussianNbClassifier,
+               "svm": LinearSvmClassifier, "majority": MajorityClassifier}
+
+
 def make_classifier(spec):
     """Build a classifier from a (name, params) spec tuple or plain name."""
-    if isinstance(spec, str):
-        name, params = spec, {}
-    else:
-        name, params = spec
-    name = name.lower()
-    if name == "knn":
-        return KnnClassifier(**params)
-    if name == "nb":
-        return GaussianNbClassifier(**params)
-    if name == "svm":
-        return LinearSvmClassifier(**params)
-    if name == "majority":
-        return MajorityClassifier(**params)
-    raise ValueError(f"unknown classifier: {name!r}")
+    name, params = (spec, {}) if isinstance(spec, str) else spec
+    cls = CLASSIFIERS.get(name.lower())
+    if cls is None:
+        raise ValueError(f"unknown classifier: {name!r}")
+    return cls(**params)
+
+
+def _fit_predict(classifier_spec, train_x, train_y, n_classes, test_x,
+                 scale_test_alone=False):
+    """(scaler, classifier, test_x label ids) of a classifier fit on scaled
+    train_x; test_x is scaled by the training scaler, or with
+    scale_test_alone by its own statistics."""
+    scaler = Scaler().fit(train_x)
+    clf = make_classifier(classifier_spec).fit(scaler.transform(train_x),
+                                               train_y, n_classes)
+    test_scaler = Scaler().fit(test_x) if scale_test_alone else scaler
+    return scaler, clf, clf.predict(test_scaler.transform(test_x))
 
 
 # ---------------------------------------------------------------------------
 # cross-validation
 # ---------------------------------------------------------------------------
+
+def shuffled_by_class(labels, rng):
+    """label -> its positions in labels, shuffled; labels in sorted order,
+    each drawing one rng.permutation of its members in that order."""
+    members = {}
+    for i, lb in enumerate(labels):
+        members.setdefault(lb, []).append(i)
+    return {lb: [members[lb][j] for j in rng.permutation(len(members[lb]))]
+            for lb in sorted(members)}
+
 
 def stratified_kfold(labels, k=10, repeats=10, seed=0):
     """Per-repeat stratified fold assignments.
@@ -339,7 +353,6 @@ def stratified_kfold(labels, k=10, repeats=10, seed=0):
 class CvResult:
     mean_accuracy: float
     std_accuracy: float
-    fold_accuracies: list
     confusion: np.ndarray      # (classes, classes), rows = truth, summed
     classes: list
     per_class: dict            # label -> {precision, recall, f1}
@@ -376,27 +389,17 @@ def cross_validate(dataset, classifier_spec, folds, paper_normalization=False):
     for fold_ids in folds:
         for f in np.unique(fold_ids):
             test_mask = fold_ids == f
-            train_x = dataset.matrix[~test_mask]
-            test_x = dataset.matrix[test_mask]
-            scaler = fit_scaler(train_x)
-            train_x = scaler.transform(train_x)
-            if paper_normalization:
-                test_x = fit_scaler(test_x).transform(test_x)
-            else:
-                test_x = scaler.transform(test_x)
-            clf = make_classifier(classifier_spec)
-            clf.fit(train_x, y[~test_mask], n_classes)
-            pred = clf.predict(test_x)
+            _, _, pred = _fit_predict(
+                classifier_spec, dataset.matrix[~test_mask], y[~test_mask],
+                n_classes, dataset.matrix[test_mask], paper_normalization)
             truth = y[test_mask]
             accuracies.append(float((pred == truth).mean()))
             for t, p in zip(truth, pred):
                 confusion[t, p] += 1
 
-    accuracies = list(accuracies)
     return CvResult(
         mean_accuracy=float(np.mean(accuracies)),
         std_accuracy=float(np.std(accuracies)),
-        fold_accuracies=accuracies,
         confusion=confusion,
         classes=list(dataset.classes),
         per_class=_metrics_from_confusion(confusion, dataset.classes),
@@ -443,14 +446,13 @@ BAGGING_MAX_RETRIES = 25  # subsample draws per member before giving up
 
 @dataclass
 class EnsembleMember:
-    tag: str
     classifier: object
     scaler: Scaler
     confidence: float
 
 
 def bagging_train(dataset, classifier_spec, n=10, holdout_fraction=0.10,
-                  seed=0, tag="modality", classes=None):
+                  seed=0, classes=None):
     """Train n ensemble members on random subsamples of the training set.
 
     Each member trains on a seeded (1 - holdout_fraction) subsample; the
@@ -480,13 +482,11 @@ def bagging_train(dataset, classifier_spec, n=10, holdout_fraction=0.10,
                 break
         else:
             raise ValueError("could not draw a subsample containing every class")
-        scaler = fit_scaler(dataset.matrix[train_idx])
-        clf = make_classifier(classifier_spec)
-        clf.fit(scaler.transform(dataset.matrix[train_idx]), y[train_idx],
-                len(classes))
-        pred = clf.predict(scaler.transform(dataset.matrix[hold_idx]))
+        scaler, clf, pred = _fit_predict(
+            classifier_spec, dataset.matrix[train_idx], y[train_idx],
+            len(classes), dataset.matrix[hold_idx])
         confidence = float((pred == y[hold_idx]).mean())
-        members.append(EnsembleMember(tag=tag, classifier=clf, scaler=scaler,
+        members.append(EnsembleMember(classifier=clf, scaler=scaler,
                                       confidence=confidence))
     return members
 

@@ -50,8 +50,8 @@ class FixedClassifier:
 def fixed_member(label, confidence):
     from avmir.ml import EnsembleMember
 
-    return EnsembleMember(tag="t", classifier=FixedClassifier(label),
-                          scaler=None, confidence=confidence)
+    return EnsembleMember(classifier=FixedClassifier(label), scaler=None,
+                          confidence=confidence)
 
 
 def vote_one_row(votes, n_classes):

@@ -4,10 +4,12 @@ import struct
 import numpy as np
 import pytest
 
-from avmir import cli
+from avmir import cli, ml
 from avmir import io as avio
 from avmir.audio import AudioClip
 from avmir.ml import LabeledDataset
+
+import fileutil
 
 
 def run(*argv):
@@ -18,7 +20,7 @@ def make_wav(path, seconds=7.0, freq=440.0, sr=22050, seed=0):
     rng = np.random.default_rng(seed)
     t = np.arange(int(seconds * sr)) / sr
     samples = 0.4 * np.sin(2 * np.pi * freq * t) + rng.normal(0, 0.05, t.size)
-    avio.write_wav(path, AudioClip(np.clip(samples, -1, 1), sr))
+    fileutil.write_wav(path, AudioClip(np.clip(samples, -1, 1), sr))
 
 
 def make_frames(path, count=40, size=12, color=(200, 30, 30), blink=None,
@@ -34,7 +36,7 @@ def make_frames(path, count=40, size=12, color=(200, 30, 30), blink=None,
             frame[..., c] = np.clip(
                 color[c] * scale + rng.integers(-15, 16, (size, size)), 0, 255)
         frames.append(frame)
-    avio.write_raw_stream(path, frames, fps=fps)
+    fileutil.write_raw_stream(path, frames, fps=fps)
 
 
 def make_concepts(path, vocab_size=5, frames=8, hot=0, seed=0):
@@ -171,6 +173,21 @@ class TestIngestConcepts:
                    "--label", "rock", "--out", out) == 0
         assert avio.read_arff(out).matrix.shape == (1, 5)
 
+    @pytest.mark.parametrize("moments", ["bogus", "max,range"])
+    def test_bad_moments_rejected_before_any_score_file(self, workspace,
+                                                        capsys, moments):
+        # pop0 is the first entry by track id, so its scores are read first
+        (workspace / "pop0.csv").write_text("not,a,score,row\n")
+        assert run("ingest-concepts", "--manifest",
+                   workspace / "manifest.json",
+                   "--vocab", workspace / "vocab.txt",
+                   "--moments", moments,
+                   "--out", workspace / "concepts.arff") == 2
+        err = capsys.readouterr().err
+        assert "unknown moments" in err
+        assert moments.split(",")[-1] in err
+        assert "pop0.csv" not in err
+
 
 class TestFuseAndCrossval:
     def _build_parts(self, workspace):
@@ -242,11 +259,12 @@ class TestFacesCmd:
             for i in range(2):
                 base = rng.integers(0, 256, size=(32, 32))
                 img = (base // pattern * pattern).astype(np.uint8)
-                avio.write_pgm(d / f"{i}.pgm", img)
+                fileutil.write_pgm(d / f"{i}.pgm", img)
         probes = tmp_path / "probes"
         probes.mkdir()
         base = rng.integers(0, 256, size=(32, 32))
-        avio.write_pgm(probes / "p0.pgm", (base // 3 * 3).astype(np.uint8))
+        fileutil.write_pgm(probes / "p0.pgm",
+                           (base // 3 * 3).astype(np.uint8))
         out_dir = tmp_path / "out"
         assert run("faces", "--gallery", gallery, "--probes", probes,
                    "--out-dir", out_dir) == 0
@@ -300,7 +318,7 @@ class TestShotCommands:
         for i in range(60):
             v = 230 if i >= 30 else 20
             frames.append(np.full((8, 8, 3), v, np.uint8))
-        avio.write_raw_stream(tmp_path / "cut.rgb", frames)
+        fileutil.write_raw_stream(tmp_path / "cut.rgb", frames)
         out = tmp_path / "bounds.json"
         assert run("cutscan", "--frames", tmp_path / "cut.rgb",
                    "--out", out) == 0
@@ -314,8 +332,8 @@ class TestSplitsCmd:
                    "--fraction", "0.5", "--filter", "artist", "--seed", "5",
                    "--out-train", workspace / "train.txt",
                    "--out-test", workspace / "test.txt") == 0
-        train = set(avio.read_id_list(workspace / "train.txt"))
-        test = set(avio.read_id_list(workspace / "test.txt"))
+        train = set(fileutil.read_id_list(workspace / "train.txt"))
+        test = set(fileutil.read_id_list(workspace / "test.txt"))
         assert train and test
         assert not train & test
 
@@ -459,6 +477,19 @@ def write_planted_arff(path, seed, dim, classes=3, per_class=12, signal=0.6):
     avio.write_arff(LabeledDataset(np.vstack(rows), labels,
                                    [f"f{j}" for j in range(dim)]),
                     path.stem, path)
+
+
+@pytest.mark.parametrize("command", ["crossval", "ensemble"])
+@pytest.mark.parametrize("clf", list(ml.CLASSIFIERS))
+def test_classifier_flags_reach_the_classifier(command, clf):
+    given = {"k": 3, "metric": "l1", "c": 2.5, "epochs": 7, "seed": 4}
+    args = cli.build_parser().parse_args(
+        [command, "--arff", "a.arff", "--clf", clf, "--out-dir", "o",
+         *(f"--{flag}={value}" for flag, value in given.items())])
+    model = ml.make_classifier(cli._classifier_spec(args))
+    assert type(model) is ml.CLASSIFIERS[clf]
+    for flag in cli.CLASSIFIER_FLAGS.get(clf, ()):
+        assert getattr(model, flag) == given[flag]
 
 
 class TestClassifierSettingsExitTwo:

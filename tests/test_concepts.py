@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -25,13 +27,17 @@ class TestConceptSequence:
 class TestAggregateConcepts:
     def test_preset_lengths(self, rng):
         seq = random_sequence(rng, vocab=1000)
-        assert concepts.aggregate_concepts(seq, "mean").shape == (1000,)
-        assert concepts.aggregate_concepts(seq, "max+mean").shape == (2000,)
-        assert concepts.aggregate_concepts(seq, "max+std").shape == (2000,)
+        assert concepts.aggregate_concepts(
+            seq, concepts.moment_spec("mean")).shape == (1000,)
+        assert concepts.aggregate_concepts(
+            seq, concepts.moment_spec("max+mean")).shape == (2000,)
+        assert concepts.aggregate_concepts(
+            seq, concepts.moment_spec("max+std")).shape == (2000,)
 
     def test_single_frame_max_equals_mean(self, rng):
         seq = random_sequence(rng, frames=1)
-        out = concepts.aggregate_concepts(seq, "max+mean")
+        out = concepts.aggregate_concepts(seq,
+                                          concepts.moment_spec("max+mean"))
         v = len(seq.vocabulary)
         np.testing.assert_allclose(out[:v], out[v:])
         np.testing.assert_allclose(out[:v], seq.rows[0])
@@ -59,12 +65,44 @@ class TestAggregateConcepts:
 
     def test_mean_of_stochastic_rows_sums_to_one(self, rng):
         seq = random_sequence(rng)
-        assert concepts.aggregate_concepts(seq, "mean").sum() == \
-            pytest.approx(1.0, abs=1e-6)
+        out = concepts.aggregate_concepts(seq, concepts.moment_spec("mean"))
+        assert out.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_unknown_preset_raises(self, rng):
         with pytest.raises(ValueError):
-            concepts.aggregate_concepts(random_sequence(rng), "bogus")
+            concepts.aggregate_concepts(random_sequence(rng),
+                                        concepts.moment_spec("bogus"))
+
+
+class TestMomentSpec:
+    @pytest.mark.parametrize("text, spec", [
+        ("mean", ("mean",)),
+        ("MAX+Mean", ("max", "mean")),
+        ("Max+STD", ("max", "std")),
+        ("STD", ("std",)),
+    ])
+    def test_preset_names_in_any_case(self, text, spec):
+        assert concepts.moment_spec(text) == spec
+
+    @pytest.mark.parametrize("text, spec", [
+        ("max,std,skewness", ("max", "std", "skewness")),
+        (" kurtosis , min,median ", ("kurtosis", "min", "median")),
+        ("variance,", ("variance",)),
+    ])
+    def test_comma_lists(self, text, spec):
+        assert concepts.moment_spec(text) == spec
+
+    @pytest.mark.parametrize("text, message", [
+        ("max,mean,max", "must not contain duplicates"),
+        ("bogus", "unknown moments: ['bogus']"),
+        ("mean,mode", "unknown moments: ['mode']"),
+        ("range", "unknown moments: ['range']"),
+        ("max, range", "unknown moments: ['range']"),
+        (" , ", "must be non-empty"),
+    ])
+    def test_bad_lists_raise(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            concepts.moment_spec(text)
 
 
 class TestSalientConcepts:
@@ -252,7 +290,7 @@ class TestIngestion:
         np.testing.assert_allclose(seq.rows, rows, atol=1e-9)
 
     def test_gallery_loading(self, tmp_path, rng):
-        from avmir.io import write_pgm
+        from fileutil import write_pgm
 
         for label in ("alice", "bob"):
             d = tmp_path / label

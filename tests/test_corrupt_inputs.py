@@ -14,19 +14,21 @@ from avmir.audio import AudioClip
 from avmir.errors import InputError
 from avmir.ml import LabeledDataset
 
+import fileutil
+
 VOCAB = ["a", "b", "c"]
 
 
 def _valid_files(root):
     """name -> bytes of one small valid file per reader."""
     rng = np.random.default_rng(7)
-    avio.write_wav(root / "ok.wav",
-                   AudioClip(rng.uniform(-0.5, 0.5, 40), 8000))
+    fileutil.write_wav(root / "ok.wav",
+                       AudioClip(rng.uniform(-0.5, 0.5, 40), 8000))
     avio.write_ppm(root / "ok.ppm",
                    rng.integers(0, 256, (3, 4, 3), dtype=np.uint8))
-    avio.write_pgm(root / "ok.pgm",
-                   rng.integers(0, 256, (4, 3), dtype=np.uint8))
-    avio.write_raw_stream(
+    fileutil.write_pgm(root / "ok.pgm",
+                       rng.integers(0, 256, (4, 3), dtype=np.uint8))
+    fileutil.write_raw_stream(
         root / "ok.rgb",
         [rng.integers(0, 256, (2, 3, 3), dtype=np.uint8) for _ in range(2)])
     avio.write_arff(LabeledDataset(rng.normal(size=(3, 2)) * 1e5,

@@ -2,6 +2,8 @@ import gc
 import json
 import pickle
 import struct
+import tracemalloc
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -14,11 +16,13 @@ from avmir.audio import AudioClip
 from avmir.errors import ArffFormatError, InputError, WavFormatError
 from avmir.ml import LabeledDataset
 
+import fileutil
+
 
 class TestWav:
     def test_mono_16bit_sample_count(self, tmp_path):
         path = tmp_path / "t.wav"
-        avio.write_wav(path, AudioClip(np.zeros(44100), 44100))
+        fileutil.write_wav(path, AudioClip(np.zeros(44100), 44100))
         clip = avio.read_wav(path)
         assert clip.sample_rate == 44100
         assert clip.samples.size == 44100
@@ -26,7 +30,7 @@ class TestWav:
     def test_full_scale_square_wave(self, tmp_path):
         path = tmp_path / "sq.wav"
         square = np.where(np.arange(1000) % 2 == 0, 1.0, -1.0)
-        avio.write_wav(path, AudioClip(square, 22050))
+        fileutil.write_wav(path, AudioClip(square, 22050))
         clip = avio.read_wav(path)
         assert clip.samples.max() == pytest.approx(32767 / 32768)
         assert clip.samples.min() == pytest.approx(-32767 / 32768)
@@ -68,7 +72,7 @@ class TestWav:
 
     def test_truncated_data_rejected(self, tmp_path):
         path = tmp_path / "t.wav"
-        avio.write_wav(path, AudioClip(np.zeros(100), 8000))
+        fileutil.write_wav(path, AudioClip(np.zeros(100), 8000))
         blob = path.read_bytes()
         (tmp_path / "cut.wav").write_bytes(blob[:-10])
         with pytest.raises(WavFormatError):
@@ -80,7 +84,7 @@ class TestFrameStreams:
         frames = [rng.integers(0, 256, size=(4, 6, 3), dtype=np.uint8)
                   for _ in range(3)]
         path = tmp_path / "clip.rgb"
-        count = avio.write_raw_stream(path, frames, fps=30.0)
+        count = fileutil.write_raw_stream(path, frames, fps=30.0)
         assert count == 3
         stream = avio.read_frames(path)
         assert (stream.width, stream.height, stream.fps) == (6, 4, 30.0)
@@ -112,7 +116,8 @@ class TestFrameStreams:
         # a leaked handle's ResourceWarning fails the test under the suite's
         # warning filters
         path = tmp_path / "clip.rgb"
-        avio.write_raw_stream(path, [np.zeros((2, 2, 3), np.uint8)] * 3)
+        fileutil.write_raw_stream(path,
+                                  [np.zeros((2, 2, 3), np.uint8)] * 3)
         unread = avio.read_frames(path)
         del unread
         partly_read = iter(avio.read_frames(path))
@@ -149,7 +154,7 @@ class TestFrameStreams:
 
     def test_pgm_roundtrip(self, tmp_path, rng):
         img = rng.integers(0, 256, size=(9, 7), dtype=np.uint8)
-        avio.write_pgm(tmp_path / "x.pgm", img)
+        fileutil.write_pgm(tmp_path / "x.pgm", img)
         np.testing.assert_array_equal(avio.read_pgm(tmp_path / "x.pgm"), img)
 
 
@@ -446,7 +451,7 @@ def test_format_errors_keep_their_location_when_pickled(tmp_path):
     avio.load_manifest,
     lambda p: concepts.read_concept_scores(p, ["a", "b"]),
     concepts.read_vocabulary,
-    avio.read_id_list,
+    fileutil.read_id_list,
     _arff_export,
 ], ids=["arff", "manifest", "concept-scores", "vocabulary", "id-list",
         "arff-export-csv"])
@@ -456,6 +461,52 @@ def test_invalid_utf8_names_file_and_byte(tmp_path, reader):
     with pytest.raises(InputError) as err:
         reader(path)
     assert f"{path}: not valid UTF-8 at byte 10" in str(err.value)
+
+
+class TestOpenText:
+    TEXTS = {
+        "crlf": "a,b\r\nc,d\r\n",
+        "cr": "a\rb\rc",
+        "bom": "\ufeffa,b\nc\n",
+        "nel": "a\x85b\nc\u2028d\r\n",
+        "mixed": "x\r\ny\rz\n\n",
+        # a CR LF pair and a 3-byte character astride the 8 KiB decode chunk
+        "chunk-edge": "q" * 8191 + "\r\n" + "r" * 8190 + "\u20ac\n",
+    }
+
+    @pytest.mark.parametrize("newline", [None, ""], ids=["universal", "raw"])
+    @pytest.mark.parametrize("name", list(TEXTS))
+    def test_reads_like_open_and_stringio(self, tmp_path, name, newline):
+        path = tmp_path / "t.txt"
+        path.write_bytes(self.TEXTS[name].encode("utf-8"))
+        with avio.open_text(path, newline=newline) as fh:
+            lines = list(fh)
+        with avio.open_text(path, newline=newline) as fh:
+            text = fh.read()
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            assert lines == list(fh)
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            assert text == fh.read()
+        expected = StringIO(self.TEXTS[name], newline=newline)
+        assert lines == list(expected)
+        assert text == expected.getvalue()
+
+    def test_read_arff_peak_memory_below_three_file_sizes(self, tmp_path,
+                                                         rng):
+        # the text is held once as UTF-8 bytes (plus one transient decoded
+        # copy for the up-front check), not as 4-byte characters
+        path = tmp_path / "big.arff"
+        ds = LabeledDataset(rng.normal(size=(100, 400)),
+                            ["x", "y"] * 50, [f"f{j}" for j in range(400)])
+        avio.write_arff(ds, "r", path)
+        tracemalloc.start()
+        try:
+            back = avio.read_arff(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.matrix.shape == (100, 400)
+        assert peak < 3 * path.stat().st_size
 
 
 class TestMakeSplits:
@@ -506,4 +557,4 @@ class TestMakeSplits:
     def test_id_list_roundtrip(self, tmp_path):
         ids = ["b", "a", "c"]
         avio.write_id_list(tmp_path / "ids.txt", ids)
-        assert avio.read_id_list(tmp_path / "ids.txt") == ids
+        assert fileutil.read_id_list(tmp_path / "ids.txt") == ids

@@ -24,16 +24,16 @@ def blob_dataset(rng, centers, per_class=20, spread=0.3, schema_dim=None):
 class TestScaler:
     def test_constant_dim_maps_to_zero(self):
         m = np.array([[5.0, 1.0], [5.0, 3.0]])
-        out = ml.fit_scaler(m).transform(m)
+        out = ml.Scaler().fit(m).transform(m)
         np.testing.assert_allclose(out[:, 0], 0.0)
 
     def test_already_standardized(self):
         m = np.array([[-1.0], [1.0]])
-        np.testing.assert_allclose(ml.fit_scaler(m).transform(m), m)
+        np.testing.assert_allclose(ml.Scaler().fit(m).transform(m), m)
 
     def test_fit_stats(self, rng):
         m = rng.normal(3.0, 2.5, size=(200, 4))
-        out = ml.fit_scaler(m).transform(m)
+        out = ml.Scaler().fit(m).transform(m)
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-9)
 
@@ -117,7 +117,7 @@ class TestGaussianNb:
 class TestLinearSvm:
     def test_separable_blobs_fit_exactly(self, rng):
         ds = blob_dataset(rng, [(0, 0), (6, 6), (-6, 6)], per_class=30)
-        x = ml.fit_scaler(ds.matrix).transform(ds.matrix)
+        x = ml.Scaler().fit(ds.matrix).transform(ds.matrix)
         clf = ml.LinearSvmClassifier(c=1.0, epochs=120, seed=3).fit(
             x, ds.label_ids(), 3)
         assert (clf.predict(x) == ds.label_ids()).mean() == 1.0
@@ -184,7 +184,7 @@ class TestPegasosParity:
         else:
             centers, per_class = list(rng.normal(size=(3, dims))), 8
         ds = blob_dataset(rng, centers, per_class=per_class, spread=spread)
-        x = ml.fit_scaler(ds.matrix).transform(ds.matrix)
+        x = ml.Scaler().fit(ds.matrix).transform(ds.matrix)
         y = ds.label_ids()
         expected, violated = _pegasos_loop(x, y, 3, c, epochs, seed)
         assert share[0] <= violated <= share[1]
@@ -199,7 +199,7 @@ class TestPegasosParity:
 
 
 def _pipeline_predict(ds, rng):
-    scaler = ml.fit_scaler(ds.matrix)
+    scaler = ml.Scaler().fit(ds.matrix)
     x = scaler.transform(ds.matrix)
     clf = ml.LinearSvmClassifier(seed=1, epochs=60).fit(x, ds.label_ids(), 2)
     return clf.predict(x)
@@ -296,7 +296,7 @@ class TestPipelineAffineInvariance:
         shift = np.array([-7.0, 2.0, 0.5])
 
         def predict(matrix, test):
-            scaler = ml.fit_scaler(matrix)
+            scaler = ml.Scaler().fit(matrix)
             clf = ml.make_classifier(spec)
             clf.fit(scaler.transform(matrix), ds.label_ids(), 3)
             return clf.predict(scaler.transform(test))
@@ -395,7 +395,7 @@ class TestEnsemblePredict:
         # own votes; weights with equal partial sums make ties common
         labels = rng.integers(0, 3, size=(60, 4))
         weights = [0.5, 0.25, 0.25, 0.5]
-        members = [ml.EnsembleMember(tag="t", classifier=_ColumnClassifier(j),
+        members = [ml.EnsembleMember(classifier=_ColumnClassifier(j),
                                      scaler=None, confidence=weights[j])
                    for j in range(4)]
         modalities = [members[:2], members[2:]]
