@@ -11,7 +11,8 @@ entry's input path before computing anything, computes one feature row per
 path (in --jobs worker processes where the command offers them) and returns
 the rows in track-id order, whatever the order of the manifest entries.  The
 single-source flags (--wav, --frames, --scores with --label) give the same
-row the file would get as a manifest entry.
+row the file would get as a manifest entry.  All but salience write their
+rows as one ARFF through _write_rows.
 
 Exit codes: 0 success, 2 input error, 3 internal invariant violation.
 """
@@ -34,7 +35,7 @@ from .errors import InputError
 # of 13 coefficients and 12 pitch classes
 _AUDIO_DIMS = {**audio.TRACK_FEATURE_DIMS, "mfcc": 26, "chroma": 24}
 AUDIO_FEATURES = tuple(_AUDIO_DIMS)
-VISUAL_FEATURES = (*visual.FRAME_FEATURE_DIMS, "lfp")
+VISUAL_FEATURES = (*visual.FRAME_FEATURES, "lfp")
 
 # the flags (argparse dests) each --clf passes to its classifier, if any
 CLASSIFIER_FLAGS = {"knn": ("k", "metric"), "svm": ("c", "epochs", "seed")}
@@ -93,6 +94,8 @@ def _source_rows(manifest_path, source, label, field, row_fn, jobs=1):
     pickle: a module-level function or a functools.partial of one).
     Without one, the single `source` file gives one row labelled `label`.
     """
+    if jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {jobs}")
     if manifest_path is None:
         return [label], [row_fn(source)]
     manifest = avio.load_manifest(manifest_path)
@@ -107,6 +110,17 @@ def _source_rows(manifest_path, source, label, field, row_fn, jobs=1):
     else:
         rows = [row_fn(p) for p in paths]
     return [e.label for e in entries], rows
+
+
+def _write_rows(args, source, field, row_fn, schema, jobs=1):
+    """Write the _source_rows of a manifest command, with their labels and
+    the column names `schema`, as the ARFF file args.out."""
+    labels, rows = _source_rows(args.manifest, source, args.label, field,
+                                row_fn, jobs)
+    dataset = ml.LabeledDataset(np.array(rows), labels, schema)
+    avio.write_arff(dataset, args.relation, args.out)
+    print(f"wrote {dataset.n} x {len(dataset.schema)} features to {args.out}")
+    return 0
 
 
 def _audio_feature_vector(wav_path, features):
@@ -146,10 +160,10 @@ def _visual_schema(features, lfp_preset):
     schema = []
     for name in features:
         if name == "lfp":
-            dims = visual.LFP_PRESET_DIMS[lfp_preset]
-            schema.extend(f"lfp_{i}" for i in range(dims))
+            schema.extend(f"lfp_{i}"
+                          for i in range(visual.lfp_dims(lfp_preset)))
         else:
-            dims = visual.FRAME_FEATURE_DIMS[name]
+            dims, _ = visual.FRAME_FEATURES[name]
             schema.extend(aggregate.moment_schema(
                 [f"{name}_{d}" for d in range(dims)], aggregate.VISUAL_MOMENTS))
     return schema
@@ -186,58 +200,42 @@ def _concept_means(scores_path, vocab):
 
 def cmd_extract_audio(args):
     features = _parse_feature_list(args.features, AUDIO_FEATURES)
-    labels, rows = _source_rows(
-        args.manifest, args.wav, args.label, "audio",
-        partial(_audio_feature_vector, features=features), args.jobs)
     schema = [f"{name}_{i}" for name in features
               for i in range(_AUDIO_DIMS[name])]
-    dataset = ml.LabeledDataset(np.array(rows), labels, schema)
-    avio.write_arff(dataset, args.relation, args.out)
-    print(f"wrote {dataset.n} x {len(dataset.schema)} features to {args.out}")
-    return 0
+    return _write_rows(args, args.wav, "audio",
+                       partial(_audio_feature_vector, features=features),
+                       schema, args.jobs)
 
 
 def cmd_extract_visual(args):
+    if args.manifest and args.dump_frames:
+        raise InputError("--dump-frames writes the frames of one --frames "
+                         "source; it cannot be used with --manifest")
     features = _parse_feature_list(args.features, VISUAL_FEATURES)
     row_fn = partial(_visual_feature_vector, features=features, fps=args.fps,
                      lfp_preset=args.lfp_preset,
                      crop_letterbox=not args.keep_letterbox,
-                     dump_csv=None if args.manifest else args.dump_frames)
-    labels, rows = _source_rows(args.manifest, args.frames, args.label,
-                                "frames", row_fn, args.jobs)
-    dataset = ml.LabeledDataset(np.array(rows), labels,
-                                _visual_schema(features, args.lfp_preset))
-    avio.write_arff(dataset, args.relation, args.out)
-    print(f"wrote {dataset.n} x {len(dataset.schema)} features to {args.out}")
-    return 0
+                     dump_csv=args.dump_frames)
+    return _write_rows(args, args.frames, "frames", row_fn,
+                       _visual_schema(features, args.lfp_preset), args.jobs)
 
 
 def cmd_aggregate(args):
     preset = args.preset.upper()
     if preset not in aggregate.PRESET_DIMS:
         raise InputError(f"unknown preset {args.preset!r}")
-    labels, rows = _source_rows(args.manifest, args.wav, args.label, "audio",
-                                partial(_segment_vector, preset=preset))
     schema = [f"{preset.lower()}_{i}"
               for i in range(aggregate.PRESET_DIMS[preset])]
-    avio.write_arff(ml.LabeledDataset(np.array(rows), labels, schema),
-                    args.relation, args.out)
-    print(f"wrote {preset} vectors ({len(schema)} dims) to {args.out}")
-    return 0
+    return _write_rows(args, args.wav, "audio",
+                       partial(_segment_vector, preset=preset), schema)
 
 
 def cmd_ingest_concepts(args):
     spec = concepts.moment_spec(args.moments)
     vocab = concepts.read_vocabulary(args.vocab)
-    labels, rows = _source_rows(
-        args.manifest, args.scores, args.label, "concepts",
-        partial(_concept_vector, vocab=vocab, spec=spec))
-    dataset = ml.LabeledDataset(np.array(rows), labels,
-                                concepts.concept_schema(vocab, spec))
-    avio.write_arff(dataset, args.relation, args.out)
-    print(f"wrote {dataset.n} x {len(dataset.schema)} concept features "
-          f"to {args.out}")
-    return 0
+    return _write_rows(args, args.scores, "concepts",
+                       partial(_concept_vector, vocab=vocab, spec=spec),
+                       concepts.concept_schema(vocab, spec))
 
 
 def cmd_fuse(args):
@@ -383,6 +381,8 @@ def cmd_faces(args):
 
 
 def cmd_salience(args):
+    if args.top < 1:
+        raise InputError(f"--top must be at least 1, got {args.top}")
     vocab = concepts.read_vocabulary(args.vocab)
     exclusions = set()
     if args.exclude:
@@ -491,54 +491,46 @@ def build_parser():
         p.add_argument("--c", type=float, default=1.0)
         p.add_argument("--epochs", type=int, default=ml.SVM_EPOCHS)
 
-    p = add("extract-audio", cmd_extract_audio,
-            help="psychoacoustic track features from WAV audio")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--manifest", type=Path)
-    src.add_argument("--wav", type=Path)
-    p.add_argument("--features", default="rp,rh,ssd,mvd,tssd,trh")
-    p.add_argument("--label", default="unknown")
-    p.add_argument("--relation", default="audio_features")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", type=Path, required=True)
+    def add_manifest_command(name, fn, source, relation, **kwargs):
+        """A command that writes one ARFF row per manifest entry, or one
+        row for the single file given by --<source>."""
+        p = add(name, fn, **kwargs)
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--manifest", type=Path)
+        src.add_argument(f"--{source}", type=Path)
+        p.add_argument("--label", default="unknown")
+        p.add_argument("--relation", default=relation)
+        p.add_argument("--out", type=Path, required=True)
+        return p
 
-    p = add("extract-visual", cmd_extract_visual,
-            help="per-video color/affect features from frame streams")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--manifest", type=Path)
-    src.add_argument("--frames", type=Path)
+    p = add_manifest_command(
+        "extract-audio", cmd_extract_audio, "wav", "audio_features",
+        help="psychoacoustic track features from WAV audio")
+    p.add_argument("--features", default="rp,rh,ssd,mvd,tssd,trh")
+    p.add_argument("--jobs", type=int, default=1)
+
+    p = add_manifest_command(
+        "extract-visual", cmd_extract_visual, "frames", "visual_features",
+        help="per-video color/affect features from frame streams")
     p.add_argument("--features", default="gcs,gev,cf,cn,waf,ic,lfp")
     p.add_argument("--fps", type=float, default=25.0)
     p.add_argument("--lfp-preset", default="paper-80",
-                   choices=["paper-80", "paper-60"])
+                   choices=list(visual.LFP_PRESETS))
     p.add_argument("--keep-letterbox", action="store_true")
     p.add_argument("--dump-frames", type=Path,
                    help="per-frame feature CSV (single-source mode)")
-    p.add_argument("--label", default="unknown")
-    p.add_argument("--relation", default="visual_features")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", type=Path, required=True)
 
-    p = add("aggregate", cmd_aggregate,
-            help="segment-descriptor aggregation presets (EN0..EN5, TEN)")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--manifest", type=Path)
-    src.add_argument("--wav", type=Path)
+    p = add_manifest_command(
+        "aggregate", cmd_aggregate, "wav", "segment_features",
+        help="segment-descriptor aggregation presets (EN0..EN5, TEN)")
     p.add_argument("--preset", default="TEN")
-    p.add_argument("--label", default="unknown")
-    p.add_argument("--relation", default="segment_features")
-    p.add_argument("--out", type=Path, required=True)
 
-    p = add("ingest-concepts", cmd_ingest_concepts,
-            help="aggregate per-frame concept scores into track vectors")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--manifest", type=Path)
-    src.add_argument("--scores", type=Path)
+    p = add_manifest_command(
+        "ingest-concepts", cmd_ingest_concepts, "scores", "concept_features",
+        help="aggregate per-frame concept scores into track vectors")
     p.add_argument("--vocab", type=Path, required=True)
     p.add_argument("--moments", default="max+mean")
-    p.add_argument("--label", default="unknown")
-    p.add_argument("--relation", default="concept_features")
-    p.add_argument("--out", type=Path, required=True)
 
     p = add("fuse", cmd_fuse, help="early-fuse feature ARFF files")
     p.add_argument("--arff", action="append", required=True,

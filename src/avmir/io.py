@@ -379,7 +379,6 @@ class ManifestEntry:
     audio: str = None
     frames: str = None
     concepts: str = None
-    date: str = None
 
 
 @dataclass
@@ -423,11 +422,10 @@ def load_manifest(path, check_paths=True):
                                   album=item.get("album"),
                                   audio=item.get("audio"),
                                   frames=item.get("frames"),
-                                  concepts=item.get("concepts"),
-                                  date=item.get("date"))
+                                  concepts=item.get("concepts"))
         except KeyError as exc:
             raise InputError(f"{path}: entry {i} missing key {exc}") from None
-        for kind in ("artist", "album", "audio", "frames", "concepts", "date"):
+        for kind in ("artist", "album", "audio", "frames", "concepts"):
             if not isinstance(getattr(entry, kind), (str, type(None))):
                 raise InputError(f"{path}: entry {i}: {kind} must be a string")
         if entry.track_id in seen:
@@ -456,6 +454,9 @@ class SplitSpec:
     def __post_init__(self):
         if self.per_class_count is None and not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train fraction must lie in (0, 1)")
+        if self.per_class_count is not None and self.per_class_count < 1:
+            raise ValueError("per-class train count must be at least 1, "
+                             f"got {self.per_class_count}")
         if self.group_filter not in ("none", "artist", "album"):
             raise ValueError("group filter must be none, artist or album")
 

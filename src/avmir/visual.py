@@ -13,9 +13,6 @@ import numpy as np
 
 from . import _kernels, imgprep
 
-# per-frame dimensionality of each feature set
-FRAME_FEATURE_DIMS = {"gcs": 6, "gev": 3, "cf": 1, "cn": 8, "waf": 18, "ic": 4}
-
 MAX_DEVIATION = float(np.sqrt(2.0))
 
 # eight elementary colors: magenta, red, yellow, green, cyan, blue, black, white
@@ -382,49 +379,54 @@ def _band_sums(pattern, n_bands):
     return out
 
 
+# LFP presets: name -> (lightness bins, modulation bands, whether the bins
+# stay apart); "paper-80" keeps 8 bins x 10 one-Hz bands (80 values),
+# "paper-60" sums 60 bands over 24 bins (60 values)
+LFP_PRESETS = {"paper-80": (8, 10, True), "paper-60": (24, 60, False)}
+
+
+def lfp_dims(preset):
+    """Length of the lfp_feature vector of an LFP_PRESETS preset."""
+    bins, bands, apart = LFP_PRESETS[preset]
+    return bins * bands if apart else bands
+
+
 def lfp_feature(pattern, preset="paper-80"):
-    """Fixed-dimension LFP vector.
-
-    preset "paper-80": 8 lightness bins x 10 one-Hz modulation bands (80);
-    preset "paper-60": 60 modulation bands summed over lightness bins (60).
-    """
-    if preset == "paper-80":
-        if pattern.lightness_bins != 8:
-            raise ValueError("paper-80 preset needs 8 lightness bins")
-        return _band_sums(pattern, 10).ravel()
-    if preset == "paper-60":
-        return _band_sums(pattern, 60).sum(axis=0)
-    raise ValueError(f"unknown LFP preset: {preset!r}")
+    """Fixed-dimension LFP vector: the pattern's modulation bins grouped
+    into the preset's equal-width bands, kept per lightness bin or summed
+    over them (see LFP_PRESETS)."""
+    if preset not in LFP_PRESETS:
+        raise ValueError(f"unknown LFP preset: {preset!r}")
+    bins, bands, apart = LFP_PRESETS[preset]
+    if pattern.lightness_bins != bins:
+        raise ValueError(f"{preset} preset needs {bins} lightness bins")
+    sums = _band_sums(pattern, bands)
+    return sums.ravel() if apart else sums.sum(axis=0)
 
 
-LFP_PRESET_BINS = {"paper-80": 8, "paper-60": 24}
-LFP_PRESET_DIMS = {"paper-80": 80, "paper-60": 60}
+# per-frame feature sets: name -> (values per frame, function that computes
+# them from one imgprep.FrameContext).  Each entry calls its functions
+# through the module globals, so a function replaced on the module after
+# import is the one that runs.
+FRAME_FEATURES = {
+    "gcs": (6, lambda ctx: gcs(ctx.ihls)),
+    "gev": (3, lambda ctx: gev(ctx.ihls)),
+    "cf": (1, lambda ctx: colorfulness(ctx.frame)),
+    "cn": (8, lambda ctx: color_names(ctx.hsv)),
+    "waf": (18, lambda ctx: waf(ctx.lch,
+                                blur_measure(ctx.ihls.luminance * 255.0))),
+    "ic": (4, lambda ctx: itten_contrasts(segment_frame(ctx.lch))),
+}
 
 
 def frame_features(ctx, features):
-    """The requested per-frame feature sets of one imgprep.FrameContext,
-    as a dict name -> float64 array.
+    """The requested per-frame feature sets (FRAME_FEATURES names) of one
+    imgprep.FrameContext, as a dict name -> float64 array.
 
     Each color space is converted at most once, and only if a requested
     feature reads it.
     """
-    out = {}
-    for name in features:
-        if name == "gcs":
-            out[name] = gcs(ctx.ihls)
-        elif name == "gev":
-            out[name] = gev(ctx.ihls)
-        elif name == "cf":
-            out[name] = colorfulness(ctx.frame)
-        elif name == "cn":
-            out[name] = color_names(ctx.hsv)
-        elif name == "waf":
-            out[name] = waf(ctx.lch, blur_measure(ctx.ihls.luminance * 255.0))
-        elif name == "ic":
-            out[name] = itten_contrasts(segment_frame(ctx.lch))
-        else:
-            raise ValueError(f"unknown frame feature: {name!r}")
-    return out
+    return {name: FRAME_FEATURES[name][1](ctx) for name in features}
 
 
 def extract_video_features(frames, features, fps=25.0, lfp_preset="paper-80",
@@ -438,9 +440,10 @@ def extract_video_features(frames, features, fps=25.0, lfp_preset="paper-80",
     """
     wanted = [f for f in features if f != "lfp"]
     want_lfp = "lfp" in features
-    unknown = set(wanted) - set(FRAME_FEATURE_DIMS)
+    unknown = set(wanted) - set(FRAME_FEATURES)
     if unknown:
         raise ValueError(f"unknown features: {sorted(unknown)}")
+    lightness_bins = LFP_PRESETS[lfp_preset][0] if want_lfp else None
 
     rows = {name: [] for name in wanted}
     hists = []
@@ -453,8 +456,7 @@ def extract_video_features(frames, features, fps=25.0, lfp_preset="paper-80",
         for name in wanted:
             rows[name].append(feats[name])
         if want_lfp:
-            hists.append(lightness_histogram(ctx.lch,
-                                             LFP_PRESET_BINS[lfp_preset]))
+            hists.append(lightness_histogram(ctx.lch, lightness_bins))
         n += 1
 
     if n == 0:

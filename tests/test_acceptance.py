@@ -53,7 +53,7 @@ def test_criterion_1_dimensionality_conformance(rng):
                   for _ in range(30)]
         with pytest.warns(UserWarning, match="fewer frames"):
             matrices, pattern = visual.extract_video_features(
-                frames, [*visual.FRAME_FEATURE_DIMS, "lfp"],
+                frames, [*visual.FRAME_FEATURES, "lfp"],
                 lfp_preset="paper-80", crop_letterbox=False)
         aggregated = {name: aggregate.moments(m, aggregate.VISUAL_MOMENTS)
                       for name, m in matrices.items()}

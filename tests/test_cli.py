@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from avmir import cli, ml
+from avmir import cli, concepts, ml
 from avmir import io as avio
 from avmir.audio import AudioClip
 from avmir.ml import LabeledDataset
@@ -127,6 +127,26 @@ class TestExtractVisual:
         lines = dump.read_text().strip().splitlines()
         assert lines[0] == "frame_index,gev_0,gev_1,gev_2"
         assert len(lines) == 41  # header + 40 frames
+
+    def test_per_frame_dump_with_manifest_exits_two(self, workspace, capsys):
+        # a manifest run used to exit 0 without writing the CSV
+        out = workspace / "vis.arff"
+        dump = workspace / "frames.csv"
+        assert run("extract-visual", "--manifest", workspace / "manifest.json",
+                   "--features", "gev", "--dump-frames", dump,
+                   "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "--dump-frames" in err and "--manifest" in err
+        assert not dump.exists() and not out.exists()
+
+    def test_paper_60_preset(self, workspace):
+        out = workspace / "vis60.arff"
+        assert run("extract-visual", "--frames", workspace / "rock0.rgb",
+                   "--features", "gcs,lfp", "--lfp-preset", "paper-60",
+                   "--out", out) == 0
+        schema = avio.read_arff(out).schema
+        assert len(schema) == 42 + 60
+        assert schema[42:] == [f"lfp_{i}" for i in range(60)]
 
     def test_thin_strip_video_exits_zero(self, tmp_path):
         # black but for rows 20-21, so letterbox cropping leaves 2 x 40
@@ -294,6 +314,48 @@ class TestSalienceCmd:
         ranked = json.loads(out.read_text())
         names = [n for n, _ in ranked["rock"]]
         assert "concept_0" not in names
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("command", ["extract-audio", "extract-visual"])
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected_before_the_manifest(
+            self, workspace, monkeypatch, capsys, command, jobs):
+        def no_read(path, *args, **kwargs):
+            raise AssertionError(f"read the manifest {path}")
+
+        monkeypatch.setattr(avio, "load_manifest", no_read)
+        out = workspace / "x.arff"
+        assert run(command, "--manifest", workspace / "manifest.json",
+                   "--jobs", jobs, "--out", out) == 2
+        assert f"--jobs must be at least 1, got {jobs}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_salience_top_below_one_rejected_before_any_file(
+            self, workspace, monkeypatch, capsys, top):
+        def no_read(path, *args, **kwargs):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(avio, "load_manifest", no_read)
+        monkeypatch.setattr(concepts, "read_vocabulary", no_read)
+        out = workspace / "salience.json"
+        assert run("salience", "--manifest", workspace / "manifest.json",
+                   "--vocab", workspace / "vocab.txt", "--top", top,
+                   "--out", out) == 2
+        assert f"--top must be at least 1, got {top}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_splits_per_class_below_one(self, workspace, capsys, count):
+        train, test = workspace / "train.txt", workspace / "test.txt"
+        assert run("splits", "--manifest", workspace / "manifest.json",
+                   "--per-class", count, "--out-train", train,
+                   "--out-test", test) == 2
+        assert f"at least 1, got {count}" in capsys.readouterr().err
+        assert not train.exists() and not test.exists()
 
 
 class TestShotCommands:

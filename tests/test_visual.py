@@ -353,10 +353,17 @@ class TestLfp:
 
     def test_preset_dimensions(self):
         frames = blink_frames(2.0, 25.0, 64)
-        for preset, dims in visual.LFP_PRESET_DIMS.items():
+        for preset in visual.LFP_PRESETS:
             with pytest.warns(UserWarning, match="fewer frames"):
                 pattern = lfp_pattern(frames, preset)
-            assert visual.lfp_feature(pattern, preset).shape == (dims,)
+            assert visual.lfp_feature(pattern, preset).shape == \
+                (visual.lfp_dims(preset),)
+
+    def test_presets_reject_other_bin_counts(self, rng):
+        pattern = visual.lfp_from_histograms(rng.random((64, 12)), 25.0)
+        for preset in visual.LFP_PRESETS:
+            with pytest.raises(ValueError, match="lightness bins"):
+                visual.lfp_feature(pattern, preset)
 
     def test_fps_too_low_raises(self, rng):
         with pytest.raises(ValueError):
@@ -374,7 +381,7 @@ def _parity_frames():
 
 
 class TestFrameContext:
-    FEATURES = list(visual.FRAME_FEATURE_DIMS)
+    FEATURES = list(visual.FRAME_FEATURES)
 
     @staticmethod
     def _separately(frame):
@@ -432,8 +439,8 @@ class TestFrameDims:
     def test_per_frame_dimensions_match_table(self, rng):
         frame = random_frame(rng, 33, 44)
         feats = visual.frame_features(imgprep.FrameContext(frame),
-                                      list(visual.FRAME_FEATURE_DIMS))
-        for name, dim in visual.FRAME_FEATURE_DIMS.items():
+                                      list(visual.FRAME_FEATURES))
+        for name, (dim, _) in visual.FRAME_FEATURES.items():
             assert feats[name].shape == (dim,), name
             assert feats[name].dtype == np.float64, name
             assert np.all(np.isfinite(feats[name])), name
