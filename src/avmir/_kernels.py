@@ -180,7 +180,10 @@ def _emd_ssp(supply, demand, cost):
     Each path search is Bellman-Ford over the dense bipartite residual graph
     (arcs i -> j at cost[i, j]; j -> i at -cost[i, j] where flow[i, j] > 0).
     Labels change only on a strict improvement, so ties cannot close a
-    parent cycle through a zero-cost forward/backward arc pair.
+    parent cycle through a zero-cost forward/backward arc pair.  Every open
+    sink at the shortest distance is served from one search: the labels stay
+    feasible after each augmentation, so a tree path whose arcs all keep
+    residual capacity is still a shortest path.
     """
     n, m = cost.shape
     eps = 1e-12
@@ -205,21 +208,25 @@ def _emd_ssp(supply, demand, cost):
             if not (better_t.any() or better_s.any()):
                 break
         open_dt = np.where(rem_d > eps, dt, np.inf)
-        target = int(open_dt.argmin())
-        if open_dt[target] == np.inf:
+        nearest = open_dt.min()
+        if nearest == np.inf:
             break  # numerically exhausted
 
-        # walk back: arcs (srcs[k], snks[k]) forward, (srcs[k], snks[k+1]) back
-        srcs, snks = [pt[target]], [target]
-        while ps[srcs[-1]] >= 0:
-            snks.append(ps[srcs[-1]])
-            srcs.append(pt[snks[-1]])
-        back = (srcs[:-1], snks[1:])
-        step = min(rem_d[target], rem_s[srcs[-1]], *flow[back])
-        flow[srcs, snks] += step
-        flow[back] -= step
-        rem_s[srcs[-1]] -= step
-        rem_d[target] -= step
+        for target in np.flatnonzero(open_dt == nearest):
+            # walk back: forward arcs (srcs[k], snks[k]), back arcs
+            # (srcs[k], snks[k + 1])
+            srcs, snks = [pt[target]], [target]
+            while ps[srcs[-1]] >= 0:
+                snks.append(ps[srcs[-1]])
+                srcs.append(pt[snks[-1]])
+            back = (srcs[:-1], snks[1:])
+            step = min(rem_d[target], rem_s[srcs[-1]], *flow[back])
+            if step <= eps:
+                continue  # an earlier path in this round used up an arc
+            flow[srcs, snks] += step
+            flow[back] -= step
+            rem_s[srcs[-1]] -= step
+            rem_d[target] -= step
     return float((flow * cost).sum())
 
 

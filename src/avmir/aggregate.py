@@ -79,14 +79,16 @@ def validate_moment_spec(spec, known=_KNOWN_MOMENTS):
 def _moment_columns(seq, spec):
     """One column per moment name, each of length d."""
     mean = seq.mean(axis=0)
-    centered = seq - mean
     # dispersion is computed on magnitude-normalized values so extreme data
     # scales cannot push the intermediate squares into the subnormal range;
+    # centring after scaling keeps a subnormal spread from being centred
+    # around a mean that rounded to one of its ends;
     # a dimension whose relative spread sits at float rounding level counts
     # as constant for the zero-variance convention (skew = kurt = 0)
     scale = np.abs(seq).max(axis=0)
     safe_scale = np.where(scale > 0, scale, 1.0)
-    c = centered / safe_scale
+    scaled = seq / safe_scale
+    c = scaled - scaled.mean(axis=0)
     var_rel = (c ** 2).mean(axis=0)
     sd_rel = np.sqrt(var_rel)
     var = var_rel * safe_scale * safe_scale

@@ -28,10 +28,13 @@ def open_text(path, newline=None):
     encoding="utf-8", newline=newline); invalid UTF-8 raises InputError
     naming the file and the byte offset of the first invalid sequence."""
     data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+    # ASCII is valid UTF-8, and isascii() checks it without a decoded copy
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(
+                f"{path}: not valid UTF-8 at byte {exc.start}") from None
     return TextIOWrapper(BytesIO(data), encoding="utf-8", newline=newline)
 
 

@@ -140,12 +140,25 @@ def rgb_histogram(frame):
     return counts.astype(np.float64) / counts.sum()
 
 
+def _cf_distance(hist):
+    """EMD from a normalized CF histogram to the uniform ideal."""
+    # CF_COST is a metric, so by the triangle inequality some optimal flow
+    # leaves min(h_i, 1/64) in place in every cell: only the surplus cells
+    # send, only the deficit cells receive, and the rest cost nothing
+    excess = hist - _CF_IDEAL
+    surplus, deficit = excess > 0, excess < 0
+    mass = excess[surplus].sum()
+    if mass <= 0:
+        return 0.0
+    return mass * _kernels.emd(excess[surplus], -excess[deficit],
+                               CF_COST[np.ix_(surplus, deficit)])
+
+
 def colorfulness(frame):
     """Colorfulness score (1 value): Dmax - EMD(frame histogram, uniform
     ideal) over the CF cells, so a larger score means a more colorful frame.
     """
-    distance = _kernels.emd(rgb_histogram(frame), _CF_IDEAL, CF_COST)
-    return np.array([_CF_DMAX - distance])
+    return np.array([_CF_DMAX - _cf_distance(rgb_histogram(frame))])
 
 
 def _clahe_unit(plane):

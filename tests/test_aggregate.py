@@ -88,6 +88,13 @@ class TestMoments:
         np.testing.assert_allclose(aggregate.moments(seq),
                                    aggregate.moments(shuffled), atol=1e-12)
 
+    def test_subnormal_pair_is_symmetric(self):
+        # the mean of [0, 5e-324] rounds to an endpoint; scaling before
+        # centring keeps the pair symmetric, so skewness 0 and kurtosis 1
+        out = aggregate.moments([[0.0], [5e-324]],
+                                ("variance", "skewness", "kurtosis"))
+        np.testing.assert_array_equal(out, [0.0, 0.0, 1.0])
+
     @given(st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=40),
            st.floats(0.01, 50.0), st.floats(-100.0, 100.0))
     @example([0.0, 5e-324], 0.5, 0.0)

@@ -493,8 +493,7 @@ class TestOpenText:
 
     def test_read_arff_peak_memory_below_three_file_sizes(self, tmp_path,
                                                          rng):
-        # the text is held once as UTF-8 bytes (plus one transient decoded
-        # copy for the up-front check), not as 4-byte characters
+        # the text is held as UTF-8 bytes, not as 4-byte characters
         path = tmp_path / "big.arff"
         ds = LabeledDataset(rng.normal(size=(100, 400)),
                             ["x", "y"] * 50, [f"f{j}" for j in range(400)])
@@ -507,6 +506,21 @@ class TestOpenText:
             tracemalloc.stop()
         assert back.matrix.shape == (100, 400)
         assert peak < 3 * path.stat().st_size
+
+    def test_read_arff_holds_ascii_text_once(self, tmp_path, rng):
+        # ASCII needs no decoded copy for the UTF-8 check, so the peak is
+        # the file's bytes plus the parsed rows, not twice the file size
+        path = tmp_path / "big.arff"
+        ds = LabeledDataset(rng.normal(size=(300, 400)),
+                            ["x", "y"] * 150, [f"f{j}" for j in range(400)])
+        avio.write_arff(ds, "r", path)
+        tracemalloc.start()
+        try:
+            back = avio.read_arff(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * path.stat().st_size + back.matrix.nbytes
 
 
 class TestMakeSplits:

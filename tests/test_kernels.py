@@ -13,7 +13,7 @@ import pytest
 
 from avmir._kernels import (_clahe_maps, clahe_u8, dither_indices, emd,
                             lbp_codes)
-from avmir.visual import CF_COST, rgb_histogram
+from avmir.visual import CF_COST, _CF_IDEAL, _cf_distance, rgb_histogram
 from conftest import random_frame
 
 
@@ -305,3 +305,28 @@ def test_emd_identical_distributions_is_zero(rng):
     cost = rng.random((16, 16)) * 5.0
     np.fill_diagonal(cost, 0.0)
     assert emd(supply, supply, cost) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_cf_surplus_to_deficit_matches_full_solve(rng):
+    # colourfulness routes only the surplus cells' excess to the deficit
+    # cells; on the oracle's colourfulness histograms (sparse 1-9 cells,
+    # noise, letterboxed noise) that equals the full 64 x 64 solve
+    scipy = pytest.importorskip("scipy")  # noqa: F841 - oracle dependency
+    hists = []
+    for occupied in range(1, 10):
+        sparse = np.zeros(64)
+        cells = rng.choice(64, size=occupied, replace=False)
+        sparse[cells] = rng.random(occupied) + 0.01
+        hists.append((f"sparse {occupied}", sparse / sparse.sum()))
+    for trial in range(3):
+        boxed = np.zeros((24, 16, 3), dtype=np.uint8)
+        boxed[4:20] = random_frame(rng)
+        hists.append((f"noise {trial}", rgb_histogram(random_frame(rng))))
+        hists.append((f"letterboxed {trial}", rgb_histogram(boxed)))
+
+    for name, hist in hists:
+        reduced = _cf_distance(hist)
+        full = emd(hist, _CF_IDEAL, CF_COST)
+        assert reduced == pytest.approx(full, rel=1e-12, abs=0.0), name
+        assert reduced == pytest.approx(
+            _emd_linprog(hist, _CF_IDEAL, CF_COST), abs=1e-9), name

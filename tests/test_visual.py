@@ -74,15 +74,17 @@ class TestColorfulness:
         # along each axis
         dmax = 192.0 * np.sqrt(3.0)
         assert visual.colorfulness(frame)[0] == pytest.approx(dmax, abs=1e-9)
+        # no cell has surplus, so nothing moves and the score is exact
+        assert visual.colorfulness(frame)[0] == visual._CF_DMAX
 
     def test_single_color_closed_form(self):
         # point mass -> uniform: optimal transport is forced, cost is the
         # mean distance from the occupied cell to all cells
-        frame = solid_frame(10, 10, 10)
-        dists = visual.CF_COST[0]
-        expected = dists.max() - dists.mean()
-        assert visual.colorfulness(frame)[0] == pytest.approx(expected,
-                                                              abs=1e-9)
+        for cell, center in enumerate(visual.CF_CENTERS.astype(int)):
+            dists = visual.CF_COST[cell]
+            expected = visual._CF_DMAX - dists.mean()
+            assert visual.colorfulness(solid_frame(*center))[0] == (
+                pytest.approx(expected, rel=1e-12)), cell
 
     def test_noise_beats_flat_color(self, rng):
         noisy = visual.colorfulness(random_frame(rng, 32, 32))
