@@ -5,9 +5,12 @@ LBP, CLAHE and dithering are vectorized numpy: the CLAHE tables come from
 one histogram of all tiles, and the CLAHE blend and dithering run over
 blocks of rows that stay in cache.  The per-pixel and per-tile loops they
 replace live in tests/test_kernels.py as reference oracles, and the kernel
-tests require equal results from both.  The earth mover's
-distance solver runs successive shortest paths found by whole-array
-Bellman-Ford sweeps; tests check it against scipy's LP solver.
+tests require equal results from both.  The earth mover's distance is
+solved by the transportation simplex: a least-cost start, one whole-matrix
+reduced-cost pass per pivot, a parent/depth basis tree of which each pivot
+re-hangs only the subtree it cuts off, Bland's rule after a run of
+degenerate pivots, and a hard pivot cap; tests check it against scipy's LP
+solver and against the closed form on a line.
 """
 
 import numpy as np
@@ -173,61 +176,157 @@ def dither_indices(rgb, palette, tmap, spread):
 # earth mover's distance (transportation problem)
 # ---------------------------------------------------------------------------
 
-def _emd_ssp(supply, demand, cost):
-    """Exact EMD by successive shortest augmenting paths.
+# the simplex gives up after this many pivots per row and column of the
+# problem; CF-sized solves take about one pivot per line
+EMD_PIVOTS_PER_LINE = 50
+# degenerate pivots in a row after which the entering cell is Bland's
+EMD_DEGENERATE_RUN = 8
 
-    supply and demand must have equal totals; returns sum(flow * cost).
-    Each path search is Bellman-Ford over the dense bipartite residual graph
-    (arcs i -> j at cost[i, j]; j -> i at -cost[i, j] where flow[i, j] > 0).
-    Labels change only on a strict improvement, so ties cannot close a
-    parent cycle through a zero-cost forward/backward arc pair.  Every open
-    sink at the shortest distance is served from one search: the labels stay
-    feasible after each augmentation, so a tree path whose arcs all keep
-    residual capacity is still a shortest path.
+
+def _least_cost_start(supply, demand, cost):
+    """Initial basic flow by the least-cost (matrix-minimum) rule.
+
+    Cells are visited in ascending cost order (ties to the lower flat
+    index).  An open cell gets min(remaining supply, remaining demand) and
+    closes one line: its row when the row runs out, even when the column
+    runs out with it, else its column.  The last open row (column) instead
+    closes every column (row) it meets, so the n + m - 1 cells, zero flows
+    included, form a spanning tree of the rows and columns.  Returns
+    {flat cell index: flow}.
     """
     n, m = cost.shape
-    eps = 1e-12
-    rem_s, rem_d = supply.copy(), demand.copy()
-    flow = np.zeros((n, m))
-    rows, cols = np.arange(n), np.arange(m)
-    while rem_s.max() > eps:
-        back_cost = np.where(flow > eps, -cost, np.inf)
-        ds, dt = np.where(rem_s > eps, 0.0, np.inf), np.full(m, np.inf)
-        ps, pt = np.full(n, -1), np.full(m, -1)
-        for _ in range(n + m):
-            reach = ds[:, None] + cost
-            via = reach.argmin(axis=0)
-            new = reach[via, cols]
-            better_t = new < dt - 1e-9
-            dt[better_t], pt[better_t] = new[better_t], via[better_t]
-            reach = dt[None, :] + back_cost
-            via = reach.argmin(axis=1)
-            new = reach[rows, via]
-            better_s = new < ds - 1e-9
-            ds[better_s], ps[better_s] = new[better_s], via[better_s]
-            if not (better_t.any() or better_s.any()):
-                break
-        open_dt = np.where(rem_d > eps, dt, np.inf)
-        nearest = open_dt.min()
-        if nearest == np.inf:
-            break  # numerically exhausted
+    rem_s, rem_d = supply.tolist(), demand.tolist()
+    row_open, col_open = [True] * n, [True] * m
+    rows_left, cols_left = n, m
+    flow = {}
+    for cell in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(cell, m)
+        if not (row_open[i] and col_open[j]):
+            continue
+        if cols_left == 1 or (rows_left > 1 and rem_s[i] <= rem_d[j]):
+            q = rem_s[i]
+            row_open[i] = False
+            rows_left -= 1
+        else:
+            q = rem_d[j]
+            col_open[j] = False
+            cols_left -= 1
+        flow[cell] = max(q, 0.0)  # the last cell may see a rounding residue
+        rem_s[i] -= q
+        rem_d[j] -= q
+        if not rows_left:
+            break
+    return flow
 
-        for target in np.flatnonzero(open_dt == nearest):
-            # walk back: forward arcs (srcs[k], snks[k]), back arcs
-            # (srcs[k], snks[k + 1])
-            srcs, snks = [pt[target]], [target]
-            while ps[srcs[-1]] >= 0:
-                snks.append(ps[srcs[-1]])
-                srcs.append(pt[snks[-1]])
-            back = (srcs[:-1], snks[1:])
-            step = min(rem_d[target], rem_s[srcs[-1]], *flow[back])
-            if step <= eps:
-                continue  # an earlier path in this round used up an arc
-            flow[srcs, snks] += step
-            flow[back] -= step
-            rem_s[srcs[-1]] -= step
-            rem_d[target] -= step
-    return float((flow * cost).sum())
+
+def _transport_simplex(supply, demand, cost):
+    """Optimal transport plan by the transportation simplex.
+
+    supply and demand must have equal totals.  The basis is a spanning tree
+    over the rows (nodes 0..n-1) and columns (nodes n..n+m-1), rooted at
+    row 0: edge[x] is the basic cell joining node x to parent[x], and the
+    potentials satisfy u_i + v_j = cost[i, j] on every basic cell.  Each
+    pivot enters the cell of least reduced cost, found in one whole-matrix
+    pass, and walks both of its ends up to their common ancestor to find the
+    cycle.  The leaving cell is the blocking cell of lowest flat index, and
+    after EMD_DEGENERATE_RUN degenerate pivots in a row the entering cell is
+    the negative one of lowest flat index until flow moves again: Bland's
+    rule, so the solver cannot cycle.  Only the subtree that the leaving
+    cell cuts off is re-hung and re-priced.  The solve stops when no
+    reduced cost is below -1e-12 times the largest |cost|, and raises
+    RuntimeError after EMD_PIVOTS_PER_LINE * (n + m) pivots instead of
+    returning a partial flow.
+    """
+    n, m = cost.shape
+    flow = _least_cost_start(supply, demand, cost)
+    costs = cost.ravel().tolist()
+    nodes = n + m
+    neighbours = [[] for _ in range(nodes)]
+    for cell in flow:
+        i, j = divmod(cell, m)
+        neighbours[i].append((n + j, cell))
+        neighbours[n + j].append((i, cell))
+    parent, edge = [-1] * nodes, [-1] * nodes
+    depth, pot = [0] * nodes, [0.0] * nodes
+    children = [set() for _ in range(nodes)]
+    order = [0]
+    for x in order:
+        for y, cell in neighbours[x]:
+            if y != parent[x]:
+                parent[y], edge[y] = x, cell
+                children[x].add(y)
+                order.append(y)
+
+    def settle(root):
+        # depth and potentials below root, from root's own
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y in children[x]:
+                depth[y] = depth[x] + 1
+                pot[y] = costs[edge[y]] - pot[x]
+                stack.append(y)
+
+    settle(0)
+    tol = 1e-12 * float(np.abs(cost).max())
+    degenerate = 0
+    for _ in range(EMD_PIVOTS_PER_LINE * nodes):
+        p = np.array(pot)
+        reduced = cost - p[:n, None] - p[None, n:]
+        enter = int(reduced.argmin())
+        if reduced.flat[enter] >= -tol:
+            plan = np.zeros(n * m)
+            plan[list(flow)] = list(flow.values())
+            return plan.reshape(n, m)
+        if degenerate >= EMD_DEGENERATE_RUN:
+            enter = int(np.argmax(reduced.ravel() < -tol))
+
+        # the cycle: the entering cell, then the tree path between its row
+        # and column; on each side the cells alternate -, +, -, ... from
+        # the entering cell's end
+        i, j = divmod(enter, m)
+        a, b = i, n + j
+        up_a, up_b = [], []
+        while depth[a] > depth[b]:
+            up_a.append(a)
+            a = parent[a]
+        while depth[b] > depth[a]:
+            up_b.append(b)
+            b = parent[b]
+        while a != b:
+            up_a.append(a)
+            a = parent[a]
+            up_b.append(b)
+            b = parent[b]
+        minus = up_a[0::2] + up_b[0::2]
+        theta = min(flow[edge[x]] for x in minus)
+        _, leave = min((edge[x], x) for x in minus if flow[edge[x]] == theta)
+        for x in minus:
+            flow[edge[x]] -= theta
+        for x in up_a[1::2] + up_b[1::2]:
+            flow[edge[x]] += theta
+        del flow[edge[leave]]
+        flow[enter] = theta
+        degenerate = 0 if theta > 0 else degenerate + 1
+
+        # cut the leaving cell, then re-hang its subtree from the entering
+        # cell's end inside it, reversing the parent links up to the cut
+        inside, outside = (i, n + j) if leave in up_a else (n + j, i)
+        children[parent[leave]].remove(leave)
+        node, up, cell = inside, outside, enter
+        while True:
+            next_up, next_cell = parent[node], edge[node]
+            parent[node], edge[node] = up, cell
+            children[up].add(node)
+            if node == leave:
+                break
+            children[next_up].remove(node)
+            node, up, cell = next_up, node, next_cell
+        depth[inside] = depth[outside] + 1
+        pot[inside] = costs[enter] - pot[outside]
+        settle(inside)
+    raise RuntimeError(f"transportation simplex did not converge in "
+                       f"{EMD_PIVOTS_PER_LINE * nodes} pivots")
 
 
 def emd(supply, demand, cost):
@@ -235,13 +334,25 @@ def emd(supply, demand, cost):
 
     Totals are normalized to 1 before solving, so inputs may be unnormalized
     histograms.  cost[i, j] is the ground distance from supply cell i to
-    demand cell j.
+    demand cell j.  Raises ValueError for non-finite or negative masses, a
+    zero total, non-finite costs, or a cost not shaped
+    (len(supply), len(demand)).
     """
     supply = np.ascontiguousarray(supply, dtype=np.float64)
     demand = np.ascontiguousarray(demand, dtype=np.float64)
     cost = np.ascontiguousarray(cost, dtype=np.float64)
-    s_tot = supply.sum()
-    d_tot = demand.sum()
-    if s_tot <= 0 or d_tot <= 0:
-        raise ValueError("supply and demand must each have positive total")
-    return _emd_ssp(supply / s_tot, demand / d_tot, cost)
+    if supply.ndim != 1 or demand.ndim != 1:
+        raise ValueError("supply and demand must be 1-D")
+    if cost.shape != (len(supply), len(demand)):
+        raise ValueError(f"cost has shape {cost.shape}, expected "
+                         f"{(len(supply), len(demand))}")
+    for name, mass in (("supply", supply), ("demand", demand)):
+        if not np.isfinite(mass).all() or (mass < 0).any():
+            raise ValueError(f"{name} must be finite and nonnegative")
+        if not 0 < mass.sum() < np.inf:
+            raise ValueError(f"{name} must have a positive, finite total")
+    if not np.isfinite(cost).all():
+        raise ValueError("cost must be finite")
+    plan = _transport_simplex(supply / supply.sum(), demand / demand.sum(),
+                              cost)
+    return float((plan * cost).sum())

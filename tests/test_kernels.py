@@ -11,8 +11,9 @@ rasters stay small.
 import numpy as np
 import pytest
 
-from avmir._kernels import (_clahe_maps, clahe_u8, dither_indices, emd,
-                            lbp_codes)
+from avmir import _kernels
+from avmir._kernels import (_clahe_maps, _transport_simplex, clahe_u8,
+                            dither_indices, emd, lbp_codes)
 from avmir.visual import CF_COST, _CF_IDEAL, _cf_distance, rgb_histogram
 from conftest import random_frame
 
@@ -262,8 +263,8 @@ def test_emd_matches_lp_oracle(rng):
         sparse[cells] = rng.random(occupied) + 0.01
         hists.append((f"sparse {occupied}", sparse / sparse.sum()))
 
-    # integer costs: many equal-cost augmenting paths, which the solver's
-    # strict-improvement rule must keep from closing parent cycles
+    # integer costs: many tied reduced costs and degenerate pivots, which
+    # the solver's anti-cycling rule must carry to the optimum
     for trial in range(10):
         n = int(rng.integers(2, 65))
         m = int(rng.integers(2, 65))
@@ -305,6 +306,110 @@ def test_emd_identical_distributions_is_zero(rng):
     cost = rng.random((16, 16)) * 5.0
     np.fill_diagonal(cost, 0.0)
     assert emd(supply, supply, cost) == pytest.approx(0.0, abs=1e-12)
+
+
+def _check_plan(supply, demand, cost, name):
+    """The solver's plan is a feasible flow: nonnegative, with row and
+    column sums equal to the normalized masses; returns its cost."""
+    supply, demand = supply / supply.sum(), demand / demand.sum()
+    plan = _transport_simplex(supply, demand, cost)
+    assert plan.shape == cost.shape, name
+    assert (plan >= 0).all(), name
+    np.testing.assert_allclose(plan.sum(axis=1), supply, rtol=0, atol=1e-12,
+                               err_msg=name)
+    np.testing.assert_allclose(plan.sum(axis=0), demand, rtol=0, atol=1e-12,
+                               err_msg=name)
+    return float((plan * cost).sum())
+
+
+def test_emd_degenerate_instances_match_lp_oracle():
+    # ties everywhere: integer masses (zeros included) over integer costs
+    # 0-3, single-row and single-column problems, an all-zero cost, and
+    # colourfulness histograms of integer pixel counts in both directions
+    scipy = pytest.importorskip("scipy")  # noqa: F841 - oracle dependency
+    rng = np.random.default_rng(2024)
+    cases = []
+    for trial in range(80):
+        n, m = (int(k) for k in rng.integers(2, 25, size=2))
+        supply = rng.integers(0, 4, size=n).astype(np.float64)
+        demand = rng.integers(0, 4, size=m).astype(np.float64)
+        supply[rng.integers(n)] += 1.0
+        demand[rng.integers(m)] += 1.0
+        cost = rng.integers(0, 4, size=(n, m)).astype(np.float64)
+        cases.append((f"integer {trial}", supply, demand, cost))
+    for trial in range(10):
+        m = int(rng.integers(1, 40))
+        supply = rng.integers(1, 5, size=1).astype(np.float64)
+        demand = rng.integers(0, 5, size=m).astype(np.float64) + 0.5
+        cost = rng.integers(0, 4, size=(1, m)).astype(np.float64)
+        cases.append((f"1 x {m}", supply, demand, cost))
+        cases.append((f"{m} x 1", demand, supply, cost.T.copy()))
+    for trial in range(10):
+        n, m = (int(k) for k in rng.integers(1, 30, size=2))
+        cases.append((f"zero cost {n} x {m}", rng.random(n) + 0.01,
+                      rng.random(m) + 0.01, np.zeros((n, m))))
+    uniform = np.full(64, 1.0 / 64.0)
+    for trial in range(20):
+        pixels = int(rng.choice([48, 768, 3072]))
+        weights = rng.dirichlet(np.full(64, [0.1, 1.0, 10.0][trial % 3]))
+        hist = rng.multinomial(pixels, weights).astype(np.float64)
+        cases.append((f"cf counts {trial}", hist, uniform, CF_COST))
+        cases.append((f"cf counts {trial} reversed", uniform, hist, CF_COST))
+
+    assert len(cases) >= 150
+    for name, supply, demand, cost in cases:
+        want = _emd_linprog(supply / supply.sum(), demand / demand.sum(), cost)
+        assert emd(supply, demand, cost) == pytest.approx(want, abs=1e-9), name
+        assert _check_plan(supply, demand, cost, name) == pytest.approx(
+            want, abs=1e-9), name
+
+
+def test_emd_on_a_line_is_the_cdf_distance(rng):
+    # with ground cost |i - j| * w the EMD is w times the L1 distance
+    # between the two cumulative distributions
+    for trial in range(20):
+        n, m = (int(k) for k in rng.integers(2, 65, size=2))
+        supply = rng.random(n) * (rng.random(n) < 0.7)
+        demand = rng.random(m) * (rng.random(m) < 0.7)
+        supply[0] += 0.01
+        demand[-1] += 0.01
+        w = float(rng.uniform(0.1, 10.0))
+        cost = np.abs(np.arange(n)[:, None] - np.arange(m)[None, :]) * w
+        size = max(n, m)
+        cdf_s = np.cumsum(np.pad(supply / supply.sum(), (0, size - n)))
+        cdf_d = np.cumsum(np.pad(demand / demand.sum(), (0, size - m)))
+        want = w * np.abs(cdf_s - cdf_d).sum()
+        name = f"{n} x {m}, w={w:.3f}"
+        assert emd(supply, demand, cost) == pytest.approx(
+            want, rel=1e-12, abs=0.0), name
+        _check_plan(supply, demand, cost, name)
+
+
+@pytest.mark.parametrize("supply, demand, cost", [
+    pytest.param([np.nan, 1.0], [1.0, 1.0], np.ones((2, 2)), id="nan-mass"),
+    pytest.param([1.0, 1.0], [np.inf, 1.0], np.ones((2, 2)), id="inf-mass"),
+    pytest.param([-1.0, 2.0, 1.0], [1.0], np.ones((3, 1)),
+                 id="negative-mass"),
+    pytest.param([1.0, 1.0], [1.0, 1.0], np.full((2, 2), np.inf),
+                 id="inf-cost"),
+    pytest.param([1.0, 1.0], [1.0, 1.0], [[0.0, np.nan], [1.0, 0.0]],
+                 id="nan-cost"),
+    pytest.param([1.0, 1.0], [1.0, 1.0, 1.0], np.ones((2, 2)),
+                 id="demand-longer-than-cost"),
+    pytest.param([1.0, 1.0], [1.0, 1.0], np.ones((2, 2, 1)),
+                 id="cost-not-2d"),
+    pytest.param([0.0, 0.0], [1.0, 1.0], np.ones((2, 2)), id="zero-total"),
+])
+def test_emd_rejects_invalid_input(supply, demand, cost):
+    with pytest.raises(ValueError):
+        emd(supply, demand, cost)
+
+
+def test_emd_raises_at_the_pivot_cap(monkeypatch):
+    # a solve that cannot finish raises instead of returning a partial flow
+    monkeypatch.setattr(_kernels, "EMD_PIVOTS_PER_LINE", 0)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        emd([1.0, 1.0], [1.0, 1.0], np.ones((2, 2)))
 
 
 def test_cf_surplus_to_deficit_matches_full_solve(rng):
