@@ -353,6 +353,10 @@ def emd(supply, demand, cost):
             raise ValueError(f"{name} must have a positive, finite total")
     if not np.isfinite(cost).all():
         raise ValueError("cost must be finite")
-    plan = _transport_simplex(supply / supply.sum(), demand / demand.sum(),
-                              cost)
+    supply, demand = supply / supply.sum(), demand / demand.sum()
+    # a zero-mass line carries no flow; left in, its cells only add
+    # degenerate pivots
+    rows, cols = supply > 0, demand > 0
+    cost = cost[np.ix_(rows, cols)]
+    plan = _transport_simplex(supply[rows], demand[cols], cost)
     return float((plan * cost).sum())

@@ -12,10 +12,11 @@ is the standard one (doubling per 10 phon above 40, power law below).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import aggregate
+from . import _kernels, aggregate
 
 ANALYSIS_RATE = 22050
 DB_FLOOR = -72.0
@@ -47,9 +48,9 @@ N_MOD_FREQS = 60
 SEGMENT_SECONDS = 6.0
 
 # analysis windows in samples; every spectrum cuts its input into
-# back-to-back frames of one window each
-SONOGRAM_WINDOW = 512
-MFCC_WINDOW = 512
+# back-to-back frames of one window each.  The sonogram and the MFCC read
+# the same SPECTRUM_WINDOW spectrum.
+SPECTRUM_WINDOW = 512
 CHROMA_WINDOW = 4096
 
 # MFCC coefficients kept and mel filters
@@ -65,7 +66,11 @@ RESAMPLE_ZERO_CROSSINGS = 32
 
 @dataclass
 class AudioClip:
-    """Mono audio in [-1, 1]."""
+    """Mono audio in [-1, 1].
+
+    samples must not change once spectrum has been read: the spectrum is
+    computed on first read and kept.
+    """
     samples: np.ndarray
     sample_rate: int
 
@@ -79,6 +84,12 @@ class AudioClip:
     @property
     def duration(self):
         return self.samples.size / self.sample_rate
+
+    @cached_property
+    def spectrum(self):
+        """Power spectrum of the SPECTRUM_WINDOW frames, (frames, bins),
+        shared by the sonogram and the MFCC of this clip."""
+        return _stft_power(self.samples, SPECTRUM_WINDOW)
 
 
 @dataclass
@@ -121,17 +132,29 @@ def resample(clip):
 def _stft_power(samples, window):
     """Power spectra of back-to-back Hann-windowed frames along the last
     axis: (..., frames, window // 2 + 1); a trailing partial frame is
-    dropped."""
+    dropped.
+
+    The frames are a view of samples.  They are transformed BLOCK_ROWS at a
+    time into the preallocated result, so each block's windowed frames and
+    complex spectrum stay in cache instead of making whole-clip temporaries.
+    """
     if samples.shape[-1] < window:
         raise ValueError("clip too short for one analysis window")
     n_frames = samples.shape[-1] // window
     frames = samples[..., :n_frames * window].reshape(
         samples.shape[:-1] + (n_frames, window))
     hann = np.hanning(window)
-    spec = np.fft.rfft(frames * hann, axis=-1)
     # calibrated so a full-scale sine at a bin center gives unit power
     scale = (hann.sum() / 2.0) ** 2
-    return np.abs(spec) ** 2 / scale
+    power = np.empty(frames.shape[:-1] + (window // 2 + 1,))
+    for lead in np.ndindex(frames.shape[:-2]):
+        for f in range(0, n_frames, _kernels.BLOCK_ROWS):
+            block = slice(f, f + _kernels.BLOCK_ROWS)
+            rows = power[lead][block]
+            np.abs(np.fft.rfft(frames[lead][block] * hann), out=rows)
+            np.square(rows, out=rows)
+            rows /= scale
+    return power
 
 
 def bark_power(clip):
@@ -139,8 +162,8 @@ def bark_power(clip):
 
     Returns (power (24, T), frame_rate).  Bands above Nyquist stay zero.
     """
-    power = _stft_power(clip.samples, SONOGRAM_WINDOW)
-    freqs = np.fft.rfftfreq(SONOGRAM_WINDOW, d=1.0 / clip.sample_rate)
+    power = clip.spectrum
+    freqs = np.fft.rfftfreq(SPECTRUM_WINDOW, d=1.0 / clip.sample_rate)
     band_of = np.searchsorted(BARK_EDGES, freqs, side="right") - 1
     band_of = np.clip(band_of, 0, 23)
 
@@ -149,7 +172,7 @@ def bark_power(clip):
         cols = (band_of == b) & (freqs < BARK_EDGES[b + 1])
         if np.any(cols):
             bands[b] = power[:, cols].sum(axis=1)
-    return bands, clip.sample_rate / SONOGRAM_WINDOW
+    return bands, clip.sample_rate / SPECTRUM_WINDOW
 
 
 def db_from_power(power):
@@ -320,11 +343,17 @@ def mfcc(samples, sample_rate):
     """Mel-frequency cepstral coefficients per frame of the last axis of
     samples, shape (..., frames, 13).
 
+    samples may also be an AudioClip at sample_rate; its kept spectrum is
+    used, so a clip's MFCC and sonogram share one STFT.
+
     Power spectrum -> triangular mel filterbank (0..Nyquist) -> log ->
     orthonormal DCT-II, keeping the first MFCC_COEFFS coefficients.
     """
-    power = _stft_power(samples, MFCC_WINDOW)
-    freqs = np.fft.rfftfreq(MFCC_WINDOW, d=1.0 / sample_rate)
+    if isinstance(samples, AudioClip):
+        power = samples.spectrum
+    else:
+        power = _stft_power(samples, SPECTRUM_WINDOW)
+    freqs = np.fft.rfftfreq(SPECTRUM_WINDOW, d=1.0 / sample_rate)
 
     fbank = _mel_filterbank(MFCC_FILTERS, freqs, sample_rate / 2.0)
     energies = power @ fbank.T

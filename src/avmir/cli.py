@@ -133,7 +133,9 @@ def _audio_feature_vector(wav_path, features):
                 track = audio.track_features(clip)
             vector.append(track[name])
         elif name == "mfcc":
-            frames = audio.mfcc(clip.samples, clip.sample_rate)
+            # the clip, not its samples: the MFCC and the sonogram of
+            # track_features share the clip's one spectrum
+            frames = audio.mfcc(clip, clip.sample_rate)
             vector.append(aggregate.moments(frames, ("mean", "std")))
         elif name == "chroma":
             frames, _ = audio.chroma(clip.samples, clip.sample_rate)

@@ -37,6 +37,20 @@ def am_noise_clip(mod_freq, seconds=6.2, sr=22050, seed=0, depth=0.9):
     return AudioClip(np.clip(samples, -1.0, 1.0), sr)
 
 
+def stft_power_oracle(samples, window):
+    """One-shot reference for audio._stft_power: the whole clip's windowed
+    frames, complex spectrum and power in single whole-array steps."""
+    if samples.shape[-1] < window:
+        raise ValueError("clip too short for one analysis window")
+    n_frames = samples.shape[-1] // window
+    frames = samples[..., :n_frames * window].reshape(
+        samples.shape[:-1] + (n_frames, window))
+    hann = np.hanning(window)
+    spec = np.fft.rfft(frames * hann, axis=-1)
+    scale = (hann.sum() / 2.0) ** 2
+    return np.abs(spec) ** 2 / scale
+
+
 class FixedClassifier:
     """Ensemble member classifier that predicts one label for every row."""
 

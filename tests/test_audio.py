@@ -3,7 +3,7 @@ import pytest
 
 from avmir import aggregate, audio
 from avmir.audio import AudioClip
-from conftest import sine_clip
+from conftest import sine_clip, stft_power_oracle
 
 
 def brute_seven_stats(values):
@@ -54,6 +54,51 @@ class TestResample:
         out = audio.resample(AudioClip(np.full(10, 0.25), 44100))
         assert out.samples.size == 5
         assert np.all(np.isfinite(out.samples))
+
+
+class TestStftPower:
+    """The blocked STFT equals the one-shot oracle bit for bit."""
+
+    @pytest.mark.parametrize("window", [audio.SPECTRUM_WINDOW,
+                                        audio.CHROMA_WINDOW])
+    @pytest.mark.parametrize("n_frames", [1, 31, 32, 33, 100])
+    def test_clip_matches_one_shot_oracle(self, rng, window, n_frames):
+        # a trailing partial frame is dropped
+        samples = rng.normal(0.0, 0.2, n_frames * window + window // 3)
+        kept = samples.copy()
+        power = audio._stft_power(samples, window)
+        assert power.shape == (n_frames, window // 2 + 1)
+        assert np.array_equal(power, stft_power_oracle(samples, window))
+        assert np.array_equal(samples, kept)
+
+    @pytest.mark.parametrize("window", [audio.SPECTRUM_WINDOW,
+                                        audio.CHROMA_WINDOW])
+    @pytest.mark.parametrize("n_frames", [1, 31, 32, 33, 100])
+    def test_noncontiguous_rows_match_one_shot_oracle(self, rng, window,
+                                                      n_frames):
+        # segment rows cut from the middle of longer rows, every other row
+        longer = rng.normal(0.0, 0.2, (6, n_frames * window + 3 * window))
+        rows = longer[::2, window + 7:window + 7 + n_frames * window + 5]
+        assert not rows.flags.c_contiguous
+        power = audio._stft_power(rows, window)
+        assert power.shape == (3, n_frames, window // 2 + 1)
+        assert np.array_equal(power, stft_power_oracle(rows, window))
+
+    @pytest.mark.parametrize("window", [audio.SPECTRUM_WINDOW,
+                                        audio.CHROMA_WINDOW])
+    def test_too_short_for_one_window_raises(self, window):
+        for samples in (np.zeros(window - 1), np.zeros((3, window - 1))):
+            with pytest.raises(ValueError, match="too short"):
+                audio._stft_power(samples, window)
+
+    def test_clip_spectrum_is_kept_and_shared_with_mfcc(self, rng):
+        clip = AudioClip(rng.normal(0.0, 0.2, 22050), 22050)
+        assert clip.spectrum is clip.spectrum
+        assert np.array_equal(
+            clip.spectrum, stft_power_oracle(clip.samples,
+                                             audio.SPECTRUM_WINDOW))
+        assert np.array_equal(audio.mfcc(clip, 22050),
+                              audio.mfcc(clip.samples, 22050))
 
 
 class TestSonogram:

@@ -4,12 +4,13 @@ import struct
 import numpy as np
 import pytest
 
-from avmir import cli, concepts, ml
+from avmir import audio, cli, concepts, ml
 from avmir import io as avio
 from avmir.audio import AudioClip
 from avmir.ml import LabeledDataset
 
 import fileutil
+from conftest import stft_power_oracle
 
 
 def run(*argv):
@@ -97,6 +98,52 @@ class TestExtractAudio:
     def test_missing_file_is_input_error(self, workspace):
         assert run("extract-audio", "--wav", workspace / "nope.wav",
                    "--out", workspace / "x.arff") == 2
+
+
+class TestSpectrumFrontEnd:
+    AUDIO_FEATURES = "rp,rh,ssd,mvd,tssd,trh,mfcc,chroma"
+
+    def audio_arffs(self, workspace, tag):
+        manifest = workspace / "manifest.json"
+        outs = (workspace / f"audio-{tag}.arff", workspace / f"ten-{tag}.arff")
+        assert run("extract-audio", "--manifest", manifest, "--features",
+                   self.AUDIO_FEATURES, "--out", outs[0]) == 0
+        assert run("aggregate", "--manifest", manifest, "--preset", "TEN",
+                   "--out", outs[1]) == 0
+        return [path.read_bytes() for path in outs]
+
+    def test_arffs_equal_those_of_the_one_shot_stft(self, workspace,
+                                                    monkeypatch):
+        blocked = self.audio_arffs(workspace, "blocked")
+        monkeypatch.setattr(audio, "_stft_power", stft_power_oracle)
+        assert self.audio_arffs(workspace, "oracle") == blocked
+
+    def test_rows_equal_those_of_the_one_shot_stft(self, workspace,
+                                                   monkeypatch):
+        # the unrounded rows: ARFF text keeps only 9 significant digits
+        wav, features = workspace / "pop2.wav", self.AUDIO_FEATURES.split(",")
+
+        def rows():
+            return (cli._audio_feature_vector(wav, features),
+                    cli._segment_vector(wav, "TEN"))
+
+        blocked = rows()
+        monkeypatch.setattr(audio, "_stft_power", stft_power_oracle)
+        for got, want in zip(blocked, rows()):
+            assert np.array_equal(got, want)
+
+    def test_one_spectrum_per_window_per_track(self, workspace, monkeypatch):
+        windows = []
+
+        def counting(samples, window):
+            windows.append(window)
+            return stft_power_oracle(samples, window)
+
+        monkeypatch.setattr(audio, "_stft_power", counting)
+        cli._audio_feature_vector(workspace / "rock0.wav",
+                                  self.AUDIO_FEATURES.split(","))
+        assert sorted(windows) == [audio.SPECTRUM_WINDOW,
+                                   audio.CHROMA_WINDOW]
 
 
 class TestExtractVisual:

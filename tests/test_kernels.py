@@ -364,6 +364,36 @@ def test_emd_degenerate_instances_match_lp_oracle():
             want, abs=1e-9), name
 
 
+def test_emd_with_zero_mass_lines_matches_lp_oracle():
+    # emd drops zero-mass supply rows and demand columns before solving;
+    # the oracle solves the full problem, zero lines included
+    scipy = pytest.importorskip("scipy")  # noqa: F841 - oracle dependency
+    rng = np.random.default_rng(61)
+    cases = []
+    for trial in range(30):
+        n, m = (int(k) for k in rng.integers(2, 40, size=2))
+        supply = rng.random(n) * (rng.random(n) < 0.3)
+        demand = rng.random(m) * (rng.random(m) < 0.6)
+        supply[rng.integers(n)] += 0.1
+        demand[rng.integers(m)] += 0.1
+        cases.append((f"sparse {trial}", supply, demand,
+                      rng.random((n, m)) * 10.0))
+    for trial in range(10):
+        n, m = (int(k) for k in rng.integers(2, 40, size=2))
+        cost = rng.integers(0, 4, size=(n, m)).astype(np.float64)
+        point_s, point_d = np.zeros(n), np.zeros(m)
+        point_s[rng.integers(n)] = 2.0
+        point_d[rng.integers(m)] = 3.0
+        dense_s, dense_d = rng.random(n) + 0.01, rng.random(m) + 0.01
+        cases.append((f"one supply row {trial}", point_s, dense_d, cost))
+        cases.append((f"one demand column {trial}", dense_s, point_d, cost))
+        cases.append((f"one cell {trial}", point_s, point_d, cost))
+
+    for name, supply, demand, cost in cases:
+        want = _emd_linprog(supply / supply.sum(), demand / demand.sum(), cost)
+        assert emd(supply, demand, cost) == pytest.approx(want, abs=1e-9), name
+
+
 def test_emd_on_a_line_is_the_cdf_distance(rng):
     # with ground cost |i - j| * w the EMD is w times the L1 distance
     # between the two cumulative distributions
