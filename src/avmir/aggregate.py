@@ -196,17 +196,17 @@ def segment_bundle_from_audio(clip):
     clip = audio.resample(clip)
     if clip.duration < 2 * BUNDLE_SEGMENT_SECONDS:
         raise ValueError("clip too short: need at least two segments")
-    seg_len = int(round(BUNDLE_SEGMENT_SECONDS * clip.sample_rate))
+    seg_len = int(round(BUNDLE_SEGMENT_SECONDS * audio.ANALYSIS_RATE))
     n_seg = clip.samples.size // seg_len
     segments = clip.samples[:n_seg * seg_len].reshape(n_seg, seg_len)
 
-    timbre = audio.mfcc(segments, clip.sample_rate)[..., 1:13].mean(axis=1)
-    pitches = audio.chroma(segments, clip.sample_rate)[0].mean(axis=1)
+    timbre = audio.mfcc(segments)[..., 1:13].mean(axis=1)
+    pitches = audio.chroma(segments)[0].mean(axis=1)
     peaks = np.abs(segments).argmax(axis=1)
     return SegmentBundle(
         timbre=timbre,
         pitches=pitches,
         loudness_max=np.abs(segments[np.arange(n_seg), peaks]),
-        loudness_max_time=peaks / clip.sample_rate,
+        loudness_max_time=peaks / audio.ANALYSIS_RATE,
         segment_length=np.full(n_seg, BUNDLE_SEGMENT_SECONDS),
     )

@@ -6,6 +6,11 @@ transformations.  On top of it sit the rhythm pattern family (modulation
 spectra per band), the statistical spectrum descriptors and their temporal
 variants, plus plain MFCC and chroma features.
 
+Every spectral function expects input at ANALYSIS_RATE, so its frequency
+tables and the modulation weights are built once at import.  resample is
+the one function that sees other rates; the others raise ValueError for an
+AudioClip at any other rate.
+
 The equal-loudness data below is a compact piecewise-linear approximation of
 the ISO 226 contours, resampled at the Bark band centers; the phon->sone map
 is the standard one (doubling per 10 phon above 40, power law below).
@@ -53,6 +58,17 @@ SEGMENT_SECONDS = 6.0
 SPECTRUM_WINDOW = 512
 CHROMA_WINDOW = 4096
 
+# sonogram frames per second, and the frames of one SEGMENT_SECONDS segment
+FRAME_RATE = ANALYSIS_RATE / SPECTRUM_WINDOW
+SEGMENT_FRAMES = int(round(SEGMENT_SECONDS * FRAME_RATE))  # 258
+MOD_FREQUENCIES = np.arange(1, N_MOD_FREQS + 1) * FRAME_RATE / SEGMENT_FRAMES
+
+# the SPECTRUM_WINDOW bins of each Bark band (none above Nyquist)
+_SPECTRUM_FREQS = np.fft.rfftfreq(SPECTRUM_WINDOW, d=1.0 / ANALYSIS_RATE)
+_BARK_COLUMNS = tuple(
+    np.flatnonzero((_SPECTRUM_FREQS >= lo) & (_SPECTRUM_FREQS < hi))
+    for lo, hi in zip(BARK_EDGES[:-1], BARK_EDGES[1:]))
+
 # MFCC coefficients kept and mel filters
 MFCC_COEFFS = 13
 MFCC_FILTERS = 26
@@ -88,15 +104,12 @@ class AudioClip:
     @cached_property
     def spectrum(self):
         """Power spectrum of the SPECTRUM_WINDOW frames, (frames, bins),
-        shared by the sonogram and the MFCC of this clip."""
+        shared by the sonogram and the MFCC of this clip; ValueError unless
+        the clip is at ANALYSIS_RATE."""
+        if self.sample_rate != ANALYSIS_RATE:
+            raise ValueError(f"clip at {self.sample_rate} Hz; spectra need "
+                             f"ANALYSIS_RATE {ANALYSIS_RATE} Hz (resample it)")
         return _stft_power(self.samples, SPECTRUM_WINDOW)
-
-
-@dataclass
-class Sonogram:
-    """Bark-band x time loudness matrix in sone."""
-    values: np.ndarray      # (24, T)
-    frame_rate: float       # sonogram frames per second
 
 
 def _lowpass_taps(sample_rate):
@@ -158,21 +171,10 @@ def _stft_power(samples, window):
 
 
 def bark_power(clip):
-    """Per-frame power summed into the 24 Bark bands.
-
-    Returns (power (24, T), frame_rate).  Bands above Nyquist stay zero.
-    """
+    """Per-frame power of an ANALYSIS_RATE clip summed into the 24 Bark
+    bands, (24, T).  Bands above Nyquist stay zero."""
     power = clip.spectrum
-    freqs = np.fft.rfftfreq(SPECTRUM_WINDOW, d=1.0 / clip.sample_rate)
-    band_of = np.searchsorted(BARK_EDGES, freqs, side="right") - 1
-    band_of = np.clip(band_of, 0, 23)
-
-    bands = np.zeros((24, power.shape[0]))
-    for b in range(24):
-        cols = (band_of == b) & (freqs < BARK_EDGES[b + 1])
-        if np.any(cols):
-            bands[b] = power[:, cols].sum(axis=1)
-    return bands, clip.sample_rate / SPECTRUM_WINDOW
+    return np.stack([power[:, cols].sum(axis=1) for cols in _BARK_COLUMNS])
 
 
 def db_from_power(power):
@@ -215,10 +217,9 @@ def sone_from_phon(phon):
 
 
 def sonogram(clip):
-    """Psychoacoustically transformed spectrogram (Bark / dB / phon / sone)."""
-    power, frame_rate = bark_power(clip)
-    values = sone_from_phon(phon_from_db(db_from_power(power)))
-    return Sonogram(values=values, frame_rate=frame_rate)
+    """Psychoacoustically transformed spectrogram (Bark / dB / phon / sone)
+    of an ANALYSIS_RATE clip: loudness in sone, (24, T) at FRAME_RATE."""
+    return sone_from_phon(phon_from_db(db_from_power(bark_power(clip))))
 
 
 def fluctuation_weight(freqs):
@@ -228,6 +229,9 @@ def fluctuation_weight(freqs):
     nz = freqs > 0
     w[nz] = 1.0 / (freqs[nz] / 4.0 + 4.0 / freqs[nz])
     return w / 0.5
+
+
+_MOD_WEIGHT = fluctuation_weight(MOD_FREQUENCIES)
 
 
 def _smooth3(matrix, axis):
@@ -241,29 +245,21 @@ def _smooth3(matrix, axis):
     return out / 3.0
 
 
-def rhythm_pattern(son_values, frame_rate):
-    """Modulation magnitudes of the sone time series: (24, 60).
+def rhythm_pattern(son_values):
+    """Modulation magnitudes of one sonogram segment: (24, 60).
 
-    Per band, the DFT over time yields magnitudes at the first 60 nonzero
-    modulation frequencies (about 0.17..10 Hz for 6 s segments); they get the
-    fluctuation-strength weighting and a 3-point moving-average smoothing
-    along both axes.
+    son_values is (24, SEGMENT_FRAMES).  Per band, the DFT over time yields
+    magnitudes at MOD_FREQUENCIES, the first 60 nonzero modulation
+    frequencies (about 0.17..10 Hz); they get the fluctuation-strength
+    weighting and a 3-point moving-average smoothing along both axes.
     """
     son_values = np.asarray(son_values, dtype=np.float64)
-    if son_values.shape[0] != 24:
-        raise ValueError("expected 24 Bark bands")
-    t = son_values.shape[1]
-    if t < 2 * N_MOD_FREQS + 1:
-        raise ValueError("segment too short for 60 modulation frequencies")
+    if son_values.shape != (24, SEGMENT_FRAMES):
+        raise ValueError(f"expected a (24, {SEGMENT_FRAMES}) sonogram "
+                         f"segment, got {son_values.shape}")
 
     spectrum = np.abs(np.fft.rfft(son_values, axis=1))[:, 1:N_MOD_FREQS + 1]
-    freqs = modulation_frequencies(frame_rate, t)
-    weighted = spectrum * fluctuation_weight(freqs)[None, :]
-    return _smooth3(_smooth3(weighted, 1), 0)
-
-
-def modulation_frequencies(frame_rate, segment_frames):
-    return np.arange(1, N_MOD_FREQS + 1) * frame_rate / segment_frames
+    return _smooth3(_smooth3(spectrum * _MOD_WEIGHT[None, :], 1), 0)
 
 
 def rhythm_histogram(rp):
@@ -295,42 +291,37 @@ def modvar(rp):
 def track_features(clip):
     """Track-level rp_extract-style feature family.
 
-    The clip is resampled to 22.05 kHz mono, cut into back-to-back 6 s
-    sonogram segments (skipping the first and last segment when at least 4
-    exist) and per-segment features are aggregated: element-wise median for
-    RP/RH, mean for SSD/MVD; the temporal variants take the SSD moments
-    over the per-segment SSD and RH vectors.
+    The clip, at any rate, is resampled to ANALYSIS_RATE, its sonogram cut
+    into back-to-back SEGMENT_FRAMES (6 s) segments (skipping the first and
+    last when at least 4 exist) and per-segment features are aggregated:
+    element-wise median for RP/RH, mean for SSD/MVD; the temporal variants
+    take the SSD moments over the per-segment SSD and RH vectors.
 
     Returns a dict of flat float arrays:
     rp 1440, rh 60, ssd 168, mvd 420, tssd 1176, trh 420.
     """
-    clip = resample(clip)
-    son = sonogram(clip)
-    seg_frames = int(round(SEGMENT_SECONDS * son.frame_rate))
-    n_seg = son.values.shape[1] // seg_frames
+    son = sonogram(resample(clip))
+    n_seg = son.shape[1] // SEGMENT_FRAMES
     if n_seg < 1:
         raise ValueError("clip too short: need at least 6 s")
     segments = range(1, n_seg - 1) if n_seg >= 4 else range(n_seg)
 
     rps, rhs, ssds, mvds = [], [], [], []
     for s in segments:
-        sl = son.values[:, s * seg_frames:(s + 1) * seg_frames]
-        rp = rhythm_pattern(sl, son.frame_rate)
+        sl = son[:, s * SEGMENT_FRAMES:(s + 1) * SEGMENT_FRAMES]
+        rp = rhythm_pattern(sl)
         rps.append(rp)
         rhs.append(rhythm_histogram(rp))
-        ssds.append(ssd(sl))
-        mvds.append(modvar(rp))
-    rps = np.array(rps)
-    rhs = np.array(rhs)
-    ssd_flat = np.array([s.ravel() for s in ssds])
-    mvd_flat = np.array([m.ravel() for m in mvds])
+        ssds.append(ssd(sl).ravel())
+        mvds.append(modvar(rp).ravel())
+    rhs, ssds, mvds = np.array(rhs), np.array(ssds), np.array(mvds)
 
     return {
         "rp": np.median(rps, axis=0).ravel(),
         "rh": np.median(rhs, axis=0),
-        "ssd": ssd_flat.mean(axis=0),
-        "mvd": mvd_flat.mean(axis=0),
-        "tssd": aggregate.moments(ssd_flat, aggregate.SSD_MOMENTS),
+        "ssd": ssds.mean(axis=0),
+        "mvd": mvds.mean(axis=0),
+        "tssd": aggregate.moments(ssds, aggregate.SSD_MOMENTS),
         "trh": aggregate.moments(rhs, aggregate.SSD_MOMENTS),
     }
 
@@ -339,11 +330,11 @@ TRACK_FEATURE_DIMS = {"rp": 1440, "rh": 60, "ssd": 168, "mvd": 420,
                       "tssd": 1176, "trh": 420}
 
 
-def mfcc(samples, sample_rate):
+def mfcc(samples):
     """Mel-frequency cepstral coefficients per frame of the last axis of
-    samples, shape (..., frames, 13).
+    ANALYSIS_RATE samples, shape (..., frames, 13).
 
-    samples may also be an AudioClip at sample_rate; its kept spectrum is
+    samples may also be an AudioClip at ANALYSIS_RATE; its kept spectrum is
     used, so a clip's MFCC and sonogram share one STFT.
 
     Power spectrum -> triangular mel filterbank (0..Nyquist) -> log ->
@@ -353,11 +344,7 @@ def mfcc(samples, sample_rate):
         power = samples.spectrum
     else:
         power = _stft_power(samples, SPECTRUM_WINDOW)
-    freqs = np.fft.rfftfreq(SPECTRUM_WINDOW, d=1.0 / sample_rate)
-
-    fbank = _mel_filterbank(MFCC_FILTERS, freqs, sample_rate / 2.0)
-    energies = power @ fbank.T
-    logs = np.log(energies + 1e-20)
+    logs = np.log(power @ _MEL_BANK.T + 1e-20)
     return _dct2_ortho(logs)[..., :MFCC_COEFFS]
 
 
@@ -383,6 +370,9 @@ def _mel_filterbank(n_filters, freqs, f_max):
     return bank
 
 
+_MEL_BANK = _mel_filterbank(MFCC_FILTERS, _SPECTRUM_FREQS, ANALYSIS_RATE / 2.0)
+
+
 def _dct2_ortho(x):
     n = x.shape[-1]
     k = np.arange(n)
@@ -393,27 +383,25 @@ def _dct2_ortho(x):
     return out
 
 
-def chroma(samples, sample_rate):
-    """Pitch-class energy profile per frame of the last axis of samples
-    (A4 = 440 Hz reference).
+# the CHROMA_WINDOW bins from CHROMA_MIN_FREQ up, grouped by pitch class
+_CHROMA_FREQS = np.fft.rfftfreq(CHROMA_WINDOW, d=1.0 / ANALYSIS_RATE)
+_CHROMA_USABLE = np.flatnonzero(_CHROMA_FREQS >= CHROMA_MIN_FREQ)
+_PITCH_CLASS = np.round(69.0 + 12.0 * np.log2(
+    _CHROMA_FREQS[_CHROMA_USABLE] / 440.0)).astype(np.int64) % 12
+_CHROMA_BINS = tuple(_CHROMA_USABLE[_PITCH_CLASS == pc] for pc in range(12))
+
+
+def chroma(samples):
+    """Pitch-class energy profile per frame of the last axis of
+    ANALYSIS_RATE samples (A4 = 440 Hz reference).
 
     Returns (values (..., frames, 12), significant (..., frames)): rows are
     normalized to sum 1; near-silent frames are uniform and flagged
     non-significant.  Pitch class 0 is C.
     """
     power = _stft_power(samples, CHROMA_WINDOW)
-    freqs = np.fft.rfftfreq(CHROMA_WINDOW, d=1.0 / sample_rate)
-
-    usable = freqs >= CHROMA_MIN_FREQ
-    midi = 69.0 + 12.0 * np.log2(freqs[usable] / 440.0)
-    pitch_class = np.round(midi).astype(np.int64) % 12
-    power = power[..., usable]
-
-    values = np.zeros(power.shape[:-1] + (12,))
-    for pc in range(12):
-        cols = pitch_class == pc
-        if np.any(cols):
-            values[..., pc] = power[..., cols].sum(axis=-1)
+    values = np.stack([power[..., bins].sum(axis=-1) for bins in _CHROMA_BINS],
+                      axis=-1)
 
     totals = values.sum(axis=-1)
     significant = totals > 1e-10

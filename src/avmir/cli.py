@@ -85,6 +85,14 @@ def _parse_feature_list(raw, allowed):
 # feature extraction
 # ---------------------------------------------------------------------------
 
+def _entry_row(row_fn, path):
+    """row_fn(path), with a ValueError from it re-raised naming path."""
+    try:
+        return row_fn(path)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _source_rows(manifest_path, source, label, field, row_fn, jobs=1):
     """Labels and feature rows for every manifest entry, or for one source.
 
@@ -93,9 +101,11 @@ def _source_rows(manifest_path, source, label, field, row_fn, jobs=1):
     computed by a pool of `jobs` processes when jobs > 1 (row_fn must then
     pickle: a module-level function or a functools.partial of one).
     Without one, the single `source` file gives one row labelled `label`.
+    A ValueError from one row's computation names that row's path.
     """
     if jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {jobs}")
+    row_fn = partial(_entry_row, row_fn)
     if manifest_path is None:
         return [label], [row_fn(source)]
     manifest = avio.load_manifest(manifest_path)
@@ -135,10 +145,10 @@ def _audio_feature_vector(wav_path, features):
         elif name == "mfcc":
             # the clip, not its samples: the MFCC and the sonogram of
             # track_features share the clip's one spectrum
-            frames = audio.mfcc(clip, clip.sample_rate)
+            frames = audio.mfcc(clip)
             vector.append(aggregate.moments(frames, ("mean", "std")))
         elif name == "chroma":
-            frames, _ = audio.chroma(clip.samples, clip.sample_rate)
+            frames, _ = audio.chroma(clip.samples)
             vector.append(aggregate.moments(frames, ("mean", "std")))
     return np.concatenate(vector)
 

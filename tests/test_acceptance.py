@@ -176,13 +176,13 @@ def test_criterion_3_signal_checks():
         values = np.ones((24, t_frames))
         tt = np.arange(t_frames) / fr
         values[9] = 1.0 + 0.5 * np.sin(2.0 * np.pi * 4.0 * tt)
-        rp = audio.rhythm_pattern(values, fr)
-        freqs = audio.modulation_frequencies(fr, t_frames)
+        rp = audio.rhythm_pattern(values)
+        freqs = audio.MOD_FREQUENCIES
         target = int(np.abs(freqs - 4.0).argmin())
         assert abs(int(rp[9].argmax()) - target) <= 1
 
         # chroma: 440 Hz sine lands on pitch class A
-        chroma_values, significant = audio.chroma(sine_clip(440.0).samples, 22050)
+        chroma_values, significant = audio.chroma(sine_clip(440.0).samples)
         assert significant.all()
         assert chroma_values.mean(axis=0).argmax() == \
             audio.PITCH_CLASS_NAMES.index("A")
@@ -206,8 +206,8 @@ def _fusion_datasets():
             mod = (7.0 if fast_tempo else 3.0) + r.uniform(-0.3, 0.3)
             clip = am_noise_clip(mod, seconds=6.2, seed=seed)
             son = audio.sonogram(clip)
-            seg = int(round(6.0 * son.frame_rate))
-            rp = audio.rhythm_pattern(son.values[:, :seg], son.frame_rate)
+            seg = int(round(6.0 * audio.FRAME_RATE))
+            rp = audio.rhythm_pattern(son[:, :seg])
             audio_rows.append(audio.rhythm_histogram(rp))
 
             base = np.array([200, 40, 40]) if red else np.array([40, 40, 200])

@@ -97,23 +97,28 @@ class TestStftPower:
         assert np.array_equal(
             clip.spectrum, stft_power_oracle(clip.samples,
                                              audio.SPECTRUM_WINDOW))
-        assert np.array_equal(audio.mfcc(clip, 22050),
-                              audio.mfcc(clip.samples, 22050))
+        assert np.array_equal(audio.mfcc(clip),
+                              audio.mfcc(clip.samples))
 
 
 class TestSonogram:
     def test_silence_is_at_floor(self):
         son = audio.sonogram(AudioClip(np.zeros(22050), 22050))
-        assert son.values.shape[0] == 24
-        assert son.values.max() == 0.0
+        assert son.shape[0] == 24
+        assert son.max() == 0.0
 
     def test_short_clip_raises(self):
         with pytest.raises(ValueError, match="too short"):
             audio.sonogram(AudioClip(np.zeros(100), 22050))
 
+    @pytest.mark.parametrize("fn", [audio.bark_power, audio.sonogram])
+    def test_clip_off_the_analysis_rate_raises(self, fn):
+        with pytest.raises(ValueError, match="44100 Hz.*22050 Hz"):
+            fn(sine_clip(1000.0, sr=44100))
+
     def test_tone_energy_in_first_band(self):
         clip = sine_clip(100.0, seconds=2.0, amplitude=1.0)
-        power, _ = audio.bark_power(clip)
+        power = audio.bark_power(clip)
         band_energy = power.mean(axis=1)
         # oracle: locate the tone's FFT bins and their Bark bands directly
         freqs = np.fft.rfftfreq(512, d=1.0 / 22050)
@@ -123,13 +128,13 @@ class TestSonogram:
         assert band_energy.argmax() in bands
         assert band_energy.argmax() == 0
         son = audio.sonogram(clip)
-        assert son.values[4:].max() < 0.05 * son.values[:2].max()
+        assert son[4:].max() < 0.05 * son[:2].max()
 
     def test_doubling_amplitude_adds_six_db(self):
         quiet = sine_clip(1000.0, seconds=1.0, amplitude=0.25)
         loud = sine_clip(1000.0, seconds=1.0, amplitude=0.5)
-        db_q = audio.db_from_power(audio.bark_power(quiet)[0])
-        db_l = audio.db_from_power(audio.bark_power(loud)[0])
+        db_q = audio.db_from_power(audio.bark_power(quiet))
+        db_l = audio.db_from_power(audio.bark_power(loud))
         band = 8  # 1 kHz lies in band 9 (index 8)
         np.testing.assert_allclose(db_l[band] - db_q[band], 6.0206, atol=0.01)
 
@@ -140,29 +145,35 @@ def make_segment(frame_rate=22050 / 512.0, mod_band=None, mod_freq=4.0):
     if mod_band is not None:
         t = np.arange(frames) / frame_rate
         values[mod_band] = 1.0 + 0.5 * np.sin(2.0 * np.pi * mod_freq * t)
-    return values, frame_rate
+    return values
 
 
 class TestRhythmPattern:
     def test_constant_sonogram_is_silent(self):
-        values, fr = make_segment()
-        np.testing.assert_allclose(audio.rhythm_pattern(values, fr), 0.0,
+        values = make_segment()
+        np.testing.assert_allclose(audio.rhythm_pattern(values), 0.0,
                                    atol=1e-9)
 
     def test_shape(self):
-        values, fr = make_segment(mod_band=3)
-        assert audio.rhythm_pattern(values, fr).shape == (24, 60)
+        values = make_segment(mod_band=3)
+        assert audio.rhythm_pattern(values).shape == (24, 60)
 
     def test_modulation_located_within_one_bin(self):
-        values, fr = make_segment(mod_band=10, mod_freq=4.0)
-        rp = audio.rhythm_pattern(values, fr)
-        freqs = audio.modulation_frequencies(fr, values.shape[1])
+        values = make_segment(mod_band=10, mod_freq=4.0)
+        rp = audio.rhythm_pattern(values)
+        freqs = audio.MOD_FREQUENCIES
         # oracle: direct DFT of the modulated band
         spectrum = np.abs(np.fft.rfft(values[10]))[1:61]
         oracle_peak = int(spectrum.argmax())
         target = int(np.abs(freqs - 4.0).argmin())
         assert abs(oracle_peak - target) <= 1
         assert abs(int(rp[10].argmax()) - target) <= 1
+
+    @pytest.mark.parametrize("frames", [257, 259])
+    def test_segment_not_segment_frames_long_raises(self, frames):
+        assert audio.SEGMENT_FRAMES == 258
+        with pytest.raises(ValueError, match=f"got \\(24, {frames}\\)"):
+            audio.rhythm_pattern(np.ones((24, frames)))
 
     def test_weighting_peaks_near_four_hz(self):
         w = audio.fluctuation_weight(np.array([0.5, 2.0, 4.0, 8.0, 10.0]))
@@ -258,8 +269,7 @@ class TestTrackFeatures:
         clip = AudioClip(np.tile(chunk, 2), 22050)
         feats = audio.track_features(clip)
         son = audio.sonogram(AudioClip(chunk, 22050))
-        rp_single = audio.rhythm_pattern(
-            son.values[:, :int(round(6.0 * fr))], son.frame_rate)
+        rp_single = audio.rhythm_pattern(son[:, :int(round(6.0 * fr))])
         np.testing.assert_allclose(feats["rp"], rp_single.ravel(), atol=1e-9)
 
     def test_resampled_input_accepted(self, rng):
@@ -282,20 +292,24 @@ class TestTrackFeatures:
 
 class TestMfcc:
     def test_silence_constant_frames(self):
-        out = audio.mfcc(np.zeros(22050), 22050)
+        out = audio.mfcc(np.zeros(22050))
         assert out.shape[1] == 13
         np.testing.assert_allclose(out.var(axis=0), 0.0, atol=1e-12)
 
+    def test_clip_off_the_analysis_rate_raises(self):
+        with pytest.raises(ValueError, match="44100 Hz.*22050 Hz"):
+            audio.mfcc(sine_clip(1000.0, sr=44100))
+
     def test_gain_invariance_of_higher_coefficients(self, rng):
         noise = rng.normal(0.0, 0.2, 22050)
-        a = audio.mfcc(0.9 * noise, 22050)
-        b = audio.mfcc(0.009 * noise, 22050)
+        a = audio.mfcc(0.9 * noise)
+        b = audio.mfcc(0.009 * noise)
         np.testing.assert_allclose(a[:, 1:], b[:, 1:], atol=1e-6)
 
     def test_tone_and_noise_differ(self, rng):
         t = np.arange(22050) / 22050.0
-        tone = audio.mfcc(0.5 * np.sin(2 * np.pi * 440 * t), 22050)
-        noise = audio.mfcc(rng.normal(0.0, 0.2, 22050), 22050)
+        tone = audio.mfcc(0.5 * np.sin(2 * np.pi * 440 * t))
+        noise = audio.mfcc(rng.normal(0.0, 0.2, 22050))
         a = tone.mean(axis=0)
         b = noise.mean(axis=0)
         scale = np.maximum(np.abs(a) + np.abs(b), 1e-9)
@@ -304,21 +318,21 @@ class TestMfcc:
 
 class TestChroma:
     def test_a440_maps_to_pitch_class_a(self):
-        values, significant = audio.chroma(sine_clip(440.0).samples, 22050)
+        values, significant = audio.chroma(sine_clip(440.0).samples)
         assert significant.all()
         assert values.mean(axis=0).argmax() == audio.PITCH_CLASS_NAMES.index("A")
 
     def test_octave_invariance(self):
-        values, _ = audio.chroma(sine_clip(880.0).samples, 22050)
+        values, _ = audio.chroma(sine_clip(880.0).samples)
         assert values.mean(axis=0).argmax() == audio.PITCH_CLASS_NAMES.index("A")
 
     def test_silence_uniform_and_flagged(self):
-        values, significant = audio.chroma(np.zeros(22050), 22050)
+        values, significant = audio.chroma(np.zeros(22050))
         assert not significant.any()
         np.testing.assert_allclose(values, 1.0 / 12.0)
 
     def test_rows_normalized(self, rng):
-        values, significant = audio.chroma(rng.normal(0.0, 0.3, 22050), 22050)
+        values, significant = audio.chroma(rng.normal(0.0, 0.3, 22050))
         np.testing.assert_allclose(values[significant].sum(axis=1), 1.0,
                                    atol=1e-9)
 
@@ -341,17 +355,17 @@ class TestBatchedFrontEnd:
 
     def test_mfcc_rows_match_single_calls(self, rng):
         rows = self.rows(rng)
-        batched = audio.mfcc(rows, 22050)
+        batched = audio.mfcc(rows)
         assert batched.shape[0] == rows.shape[0]
         for row, out in zip(rows, batched):
-            assert np.array_equal(out, audio.mfcc(row, 22050))
+            assert np.array_equal(out, audio.mfcc(row))
 
     def test_chroma_rows_match_single_calls(self, rng):
         rows = self.rows(rng)
-        values, significant = audio.chroma(rows, 22050)
+        values, significant = audio.chroma(rows)
         assert not significant[-1].any()
         for row, v, s in zip(rows, values, significant):
-            v1, s1 = audio.chroma(row, 22050)
+            v1, s1 = audio.chroma(row)
             assert np.array_equal(v, v1)
             assert np.array_equal(s, s1)
 
@@ -363,8 +377,8 @@ class TestBatchedFrontEnd:
         timbre, pitches, lmax, lmax_t = [], [], [], []
         for s in range(clip.samples.size // seg_len):
             chunk = clip.samples[s * seg_len:(s + 1) * seg_len]
-            timbre.append(audio.mfcc(chunk, rate)[:, 1:13].mean(axis=0))
-            ch, _ = audio.chroma(chunk, rate)
+            timbre.append(audio.mfcc(chunk)[:, 1:13].mean(axis=0))
+            ch, _ = audio.chroma(chunk)
             pitches.append(ch.mean(axis=0))
             peak = int(np.argmax(np.abs(chunk)))
             lmax.append(float(np.abs(chunk[peak])))

@@ -508,6 +508,34 @@ class TestExitCodes:
         assert "zero.wav: sample rate 0 (byte offset 12)" in \
             capsys.readouterr().err
 
+    # aggregate has no --jobs flag; it always runs in-process
+    @pytest.mark.parametrize("options, reason", [
+        (("extract-audio", "--features", "rp", "--jobs", "1"),
+         "need at least 6 s"),
+        (("extract-audio", "--features", "rp", "--jobs", "2"),
+         "need at least 6 s"),
+        (("extract-audio", "--features", "chroma", "--jobs", "1"),
+         "one analysis window"),
+        (("extract-audio", "--features", "chroma", "--jobs", "2"),
+         "one analysis window"),
+        (("aggregate", "--preset", "TEN"), "need at least two segments"),
+    ], ids=["rp-1", "rp-2", "chroma-1", "chroma-2", "aggregate"])
+    def test_short_wav_exits_two_naming_the_file(self, tmp_path, capsys,
+                                                 options, reason):
+        make_wav(tmp_path / "long.wav", seconds=8.0)
+        short = tmp_path / "short.wav"
+        fileutil.write_wav(short, AudioClip(np.full(2000, 0.1), 22050))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"entries": [
+            {"track_id": "a", "label": "x", "audio": "long.wav"},
+            {"track_id": "b", "label": "y", "audio": "short.wav"}]}))
+        assert run(*options, "--manifest", manifest,
+                   "--out", tmp_path / "o.arff") == 2
+        err = capsys.readouterr().err
+        assert reason in err
+        assert err.count(str(short)) == 1
+        assert not (tmp_path / "o.arff").exists()
+
 
 class TestManifestRunner:
     def test_rows_follow_track_ids_not_manifest_order(self, workspace):

@@ -322,11 +322,15 @@ def _check_plan(supply, demand, cost, name):
     return float((plan * cost).sum())
 
 
-def test_emd_degenerate_instances_match_lp_oracle():
+@pytest.mark.parametrize("degenerate_run", ["default", 0])
+def test_emd_degenerate_instances_match_lp_oracle(monkeypatch, degenerate_run):
     # ties everywhere: integer masses (zeros included) over integer costs
     # 0-3, single-row and single-column problems, an all-zero cost, and
-    # colourfulness histograms of integer pixel counts in both directions
+    # colourfulness histograms of integer pixel counts in both directions;
+    # with a degenerate run of 0, Bland's entering rule picks every pivot
     scipy = pytest.importorskip("scipy")  # noqa: F841 - oracle dependency
+    if degenerate_run != "default":
+        monkeypatch.setattr(_kernels, "EMD_DEGENERATE_RUN", degenerate_run)
     rng = np.random.default_rng(2024)
     cases = []
     for trial in range(80):
