@@ -8,11 +8,11 @@ configuration (seed included), so any run can be reproduced byte-identically.
 The manifest commands (extract-audio, extract-visual, aggregate,
 ingest-concepts, salience) share one runner, _source_rows: it checks every
 entry's input path before computing anything, computes one feature row per
-path (in --jobs worker processes where the command offers them) and returns
-the rows in track-id order, whatever the order of the manifest entries.  The
-single-source flags (--wav, --frames, --scores with --label) give the same
-row the file would get as a manifest entry.  All but salience write their
-rows as one ARFF through _write_rows.
+path and returns the rows in track-id order, whatever the order of the
+manifest entries.  The single-source flags (--wav, --frames, --scores with
+--label) give the same row the file would get as a manifest entry.  All but
+salience write their rows as one ARFF through _write_rows, computed by
+--jobs worker processes.
 
 Exit codes: 0 success, 2 input error, 3 internal invariant violation.
 """
@@ -122,11 +122,12 @@ def _source_rows(manifest_path, source, label, field, row_fn, jobs=1):
     return [e.label for e in entries], rows
 
 
-def _write_rows(args, source, field, row_fn, schema, jobs=1):
-    """Write the _source_rows of a manifest command, with their labels and
-    the column names `schema`, as the ARFF file args.out."""
+def _write_rows(args, source, field, row_fn, schema):
+    """Write the _source_rows of a manifest command, computed by args.jobs
+    processes, with their labels and the column names `schema`, as the ARFF
+    file args.out."""
     labels, rows = _source_rows(args.manifest, source, args.label, field,
-                                row_fn, jobs)
+                                row_fn, args.jobs)
     dataset = ml.LabeledDataset(np.array(rows), labels, schema)
     avio.write_arff(dataset, args.relation, args.out)
     print(f"wrote {dataset.n} x {len(dataset.schema)} features to {args.out}")
@@ -216,7 +217,7 @@ def cmd_extract_audio(args):
               for i in range(_AUDIO_DIMS[name])]
     return _write_rows(args, args.wav, "audio",
                        partial(_audio_feature_vector, features=features),
-                       schema, args.jobs)
+                       schema)
 
 
 def cmd_extract_visual(args):
@@ -229,7 +230,7 @@ def cmd_extract_visual(args):
                      crop_letterbox=not args.keep_letterbox,
                      dump_csv=args.dump_frames)
     return _write_rows(args, args.frames, "frames", row_fn,
-                       _visual_schema(features, args.lfp_preset), args.jobs)
+                       _visual_schema(features, args.lfp_preset))
 
 
 def cmd_aggregate(args):
@@ -513,13 +514,13 @@ def build_parser():
         p.add_argument("--label", default="unknown")
         p.add_argument("--relation", default=relation)
         p.add_argument("--out", type=Path, required=True)
+        p.add_argument("--jobs", type=int, default=1)
         return p
 
     p = add_manifest_command(
         "extract-audio", cmd_extract_audio, "wav", "audio_features",
         help="psychoacoustic track features from WAV audio")
     p.add_argument("--features", default="rp,rh,ssd,mvd,tssd,trh")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add_manifest_command(
         "extract-visual", cmd_extract_visual, "frames", "visual_features",
@@ -531,7 +532,6 @@ def build_parser():
     p.add_argument("--keep-letterbox", action="store_true")
     p.add_argument("--dump-frames", type=Path,
                    help="per-frame feature CSV (single-source mode)")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add_manifest_command(
         "aggregate", cmd_aggregate, "wav", "segment_features",

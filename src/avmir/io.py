@@ -283,76 +283,146 @@ def write_arff(dataset, relation, path):
 
 
 def read_arff(path):
-    """Parse the ARFF subset written by write_arff back into a dataset."""
+    """Parse the ARFF subset written by write_arff back into a dataset.
+
+    The data block is streamed through one np.loadtxt call.  When that
+    fails, or its result breaks a check (a line without a comma, a column
+    count other than the schema's, a non-finite value, an undeclared label),
+    _parse_data_rows reads the block again line by line: it raises the
+    located error, or returns the rows that float() reads.
+    """
+    with open_text(path) as fh:
+        schema, class_values, data_ln = _read_arff_header(fh, path)
+        start = fh.tell()
+        n_rows = sum(1 for _ in _data_lines(fh))
+        fh.seek(start)
+        labels = []
+        matrix = _load_data_block(fh, n_rows, labels, len(schema),
+                                  class_values)
+        if matrix is None:
+            fh.seek(start)
+            matrix, labels = _parse_data_rows(fh, path, data_ln + 1, n_rows,
+                                              len(schema), class_values)
+    return LabeledDataset(matrix, labels, schema)
+
+
+def _read_arff_header(fh, path):
+    """Read the header up to and including @DATA: (numeric attribute names,
+    class values, line number of @DATA)."""
     schema = []
     class_values = None
-    rows = []
-    labels = []
-    in_data = False
-    with open_text(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            if not in_data:
-                upper = line.upper()
-                if upper.startswith("@RELATION"):
-                    continue
-                if upper.startswith("@ATTRIBUTE"):
-                    body = line[len("@ATTRIBUTE"):].strip()
-                    if body.startswith(("'", '"')):
-                        quote = body[0]
-                        end = body.find(quote, 1)
-                        if end < 0:
-                            raise ArffFormatError(path,
-                                "unterminated quoted attribute name", ln)
-                        name, rest = body[1:end], body[end + 1:].strip()
-                    else:
-                        parts = body.split(None, 1)
-                        if len(parts) != 2:
-                            raise ArffFormatError(path, "malformed attribute", ln)
-                        name, rest = parts
-                    if rest.startswith("{"):
-                        if not rest.endswith("}"):
-                            raise ArffFormatError(path, "unterminated nominal set", ln)
-                        class_values = [v.strip() for v in
-                                        rest[1:-1].split(",")]
-                    elif rest.upper() in ("NUMERIC", "REAL", "INTEGER"):
-                        schema.append(name)
-                    else:
-                        raise ArffFormatError(path,
-                            f"unsupported attribute type {rest!r}", ln)
-                    continue
-                if upper.startswith("@DATA"):
-                    if class_values is None:
-                        raise ArffFormatError(path, "no nominal class attribute", ln)
-                    in_data = True
-                    continue
-                raise ArffFormatError(path, f"unexpected header line {line!r}", ln)
-            n_values = line.count(",") + 1
-            if n_values != len(schema) + 1:
-                raise ArffFormatError(path,
-                    f"expected {len(schema) + 1} values, got {n_values}", ln)
-            if schema:
-                values, label = line.rsplit(",", 1)
-                try:
-                    row = _parse_cells(values)
-                except ValueError:
-                    raise ArffFormatError(path, "non-numeric feature value",
-                                          ln) from None
-                if not np.isfinite(row).all():
-                    raise ArffFormatError(path, "non-finite feature value", ln)
+    # readline, not iteration, so that fh.tell() works after the header
+    for ln, raw in enumerate(iter(fh.readline, ""), start=1):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        upper = line.upper()
+        if upper.startswith("@RELATION"):
+            continue
+        if upper.startswith("@ATTRIBUTE"):
+            body = line[len("@ATTRIBUTE"):].strip()
+            if body.startswith(("'", '"')):
+                quote = body[0]
+                end = body.find(quote, 1)
+                if end < 0:
+                    raise ArffFormatError(path,
+                        "unterminated quoted attribute name", ln)
+                name, rest = body[1:end], body[end + 1:].strip()
             else:
-                row, label = np.empty(0), line
-            label = label.strip()
-            if label not in class_values:
-                raise ArffFormatError(path, f"undeclared class value {label!r}", ln)
-            rows.append(row)
-            labels.append(label)
-    if not in_data:
-        raise ArffFormatError(path, "no @DATA section", 0)
-    matrix = np.stack(rows) if rows else np.zeros((0, len(schema)))
-    return LabeledDataset(matrix, labels, schema)
+                parts = body.split(None, 1)
+                if len(parts) != 2:
+                    raise ArffFormatError(path, "malformed attribute", ln)
+                name, rest = parts
+            if rest.startswith("{"):
+                if not rest.endswith("}"):
+                    raise ArffFormatError(path, "unterminated nominal set", ln)
+                class_values = [v.strip() for v in rest[1:-1].split(",")]
+            elif rest.upper() in ("NUMERIC", "REAL", "INTEGER"):
+                schema.append(name)
+            else:
+                raise ArffFormatError(path,
+                    f"unsupported attribute type {rest!r}", ln)
+            continue
+        if upper.startswith("@DATA"):
+            if class_values is None:
+                raise ArffFormatError(path, "no nominal class attribute", ln)
+            return schema, class_values, ln
+        raise ArffFormatError(path, f"unexpected header line {line!r}", ln)
+    raise ArffFormatError(path, "no @DATA section", 0)
+
+
+def _data_lines(lines):
+    """The stripped lines that are neither blank nor % comments."""
+    for raw in lines:
+        line = raw.strip()
+        if line and not line.startswith("%"):
+            yield line
+
+
+def _load_data_block(lines, n_rows, labels, n_features, class_values):
+    """The n_rows data rows of lines as one (n_rows, n_features) matrix from
+    one streamed np.loadtxt call, their labels appended to labels; None
+    when a line needs _parse_data_rows."""
+    if n_rows == 0:  # loadtxt warns on a block without rows
+        return np.zeros((0, n_features))
+
+    def cells():
+        for line in _data_lines(lines):
+            values, _, label = line.rpartition(",")
+            if not values:  # loadtxt would skip an empty first cell
+                raise ValueError("no comma, or an empty first cell")
+            labels.append(label.strip())
+            yield values
+
+    try:
+        # max_rows sizes loadtxt's result once instead of growing it
+        matrix = np.loadtxt(cells(), delimiter=",", comments=None, ndmin=2,
+                            max_rows=n_rows)
+    except ValueError:
+        return None
+    # the sum is finite unless a value is not or the sum overflows; either
+    # way the line parser decides, and no (rows, features) mask is made
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = matrix.sum()
+    if (matrix.shape != (n_rows, n_features) or len(labels) != n_rows
+            or not np.isfinite(total)
+            or not set(labels).issubset(class_values)):
+        return None
+    return matrix
+
+
+def _parse_data_rows(lines, path, first_ln, n_rows, n_features,
+                     class_values):
+    """The n_rows data rows of lines, numbered from first_ln, as (matrix,
+    labels); each cell is read as float(cell.strip()) reads it, and the
+    first faulty line raises ArffFormatError with its line number."""
+    matrix = np.empty((n_rows, n_features))
+    labels = []
+    for ln, raw in enumerate(lines, start=first_ln):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        n_values = line.count(",") + 1
+        if n_values != n_features + 1:
+            raise ArffFormatError(path,
+                f"expected {n_features + 1} values, got {n_values}", ln)
+        if n_features:
+            values, label = line.rsplit(",", 1)
+            try:
+                row = _parse_cells(values)
+            except ValueError:
+                raise ArffFormatError(path, "non-numeric feature value",
+                                      ln) from None
+            if not np.isfinite(row).all():
+                raise ArffFormatError(path, "non-finite feature value", ln)
+        else:
+            row, label = np.empty(0), line
+        label = label.strip()
+        if label not in class_values:
+            raise ArffFormatError(path, f"undeclared class value {label!r}", ln)
+        matrix[len(labels)] = row
+        labels.append(label)
+    return matrix, labels
 
 
 def _parse_cells(values):

@@ -79,15 +79,34 @@ class Scaler:
 # classifiers: each has fit(X, y, n_classes) and predict(X) -> int labels
 # ---------------------------------------------------------------------------
 
-KNN_TILE_BYTES = 720 * 2**10  # budget of one square tile of kNN differences
+KNN_TILE_BYTES = 720 * 2**10  # budget of one square tile of L1 differences
+KNN_SCREEN_BYTES = 2 * 2**20  # budget of one (queries, train) L2 screen array
 SVM_EPOCHS = 60  # default passes of LinearSvmClassifier, and of --epochs
+
+def _gamma(n):
+    """gamma_n = n u / (1 - n u), u the unit roundoff of float64: n
+    roundings perturb a sum of nonnegative terms, or a dot product, by at
+    most gamma_n times the sum of the terms' magnitudes, in any order of
+    summation (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, 3.1)."""
+    nu = n * np.finfo(np.float64).eps / 2
+    return nu / (1.0 - nu)
+
+
+def _l2_rows(query, rows):
+    """Euclidean distances from query to each of rows: each pair's squared
+    differences are summed by numpy over one contiguous dims-long row."""
+    diff = query - rows
+    np.square(diff, out=diff)
+    return np.sqrt(diff.sum(axis=1))
 
 
 class KnnClassifier:
     """k-nearest neighbors with L1 or L2 metric.
 
     Majority vote among the k nearest; ties break by smallest summed
-    distance, then lowest class id.
+    distance, then lowest class id.  Neighbours at equal distance rank by
+    training index (a stable sort).
     """
 
     def __init__(self, k=1, metric="l2"):
@@ -110,34 +129,92 @@ class KnnClassifier:
         return self
 
     def _distances(self, x):
-        # the (query, train, dims) differences are formed one square tile of
-        # pairs at a time in one reused buffer of at most KNN_TILE_BYTES that
-        # stays in cache (8 x 8 pairs at 1440 dims, 39 x 39 at 60); each pair
-        # is still reduced by numpy's sum over one contiguous dims-long row,
-        # as in one broadcast, so the distances do not depend on the tiling
+        # L1 distances of every (query, train) pair; the differences are
+        # formed one square tile of pairs at a time in one reused buffer of
+        # at most KNN_TILE_BYTES that stays in cache (8 x 8 pairs at 1440
+        # dims, 39 x 39 at 60); each pair is still reduced by numpy's sum
+        # over one contiguous dims-long row, as in one broadcast, so the
+        # distances do not depend on the tiling
         n_query, n_train = x.shape[0], self.x.shape[0]
         dims = self.x.shape[1]
         tile = max(1, math.isqrt(KNN_TILE_BYTES
                                  // (self.x.itemsize * max(dims, 1))))
         out = np.empty((n_query, n_train))
         buf = np.empty((tile, tile, dims))
-        magnitude = np.abs if self.metric == "l1" else np.square
         for q in range(0, n_query, tile):
             queries = x[q:q + tile, None, :]
             for t in range(0, n_train, tile):
                 train = self.x[None, t:t + tile, :]
                 diff = buf[:queries.shape[0], :train.shape[1]]
                 np.subtract(queries, train, out=diff)
-                magnitude(diff, out=diff)
+                np.abs(diff, out=diff)
                 diff.sum(axis=2, out=out[q:q + tile, t:t + tile])
-        if self.metric == "l2":
-            np.sqrt(out, out=out)
         return out
+
+    def _l2_neighbours(self, x):
+        """The k nearest training rows of each query and their distances,
+        exactly as a stable argsort of every _l2_rows distance ranks them.
+
+        A screen bounds every squared distance at once in the Gram form
+        s = |q|^2 + |t|^2 - 2 q.t, one BLAS product per block of at most
+        KNN_SCREEN_BYTES of (query, train) values.  With S = |q|^2 + |t|^2
+        and d dims, s is within 2 gamma(d+4) S of the exact squared
+        distance, and _l2_rows' sum D within 2 gamma(d+3) S of it, so
+        |s - D| <= 4 gamma(d+4) S; b = 8 gamma(d+4) S covers that, the
+        rounding of b from the computed S and of s +- b.  An absolute term
+        covers underflow; a row with S near overflow (or not finite) gets an
+        infinite b and is always a candidate.
+
+        With K the k-th smallest s + b, k rows have D <= K, so the k-th
+        smallest D is at most K, and a row with s - b > K has a larger D.
+        K is padded by 2^-44 of itself, so such a row's sqrt is larger too,
+        not tied.  Only the rows with s - b <= K (NaN compares as kept) are
+        computed exactly by _l2_rows and ranked by a stable argsort in
+        training-index order.  The BLAS and its rounding decide only how
+        many candidates there are, never the neighbours or their distances.
+        """
+        n_query, (n_train, dims) = x.shape[0], self.x.shape
+        k = self.k
+        coef = 8.0 * _gamma(dims + 4)
+        floor = 16.0 * (dims + 4) * np.finfo(np.float64).smallest_subnormal
+        with np.errstate(over="ignore"):
+            train_sq = np.einsum("ij,ij->i", self.x, self.x)
+            query_sq = np.einsum("ij,ij->i", x, x)
+        block = max(1, KNN_SCREEN_BYTES // (8 * n_train))
+        order = np.empty((n_query, k), dtype=np.int64)
+        near = np.empty((n_query, k))
+        for start in range(0, n_query, block):
+            queries = x[start:start + block]
+            # an overflow here only makes rows candidates
+            with np.errstate(over="ignore", invalid="ignore"):
+                norms = np.add.outer(query_sq[start:start + block], train_sq)
+                screen = queries @ self.x.T
+                screen *= -2.0
+                screen += norms
+                unscreened = ~(norms < np.finfo(np.float64).max / 8)
+                bound = norms
+                bound *= coef
+                bound += floor
+                bound[unscreened] = np.inf
+                kth = np.partition(screen + bound, k - 1, axis=1)[:, k - 1]
+                kth *= 1.0 + 2.0**-44
+                screen -= bound
+            for i, lower in enumerate(screen):
+                cand = np.flatnonzero(~(lower > kth[i]))
+                dist = _l2_rows(queries[i], self.x[cand])
+                first = np.argsort(dist, kind="stable")[:k]
+                order[start + i] = cand[first]
+                near[start + i] = dist[first]
+        return order, near
 
     def predict(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        dist = self._distances(x)
-        order = np.argsort(dist, axis=1, kind="stable")[:, :self.k]
+        if self.metric == "l2":
+            order, near = self._l2_neighbours(x)
+        else:
+            dist = self._distances(x)
+            order = np.argsort(dist, axis=1, kind="stable")[:, :self.k]
+            near = np.take_along_axis(dist, order, axis=1)
         out = np.empty(x.shape[0], dtype=np.int64)
         for i in range(x.shape[0]):
             neigh = self.y[order[i]]
@@ -149,7 +226,7 @@ class KnnClassifier:
                 continue
             sums = np.full(self.n_classes, np.inf)
             for c in tied:
-                sums[c] = dist[i, order[i]][neigh == c].sum()
+                sums[c] = near[i][neigh == c].sum()
             min_sum = sums.min()
             out[i] = int(np.flatnonzero(sums == min_sum)[0])
         return out

@@ -364,7 +364,8 @@ class TestSalienceCmd:
 
 
 class TestRangeChecks:
-    @pytest.mark.parametrize("command", ["extract-audio", "extract-visual"])
+    @pytest.mark.parametrize("command", ["extract-audio", "extract-visual",
+                                         "aggregate"])
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected_before_the_manifest(
             self, workspace, monkeypatch, capsys, command, jobs):
@@ -488,6 +489,18 @@ class TestExitCodes:
                    "--features", "rh", "--jobs", "2", "--out", parallel) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize("command", ["aggregate", "ingest-concepts"])
+    def test_every_manifest_command_takes_jobs(self, workspace, command):
+        options = {"aggregate": ["--preset", "TEN"],
+                   "ingest-concepts": ["--vocab", workspace / "vocab.txt"]}
+        written = []
+        for jobs in ("1", "2"):
+            out = workspace / f"{command}-{jobs}.arff"
+            assert run(command, "--manifest", workspace / "manifest.json",
+                       *options[command], "--jobs", jobs, "--out", out) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("command, jobs", [
         ("extract-audio", "1"), ("extract-audio", "2"), ("aggregate", None)])
     def test_malformed_wav_exits_two_naming_the_file(self, tmp_path, capsys,
@@ -508,7 +521,6 @@ class TestExitCodes:
         assert "zero.wav: sample rate 0 (byte offset 12)" in \
             capsys.readouterr().err
 
-    # aggregate has no --jobs flag; it always runs in-process
     @pytest.mark.parametrize("options, reason", [
         (("extract-audio", "--features", "rp", "--jobs", "1"),
          "need at least 6 s"),
@@ -519,7 +531,10 @@ class TestExitCodes:
         (("extract-audio", "--features", "chroma", "--jobs", "2"),
          "one analysis window"),
         (("aggregate", "--preset", "TEN"), "need at least two segments"),
-    ], ids=["rp-1", "rp-2", "chroma-1", "chroma-2", "aggregate"])
+        (("aggregate", "--preset", "TEN", "--jobs", "2"),
+         "need at least two segments"),
+    ], ids=["rp-1", "rp-2", "chroma-1", "chroma-2", "aggregate",
+            "aggregate-2"])
     def test_short_wav_exits_two_naming_the_file(self, tmp_path, capsys,
                                                  options, reason):
         make_wav(tmp_path / "long.wav", seconds=8.0)

@@ -3,6 +3,7 @@ import json
 import pickle
 import struct
 import tracemalloc
+import warnings
 from io import StringIO
 
 import numpy as np
@@ -262,6 +263,21 @@ arff_cell = st.tuples(
               st.sampled_from(ARFF_SPELLINGS)),
     st.sampled_from(ARFF_SPACES)).map("".join)
 arff_label = st.sampled_from(["a", "b", " b\t", "a\xa0", "\x1ca", "z", "A"])
+# cells built from digits, signs, ".", "e", "_", spaces, the separators
+# U+001C to U+001F that str.strip removes, "nan", "inf" and "0x": laid out
+# as a number, or in any order
+ARFF_TOKENS = [*"0123456789+-.e_ \t\x1c\x1d\x1e\x1f", "nan", "inf", "0x"]
+arff_pad = st.sampled_from(["", " ", "\t", "\x1c", "\x1d", "\x1e", "\x1f"])
+arff_digits = st.text("0123456789_", max_size=4)
+arff_token_cell = st.one_of(
+    st.tuples(arff_pad, st.sampled_from(["", "+", "-"]), arff_digits,
+              st.sampled_from(["", "."]), arff_digits,
+              st.sampled_from(["", "e", "e-", "e+"]), arff_digits,
+              arff_pad).map("".join),
+    st.tuples(arff_pad, st.sampled_from(["", "+", "-"]),
+              st.sampled_from(["nan", "inf", "0x", "0x1f"]),
+              arff_pad).map("".join),
+    st.lists(st.sampled_from(ARFF_TOKENS), max_size=6).map("".join))
 
 
 @st.composite
@@ -291,10 +307,11 @@ class TestArffParity:
         (0, ["1,a"]),
         (2, ["1,2,a", "x,2,a", "1,2,3,4,b"]),
         (2, ["1,2,3,4,b", "1,2,a", "x,2,a"]),
+        (2, ["1e308,1.7e308,a", "-1e308,5,b"]),
     ], ids=["whitespace", "exotic-spellings", "nan", "overflow-to-inf",
             "wrong-count", "undeclared-label", "zero-features",
             "zero-features-wrong-count", "two-faults-numeric-first",
-            "two-faults-count-first"])
+            "two-faults-count-first", "finite-values-whose-sum-overflows"])
     def test_matches_reference(self, tmp_path, n_features, lines):
         assert_arff_parity(tmp_path / "t.arff", n_features, lines)
 
@@ -302,6 +319,50 @@ class TestArffParity:
     @given(data=arff_data())
     def test_generated_files_match_reference(self, tmp_path_factory, data):
         assert_arff_parity(tmp_path_factory.mktemp("arff") / "t.arff", *data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.lists(arff_token_cell, min_size=1, max_size=6))
+    def test_streamed_cells_match_line_parser(self, tmp_path_factory, cells):
+        # one cell per row: the streamed parse of each row either gives way
+        # to the line parser, without a warning, or reads what it reads, and
+        # read_arff reads the whole file as float() does
+        lines = [f"{cell},a" for cell in cells]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for line in lines:
+                streamed = avio._load_data_block([line], 1, [], 1, ["a"])
+                if streamed is not None:
+                    matrix, _ = avio._parse_data_rows([line], "t.arff", 1, 1,
+                                                      1, ["a"])
+                    assert streamed.tobytes() == matrix.tobytes()
+            path = tmp_path_factory.mktemp("arff") / "t.arff"
+            assert_arff_parity(path, 1, lines)
+
+    def test_written_file_takes_the_streamed_parse(self, tmp_path, rng,
+                                                   monkeypatch):
+        def no_line_parse(*args):
+            raise AssertionError("read line by line")
+
+        ds = LabeledDataset(rng.normal(size=(5, 3)) * 1e3,
+                            ["x", "y", "x", "z", "y"], ["f0", "f1", "f2"])
+        avio.write_arff(ds, "rel", tmp_path / "t.arff")
+        monkeypatch.setattr(avio, "_parse_data_rows", no_line_parse)
+        back = avio.read_arff(tmp_path / "t.arff")
+        assert back.labels == ds.labels
+        assert back.matrix.shape == (5, 3)
+
+    @pytest.mark.parametrize("n_features", [0, 3])
+    def test_header_only_file_reads_without_warnings(self, tmp_path,
+                                                     n_features):
+        header = (["@RELATION r"]
+                  + [f"@ATTRIBUTE f{i} NUMERIC" for i in range(n_features)]
+                  + ["@ATTRIBUTE class {a,b}", "@DATA", "% no rows", ""])
+        (tmp_path / "t.arff").write_text("\n".join(header))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = avio.read_arff(tmp_path / "t.arff")
+        assert back.matrix.shape == (0, n_features)
+        assert back.labels == []
 
     def test_zero_feature_roundtrip(self, tmp_path):
         ds = LabeledDataset(np.zeros((3, 0)), ["x", "y", "x"], [])

@@ -21,6 +21,47 @@ def blob_dataset(rng, centers, per_class=20, spread=0.3, schema_dim=None):
     return LabeledDataset(matrix, labels, schema)
 
 
+def knn_oracle(train, y, probes, k, n_classes, metric="l2"):
+    """Brute-force kNN: every distance from one broadcast, a stable argsort,
+    and the vote with its tie-breaks written out.  Returns the predictions,
+    the neighbour indices and the neighbour distances."""
+    diff = probes[:, None, :] - train[None, :, :]
+    if metric == "l1":
+        dist = np.abs(diff).sum(axis=2)
+    else:
+        dist = np.sqrt((diff ** 2).sum(axis=2))
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    near = np.take_along_axis(dist, order, axis=1)
+    pred = []
+    for idx, d in zip(order, near):
+        labels = y[idx]
+        votes = [int((labels == c).sum()) for c in range(n_classes)]
+        tied = [c for c in range(n_classes) if votes[c] == max(votes)]
+        pred.append(min(tied, key=lambda c: (d[labels == c].sum(), c)))
+    return np.array(pred), order, near
+
+
+def assert_neighbours_equal(got, expected):
+    for g, e in zip(got, expected):
+        assert g.shape == e.shape
+        assert g.tobytes() == e.tobytes()
+
+
+@pytest.fixture
+def exact_pairs(monkeypatch):
+    """The row count of every ml._l2_rows call: the pairs whose L2
+    distance kNN computes exactly."""
+    counts = []
+    exact = ml._l2_rows
+
+    def counted(query, rows):
+        counts.append(rows.shape[0])
+        return exact(query, rows)
+
+    monkeypatch.setattr(ml, "_l2_rows", counted)
+    return counts
+
+
 class TestScaler:
     def test_constant_dim_maps_to_zero(self):
         m = np.array([[5.0, 1.0], [5.0, 3.0]])
@@ -76,22 +117,122 @@ class TestKnn:
         # 200 dims exercise numpy's pairwise summation; at 200 dims the
         # default budget gives tiles of 21 pairs a side, and the budgets set
         # below give tiles of 8 and 3, so 20 queries and 30 training rows
-        # leave partial tiles (remainders 20 and 9, 4 and 6, 2 and 0)
+        # leave partial tiles (remainders 20 and 9, 4 and 6, 2 and 0); L1
+        # distances come from the tiles, L2 neighbours from the screen,
+        # which the tile budget must not reach
         train = rng.normal(size=(30, 200))
         y = rng.integers(0, 3, size=30)
         probes = rng.normal(size=(20, 200))
+        expected = knn_oracle(train, y, probes, 3, 3, metric)
         diff = probes[:, None, :] - train[None, :, :]
-        if metric == "l1":
-            expected = np.abs(diff).sum(axis=2)
-        else:
-            expected = np.sqrt((diff ** 2).sum(axis=2))
         clf = ml.KnnClassifier(k=3, metric=metric).fit(train, y, 3)
-        np.testing.assert_array_equal(clf._distances(probes), expected)
-        whole = clf.predict(probes)
-        for tile in (8, 3):
-            monkeypatch.setattr(ml, "KNN_TILE_BYTES", tile * tile * 200 * 8)
-            np.testing.assert_array_equal(clf._distances(probes), expected)
-            np.testing.assert_array_equal(clf.predict(probes), whole)
+        for tile in (None, 8, 3):
+            if tile:
+                monkeypatch.setattr(ml, "KNN_TILE_BYTES",
+                                    tile * tile * 200 * 8)
+            if metric == "l1":
+                np.testing.assert_array_equal(clf._distances(probes),
+                                              np.abs(diff).sum(axis=2))
+            else:
+                assert_neighbours_equal(clf._l2_neighbours(probes),
+                                        expected[1:])
+            np.testing.assert_array_equal(clf.predict(probes), expected[0])
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("case", ["duplicate-rows", "equidistant-ties",
+                                      "offset-1e8", "constant-features",
+                                      "tiny-features", "huge-features",
+                                      "overflowing-features",
+                                      "one-query-blocks"])
+    def test_l2_screen_matches_brute_force(self, rng, monkeypatch, case, k):
+        train = rng.normal(size=(40, 12))
+        probes = rng.normal(size=(15, 12))
+        if case == "duplicate-rows":
+            # every row four times, and probes on top of training rows
+            train = np.repeat(train[:10], 4, axis=0)
+            probes[:5] = train[::8]
+        elif case == "equidistant-ties":
+            # integer grid points: many exactly equal distances
+            train = rng.integers(-2, 3, size=(40, 3)).astype(float)
+            probes = rng.integers(-2, 3, size=(15, 3)).astype(float)
+        elif case == "offset-1e8":
+            # the Gram form cancels about 16 digits here
+            train += 1e8
+            probes += 1e8
+        elif case == "constant-features":
+            train[:, 4:] = 7.0
+            probes[:, 4:] = 7.0
+            train[20:, :4] = 0.5
+        elif case == "tiny-features":
+            # rows 1e-160 apart near 1e-157: their squared distances and
+            # the Gram form's cancellation fall among the subnormals
+            base = rng.normal(size=12) * 1e-157
+            train = base + rng.integers(-3, 4, size=(40, 12)) * 1e-160
+            probes = base + rng.integers(-3, 4, size=(15, 12)) * 1e-160
+        elif case == "huge-features":
+            # |q|^2 + |t|^2 near the largest double; some distances overflow
+            train *= 2e153
+            probes *= 2e153
+        elif case == "overflowing-features":
+            # every square overflows: the screen is NaN, every distance inf
+            train *= 1e155
+            probes *= 1e155
+        else:
+            monkeypatch.setattr(ml, "KNN_SCREEN_BYTES", 8 * 40)
+        y = rng.integers(0, 3, size=40)
+        if case == "overflowing-features":
+            y[:] = 0  # infinite tie-break sums are not at issue here
+        with np.errstate(over="ignore"):
+            expected = knn_oracle(train, y, probes, k, 3)
+            clf = ml.KnnClassifier(k=k).fit(train, y, 3)
+            assert_neighbours_equal(clf._l2_neighbours(probes), expected[1:])
+            np.testing.assert_array_equal(clf.predict(probes), expected[0])
+
+    def test_l2_screen_k_equals_n(self, rng):
+        train = np.vstack([rng.normal(size=(6, 4))] * 2)
+        y = np.array([0, 1, 2] * 4)
+        probes = np.vstack([train[:3], rng.normal(size=(5, 4))])
+        expected = knn_oracle(train, y, probes, 12, 3)
+        clf = ml.KnnClassifier(k=12).fit(train, y, 3)
+        assert_neighbours_equal(clf._l2_neighbours(probes), expected[1:])
+        np.testing.assert_array_equal(clf.predict(probes), expected[0])
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_l2_screen_matches_brute_force_on_random_shapes(self, rng, k):
+        for _ in range(30):
+            n, dims = rng.integers(k, 50), rng.integers(0, 40)
+            scale = 10.0 ** rng.integers(-3, 4)
+            train = np.round(rng.normal(size=(n, dims)) * scale, 1)
+            probes = np.round(rng.normal(size=(rng.integers(1, 9), dims))
+                              * scale, 1)
+            y = rng.integers(0, 4, size=n)
+            expected = knn_oracle(train, y, probes, k, 4)
+            clf = ml.KnnClassifier(k=k).fit(train, y, 4)
+            assert_neighbours_equal(clf._l2_neighbours(probes), expected[1:])
+            np.testing.assert_array_equal(clf.predict(probes), expected[0])
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_l2_screen_prunes_exact_pairs(self, rng, exact_pairs, k):
+        # the classify benchmark's fold shape: 40 queries, 360 rows, 1440
+        # dims; the screen's bound is about 1e-12 of a squared distance, so
+        # only the k nearest rows of each query are computed exactly
+        train = rng.normal(size=(360, 1440))
+        y = rng.integers(0, 5, size=360)
+        probes = rng.normal(size=(40, 1440))
+        pred = ml.KnnClassifier(k=k).fit(train, y, 5).predict(probes)
+        assert exact_pairs == [k] * 40
+        np.testing.assert_array_equal(
+            pred, knn_oracle(train, y, probes, k, 5)[0])
+
+    def test_l2_screen_bound_widens_with_an_offset(self, rng, exact_pairs):
+        # with every coordinate offset by 1e8 the Gram form can no longer
+        # separate rows whose squared distances differ by about 10, so
+        # every row is a candidate
+        train = rng.normal(size=(50, 5)) + 1e8
+        probes = rng.normal(size=(4, 5)) + 1e8
+        ml.KnnClassifier(k=1).fit(train, np.zeros(50, np.int64), 1).predict(
+            probes)
+        assert exact_pairs == [50] * 4
 
 
 class TestGaussianNb:
