@@ -205,6 +205,23 @@ def _triangular_memberships(x, centers):
     return np.moveaxis(out, 0, -1)
 
 
+def _box_blur(data, axis):
+    """The 9-tap box blur of blur_measure along axis, edge-padded.
+
+    The lines along axis, each padded by 4 samples at both ends, are laid
+    end to end and blurred by one np.convolve; each line keeps its own
+    valid outputs, which are the same 9-term dot products over the same
+    samples as a convolve of that line alone.
+    """
+    lines = data if axis == 1 else data.T
+    count, length = lines.shape
+    padded = np.pad(lines, [(0, 0), (4, 4)], mode="edge")
+    flat = np.convolve(padded.ravel(), np.ones(9) / 9.0, mode="valid")
+    # the 8 outputs that straddle two lines are cut off with the padding
+    out = np.append(flat, np.zeros(8)).reshape(count, length + 8)[:, :length]
+    return out if axis == 1 else out.T
+
+
 def blur_measure(gray):
     """No-reference sharpness in [0, 1]: 0 maximally blurred, 1 maximally
     sharp.
@@ -218,18 +235,9 @@ def blur_measure(gray):
     gray = np.asarray(gray, dtype=np.float64)
     if gray.ndim != 2 or gray.size == 0:
         raise ValueError("blur_measure expects a non-empty 2-D raster")
-
-    def box1d(data, axis):
-        kernel = np.ones(9) / 9.0
-        pad = [(0, 0), (0, 0)]
-        pad[axis] = (4, 4)
-        padded = np.pad(data, pad, mode="edge")
-        return np.apply_along_axis(
-            lambda m: np.convolve(m, kernel, mode="valid"), axis, padded)
-
     blur_scores = []
     for axis in (0, 1):
-        blurred = box1d(gray, axis)
+        blurred = _box_blur(gray, axis)
         d_orig = np.abs(np.diff(gray, axis=axis))
         d_blur = np.abs(np.diff(blurred, axis=axis))
         kept = np.maximum(d_orig - d_blur, 0.0)

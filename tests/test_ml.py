@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,20 @@ class TestKnn:
             assert_neighbours_equal(clf._l2_neighbours(probes), expected[1:])
             np.testing.assert_array_equal(clf.predict(probes), expected[0])
 
+    def test_infinite_tie_sums_pick_a_tied_class(self, rng):
+        # 1e155-scaled features: every L2 distance overflows to inf, so
+        # every tied class sums to inf; the vote must still go to the
+        # lowest tied class, not to a class without a vote
+        train = rng.normal(size=(40, 12)) * 1e155
+        probes = rng.normal(size=(15, 12)) * 1e155
+        y = rng.integers(0, 3, size=40)
+        with np.errstate(over="ignore"):
+            expected = knn_oracle(train, y, probes, 5, 3)
+            got = ml.KnnClassifier(k=5).fit(train, y, 3).predict(probes)
+        assert np.isinf(expected[2]).all()
+        assert (expected[0] > 0).any()
+        np.testing.assert_array_equal(got, expected[0])
+
     def test_l2_screen_k_equals_n(self, rng):
         train = np.vstack([rng.normal(size=(6, 4))] * 2)
         y = np.array([0, 1, 2] * 4)
@@ -337,6 +352,121 @@ class TestPegasosParity:
         aug = np.hstack([probes, np.ones((len(probes), 1))])
         np.testing.assert_array_equal(clf.predict(probes),
                                       (aug @ expected.T).argmax(axis=1))
+
+
+def _pegasos_sum_steps(x, y, n_classes, c, epochs, seed):
+    """LinearSvmClassifier.fit as one Python step per sample, in both of
+    its forms: the margins aug @ u kept for n <= d + 1 rows, u otherwise.
+    The byte oracle of the skip-ahead scan."""
+    n = x.shape[0]
+    aug = np.hstack([x, np.ones((n, 1))])
+    lam = 1.0 / (c * n)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    keep_margins = n <= aug.shape[1]
+    rows = list(aug @ aug.T if keep_margins else aug)
+    coef = np.zeros((n_classes, n))
+    for k in range(n_classes):
+        signs = np.where(y == k, 1.0, -1.0).tolist()
+        kept = np.zeros(rows[0].size)
+        t = 0
+        for _ in range(epochs):
+            for i in rng.permutation(n).tolist():
+                margin = kept.item(i) if keep_margins else rows[i].dot(kept)
+                if t == 0 or signs[i] * margin < lam * t:
+                    coef[k, i] += signs[i]
+                    if signs[i] > 0:
+                        kept += rows[i]
+                    else:
+                        kept -= rows[i]
+                t += 1
+    return (coef @ aug) / (lam * epochs * n)
+
+
+@pytest.fixture
+def scan_hits(monkeypatch):
+    """The violations found by every ml._pegasos_scan call, one entry per
+    scan window."""
+    hits = []
+    scan = ml._pegasos_scan
+
+    def counted(*args):
+        hits.append(scan(*args))
+        return hits[-1]
+
+    monkeypatch.setattr(ml, "_pegasos_scan", counted)
+    return hits
+
+
+class TestPegasosScan:
+    # (case, rows, dims, epochs, c, regime): "sparse" fits take scan-phase
+    # violations, "dense" fits step through every epoch, "u" fits keep u
+    # (n > d + 1) and never scan, "any" fits are not pinned to a regime
+    @pytest.mark.parametrize("case, n, dims, epochs, c, regime", [
+        ("n=d", 24, 24, 60, 1.0, "sparse"),
+        ("n=d+1", 25, 24, 60, 1.0, "sparse"),
+        ("n=d+2", 26, 24, 60, 1.0, "u"),
+        ("epochs=1", 24, 30, 1, 1.0, "dense"),
+        ("epochs=2", 24, 30, 2, 1.0, "any"),
+        ("epochs=3", 24, 30, 3, 1.0, "any"),
+        ("epochs=60", 24, 30, 60, 1.0, "sparse"),
+        ("small-c", 24, 30, 60, 1e-4, "dense"),
+        ("mixed-c", 24, 30, 60, 0.1, "sparse"),
+        ("one-member-class", 24, 30, 60, 1.0, "sparse"),
+        ("duplicate-rows", 24, 30, 60, 1.0, "sparse"),
+        ("zero-row", 24, 30, 60, 1.0, "sparse"),
+        ("one-class", 24, 30, 60, 1.0, "sparse"),
+        ("one-epoch-windows", 24, 30, 60, 1.0, "sparse"),
+        ("exact-ties", 24, 30, 60, 32 / 24, "sparse"),
+    ])
+    def test_fit_matches_step_loop_bytes(self, rng, monkeypatch, scan_hits,
+                                         case, n, dims, epochs, c, regime):
+        centers = rng.normal(size=(3, dims))
+        y = np.arange(n) % 3
+        x = centers[y] + rng.normal(scale=0.5, size=(n, dims))
+        n_classes = 3
+        if case == "one-member-class":
+            y = np.where(np.arange(n) == 5, 3, y)
+            n_classes = 4
+        elif case == "duplicate-rows":
+            x[n // 2:] = x[:n - n // 2]
+        elif case == "zero-row":
+            x[7] = 0.0
+        elif case == "one-class":
+            y[:] = 0
+            n_classes = 2
+        elif case == "one-epoch-windows":
+            monkeypatch.setattr(ml, "SVM_SCAN_STEPS", 1)
+        elif case == "exact-ties":
+            # integer margins against thresholds lam t = t / 32: some
+            # tests compare equal, where only a strict < keeps the bytes
+            x = rng.integers(-1, 2, size=(n, dims)).astype(float)
+        expected = _pegasos_sum_steps(x, y, n_classes, c, epochs, seed=7)
+        clf = ml.LinearSvmClassifier(c=c, epochs=epochs, seed=7).fit(
+            x, y, n_classes)
+        assert clf.w.tobytes() == expected.tobytes()
+        if regime == "sparse":
+            assert sum(scan_hits) > 0
+        elif regime in ("dense", "u"):
+            assert scan_hits == []
+
+    def test_long_fit_allocates_one_window(self, rng):
+        # at c = 100 hardly a step violates after epoch 2, so the scan
+        # window grows to its cap of 16 epochs of 256 rows within 60
+        # epochs; a window that kept growing would hold several MiB by
+        # epoch 6000, and epochs x n values would be 12 MiB of indices
+        x = rng.normal(size=(256, 300))
+        y = np.arange(256) % 2
+
+        def peak(epochs):
+            tracemalloc.start()
+            try:
+                ml.LinearSvmClassifier(c=100.0, epochs=epochs, seed=3).fit(
+                    x, y, 2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(6000) <= peak(60) + 64 * 2**10
 
 
 def _pipeline_predict(ds, rng):

@@ -201,9 +201,44 @@ class TestTriangularMemberships:
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _box_blur_per_line(data, axis):
+    """blur_measure's 9-tap edge-padded box blur, one np.convolve per line
+    along axis: the byte oracle of the one-convolve form."""
+    kernel = np.ones(9) / 9.0
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (4, 4)
+    padded = np.pad(data, pad, mode="edge")
+    return np.apply_along_axis(
+        lambda m: np.convolve(m, kernel, mode="valid"), axis, padded)
+
+
+def _blur_measure_per_line(gray):
+    scores = []
+    for axis in (0, 1):
+        d_orig = np.abs(np.diff(gray, axis=axis))
+        d_blur = np.abs(np.diff(_box_blur_per_line(gray, axis), axis=axis))
+        total = d_orig.sum()
+        kept = np.maximum(d_orig - d_blur, 0.0).sum()
+        scores.append(1.0 if total <= 0 else (total - kept) / total)
+    return float(1.0 - max(scores))
+
+
 class TestBlurMeasure:
     def test_constant_raster_is_zero(self):
         assert visual.blur_measure(np.full((16, 16), 9.0)) == 0.0
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2),
+                                       (3, 17), (31, 5), (27, 48)])
+    def test_one_convolve_matches_per_line_bytes(self, rng, shape):
+        for scale in (1.0, 255.0, 1e-3):
+            gray = rng.random(shape) * scale
+            for axis in (0, 1):
+                got = visual._box_blur(gray, axis)
+                want = _box_blur_per_line(gray, axis)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert (visual.blur_measure(gray).hex()
+                    == _blur_measure_per_line(gray).hex())
 
     def test_checkerboard_sharper_than_blurred(self):
         board = np.indices((32, 32)).sum(axis=0) % 2 * 255.0
