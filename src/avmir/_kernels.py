@@ -2,16 +2,21 @@
 earth mover's distance.
 
 LBP, CLAHE and dithering are vectorized numpy: the CLAHE tables come from
-one histogram of all tiles, and the CLAHE blend and dithering run over
-blocks of rows that stay in cache.  The per-pixel and per-tile loops they
-replace live in tests/test_kernels.py as reference oracles, and the kernel
-tests require equal results from both.  The earth mover's distance is
+one histogram of all tiles (of every plane of a stack), and the CLAHE blend
+and dithering run over blocks of rows that stay in cache.  Dithering is
+Colour Names' ordered dither to the corners of the RGB cube, decided on
+8-bit levels without building an RGB frame.  The per-pixel and per-tile
+loops they replace live in tests/test_kernels.py as reference oracles, the
+float HSV to RGB and nearest-colour pipeline in tests/cn_oracle.py, and the
+kernel tests require equal results.  The earth mover's distance is
 solved by the transportation simplex: a least-cost start, one whole-matrix
 reduced-cost pass per pivot, a parent/depth basis tree of which each pivot
 re-hangs only the subtree it cuts off, Bland's rule after a run of
 degenerate pivots, and a hard pivot cap; tests check it against scipy's LP
 solver and against the closed form on a line.
 """
+
+import functools
 
 import numpy as np
 
@@ -51,35 +56,55 @@ def lbp_codes(gray):
 # ---------------------------------------------------------------------------
 
 def _clahe_maps(img, n_ty, n_tx, tile_h, tile_w, clip_limit):
-    """Per-tile 256-entry lookup tables from clipped, equalized histograms.
+    """Per-tile 256-entry lookup tables from clipped, equalized histograms,
+    shaped (n_ty, n_tx, 256), or (n, n_ty, n_tx, 256) for an (n, h, w)
+    stack of rasters.
 
-    All tile histograms come from one bincount over tile * 256 + value and
-    are clipped, accumulated and normalized row by row.  A flat tile maps by
-    the identity.  Levels below a tile's first occupied bin (after
-    clipping) map to 0, so blending with a neighboring tile never yields a
-    negative value.
+    All tile histograms of all planes come from one bincount over
+    (plane * tiles + tile) * 256 + value and are clipped, accumulated and
+    normalized row by row.  A flat tile maps by the identity.  Levels below
+    a tile's first occupied bin (after clipping) map to 0, so blending with
+    a neighboring tile never yields a negative value.
     """
-    h, w = img.shape
+    h, w = img.shape[-2:]
+    planes = img.reshape(-1, h, w)
     n_tiles = n_ty * n_tx
-    tile = ((np.arange(h) // tile_h)[:, None] * n_tx
-            + (np.arange(w) // tile_w)[None, :])
-    hist = np.bincount((tile * 256 + img).ravel(), minlength=n_tiles * 256)
-    hist = hist.reshape(n_tiles, 256).astype(np.float64)
+    # (plane * tiles + tile) * 256 + value, as a row part plus a column part
+    rows = ((np.arange(len(planes)) * n_tiles)[:, None]
+            + (np.arange(h) // tile_h * n_tx)[None, :]) * 256
+    cols = np.arange(w) // tile_w * 256
+    key = np.add(rows[:, :, None], cols, dtype=np.intp)
+    key += planes
+    hist = np.bincount(key.ravel(), minlength=len(planes) * n_tiles * 256)
+    hist = hist.reshape(-1, 256).astype(np.float64)
     flat = np.count_nonzero(hist, axis=1) == 1
-    maps = np.empty((n_tiles, 256), dtype=np.float64)
-    maps[flat] = np.arange(256, dtype=np.float64)
+    if flat.any():
+        maps = np.empty(hist.shape, dtype=np.float64)
+        maps[flat] = np.arange(256, dtype=np.float64)
+        hist = hist[~flat]
 
-    hist = hist[~flat]
+    # every step below works row by row, in place where it can
     if clip_limit > 0:
         area = hist.sum(axis=1)  # pixel counts: exact in float64
         limit = np.maximum(1.0, clip_limit * area / 256.0)[:, None]
-        excess = np.maximum(hist - limit, 0.0).sum(axis=1)
-        hist = np.minimum(hist, limit) + (excess / 256.0)[:, None]
-    cdf = np.cumsum(hist, axis=1) / hist.sum(axis=1)[:, None]
+        excess = np.subtract(hist, limit)
+        excess = np.maximum(excess, 0.0, out=excess).sum(axis=1)
+        np.minimum(hist, limit, out=hist)
+        hist += (excess / 256.0)[:, None]
     first = np.argmax(hist > 0, axis=1)
+    total = hist.sum(axis=1)[:, None]
+    cdf = np.cumsum(hist, axis=1, out=hist)
+    cdf /= total
     cdf_min = cdf[np.arange(len(cdf)), first][:, None]
-    maps[~flat] = np.maximum(cdf - cdf_min, 0.0) / (1.0 - cdf_min) * 255.0
-    return maps.reshape(n_ty, n_tx, 256)
+    cdf -= cdf_min
+    np.maximum(cdf, 0.0, out=cdf)
+    cdf /= 1.0 - cdf_min
+    cdf *= 255.0
+    if flat.any():
+        maps[~flat] = cdf
+    else:
+        maps = cdf
+    return maps.reshape(img.shape[:-2] + (n_ty, n_tx, 256))
 
 
 def _axis_blend(n, tile, n_tiles):
@@ -96,79 +121,181 @@ def _axis_blend(n, tile, n_tiles):
 
 
 def clahe_u8(img, tile_w, tile_h, clip_limit):
-    """Contrast-limited adaptive histogram equalization of a uint8 raster.
+    """Contrast-limited adaptive histogram equalization of a uint8 raster,
+    or of each plane of an (n, h, w) stack of rasters.
 
     Each pixel blends the lookup tables of its four surrounding tiles; the
     four terms are summed in the order (top-left, top-right, bottom-left,
-    bottom-right).  Pixels are blended in blocks of rows.
+    bottom-right).  Pixels are blended in blocks of rows.  The planes of a
+    stack share one tile grid, so each block's four blend weights and four
+    table offsets are computed once for all planes.
     """
     img = np.ascontiguousarray(img, dtype=np.uint8)
-    h, w = img.shape
+    h, w = img.shape[-2:]
+    planes = img.reshape(-1, h, w)
     tile_h = min(tile_h, h)
     tile_w = min(tile_w, w)
     n_ty = (h + tile_h - 1) // tile_h
     n_tx = (w + tile_w - 1) // tile_w
-    lut = _clahe_maps(img, n_ty, n_tx, tile_h, tile_w, clip_limit).ravel()
+    luts = _clahe_maps(planes, n_ty, n_tx, tile_h, tile_w, clip_limit)
+    luts = luts.reshape(len(planes), -1)
     ty0, ty1, wy = _axis_blend(h, tile_h, n_ty)
     tx0, tx1, wx = _axis_blend(w, tile_w, n_tx)
-    wx = wx[None, :]
-    out = np.empty((h, w), dtype=np.uint8)
+    left, right = tx0 * 256, tx1 * 256
+    wx0, wx1 = 1.0 - wx, wx
+    out = np.empty(planes.shape, dtype=np.uint8)
+    # one set of block buffers, reused by every block and plane
+    block = (min(BLOCK_ROWS, h), w)
+    weights = np.empty((4,) + block)
+    bases = np.empty((4,) + block, dtype=np.intp)
+    level, index = np.empty(block, np.intp), np.empty(block, np.intp)
+    m, term = np.empty(block), np.empty(block)
     for y in range(0, h, BLOCK_ROWS):
         rows = slice(y, y + BLOCK_ROWS)
-        level = img[rows].astype(np.intp)
-        left = level + tx0 * 256
-        right = level + tx1 * 256
+        n = len(wy[rows])
         top = (ty0[rows] * (n_tx * 256))[:, None]
         bottom = (ty1[rows] * (n_tx * 256))[:, None]
-        wyb = wy[rows, None]
-        m = (1.0 - wyb) * (1.0 - wx) * lut.take(left + top)
-        m += (1.0 - wyb) * wx * lut.take(right + top)
-        m += wyb * (1.0 - wx) * lut.take(left + bottom)
-        m += wyb * wx * lut.take(right + bottom)
-        m += 0.5
-        out[rows] = np.floor(m, out=m)
-    return out
+        wy1 = wy[rows, None]
+        wy0 = 1.0 - wy1
+        # (top-left, top-right, bottom-left, bottom-right)
+        for k, (wa, wb, a, b) in enumerate((
+                (wy0, wx0, top, left), (wy0, wx1, top, right),
+                (wy1, wx0, bottom, left), (wy1, wx1, bottom, right))):
+            np.multiply(wa, wb, out=weights[k, :n])
+            np.add(b, a, out=bases[k, :n])
+        lv, ix, mb, tb = level[:n], index[:n], m[:n], term[:n]
+        for lut, plane, dst in zip(luts, planes, out):
+            lv[...] = plane[rows]
+            for k in range(4):
+                np.add(lv, bases[k, :n], out=ix)
+                # every index is in range: clip skips the buffered error
+                # check of take with out
+                lut.take(ix, out=tb, mode="clip")
+                if k == 0:
+                    np.multiply(weights[k, :n], tb, out=mb)
+                else:
+                    tb *= weights[k, :n]
+                    mb += tb
+            mb += 0.5
+            dst[rows] = np.floor(mb, out=mb)
+    return out.reshape(img.shape)
 
 
 # ---------------------------------------------------------------------------
 # ordered dithering
 # ---------------------------------------------------------------------------
 
-def dither_indices(rgb, palette, tmap, spread):
-    """Ordered-dither quantization: per-pixel threshold offset, then nearest
-    palette color by squared RGB distance (ties to the lowest index).
+# the float value s / 255 of each 8-bit level s
+_UNIT_LEVELS = np.arange(256) / 255.0
 
-    Blocks of rows are scanned one palette entry at a time against a running
-    minimum; each distance sums its three squared channel differences in
-    R, G, B order, and each (channel, level) difference is squared once.
-    """
-    rgb = np.asarray(rgb, dtype=np.float64)
+
+def _rounded_levels(x):
+    """Nearest 8-bit level of each value x in [0, 1] (half to even)."""
+    return np.rint(x * 255.0)
+
+
+@functools.cache
+def _p_levels():
+    """The level of p = v * (1 - s) at v level * 256 + s level: the level
+    of the smallest channel of an HSV pixel converted back to RGB.  Built
+    on first use, which keeps it out of the import."""
+    return _rounded_levels(
+        _UNIT_LEVELS[:, None] * (1.0 - _UNIT_LEVELS[None, :])
+    ).astype(np.int16).ravel()
+
+
+# the channel (0 R, 1 G, 2 B) that holds V, P and the middle value in each
+# hue sector of the HSV to RGB conversion
+_SECTOR_CHANNELS = ((0, 2, 1), (1, 2, 0), (1, 0, 2), (2, 0, 1), (2, 1, 0),
+                    (0, 1, 2))
+
+
+def corner_table(palette):
+    """dither_indices' (6, 3, 3, 3) table of a palette that holds the eight
+    corners of the RGB cube: the lowest palette index among the corners
+    nearest to a pixel, by hue sector and the decisions for V, P and the
+    middle value (0 below, 1 on, 2 above the midpoint).  Raises ValueError
+    for any other palette."""
     palette = np.asarray(palette, dtype=np.float64)
-    tmap = np.asarray(tmap, dtype=np.float64)
-    h, w, _ = rgb.shape
+    top = palette == 255.0
+    if palette.ndim != 2 or palette.shape[1] != 3 \
+            or not (top | (palette == 0.0)).all() \
+            or not np.bincount(top @ [4, 2, 1], minlength=8).all():
+        raise ValueError("palette must hold the 8 corners of the RGB cube")
+    # allowed[d, t]: a corner whose channel is at 255 (t = 1) or 0 (t = 0)
+    # is among the nearest for decision d (0 below, 1 on, 2 above)
+    allowed = np.array([[True, False], [True, True], [False, True]])
+    # per role (V, P, middle): (sector, decision, palette entry)
+    ok = [allowed[:, top[:, list(channels)].T.astype(int)].swapaxes(0, 1)
+          for channels in zip(*_SECTOR_CHANNELS)]
+    ok = (ok[0][:, :, None, None] & ok[1][:, None, :, None]
+          & ok[2][:, None, None, :])
+    # the first True along the palette: the lowest tied index
+    return ok.argmax(axis=-1).astype(np.uint8)
+
+
+def dither_indices(hue, s, v, tmap, scale, corners):
+    """Ordered dither of HSV pixels to the eight corners of the RGB cube,
+    decided channel by channel on 8-bit levels.
+
+    hue is in degrees (finite), wrapped into [0, 360) as np.mod does; s
+    and v are uint8 levels standing for s / 255 and v / 255.  A pixel's RGB
+    levels are those of the HSV to RGB conversion: V (the v level itself),
+    P = v * (1 - s) and a middle value, placed by the hue sector.  The
+    middle value is q = v * (1 - s * f) in odd sectors and
+    t = v * (1 - s * (1 - f)) in even ones, f being the hue's fraction
+    within its sector.  tmap is the integer threshold map, already shifted
+    by the midpoint: a channel at level L lies above, on or below the
+    midpoint between corner levels 0 and 255 as scale * L + tmap is > 0,
+    == 0 or < 0 at the pixel's map position.  corners[sector, V, P, middle]
+    gives the index for the three channel decisions, each 0 below, 1 on
+    and 2 above the midpoint.  Pixels are quantized in blocks of rows.
+    """
+    hue = np.asarray(hue, dtype=np.float64)
+    if not (hue.min() >= 0.0 and hue.max() < 360.0):
+        hue = np.mod(hue, 360.0)
+        # a tiny negative hue wraps to 360 itself: sector 6, which is
+        # sector 0 with f = 0, as for hue 0
+        hue[hue == 360.0] = 0.0
+    # inside [0, 360) np.mod is the identity up to the sign of zero, which
+    # neither the sector nor f sees, and hue / 60 stays below 6
+    h, w = hue.shape
     n = tmap.shape[0]
     reps = ((h + n - 1) // n, (w + n - 1) // n)
-    offset = float(spread) * (np.tile(tmap, reps)[:h, :w] - 0.5)
-    index = np.zeros((h, w), dtype=np.int32)
+    bias = np.tile(np.asarray(tmap, dtype=np.int16), reps)[:h, :w]
+    corners = np.asarray(corners).ravel()
+    p_levels = _p_levels()
+    index = np.empty((h, w), dtype=corners.dtype)
+
     for y in range(0, h, BLOCK_ROWS):
         rows = slice(y, y + BLOCK_ROWS)
-        channels = [rgb[rows, :, c] + offset[rows] for c in range(3)]
-        squares = {}
+        sb, vb, bb = s[rows], v[rows], bias[rows]
 
-        def square(c, level):
-            if (c, level) not in squares:
-                squares[c, level] = np.square(channels[c] - level)
-            return squares[c, level]
+        def side(level):
+            # -1, 0 or 1: the level lies below, on or above the midpoint
+            level = level * np.int16(scale)
+            level += bb
+            return np.sign(level, out=level)
 
-        best = np.full(channels[0].shape, np.inf)
-        block = index[rows]
-        for k, (r, g, b) in enumerate(palette):
-            dist = square(0, r) + square(1, g)
-            dist += square(2, b)
-            # k exceeds every index so far: a maximum selects it where this
-            # entry is strictly closer, faster than a masked write
-            np.maximum(block, (dist < best) * np.int32(k), out=block)
-            np.minimum(best, dist, out=best)
+        x = hue[rows] / 60.0
+        whole = np.floor(x)
+        f = np.subtract(x, whole, out=x)
+        sector = whole.astype(np.int16)
+        # g = f in odd sectors, |f - 1| = 1 - f in even ones
+        g = np.subtract(f, (sector & np.int16(1)) ^ np.int16(1), out=whole)
+        np.abs(g, out=g)
+        g *= _UNIT_LEVELS.take(sb)
+        middle = np.subtract(1.0, g, out=g)
+        middle *= _UNIT_LEVELS.take(vb)
+        v16 = vb.astype(np.int16)
+        # corners' flat index, each side shifted from -1..1 to 0..2
+        key = sector * np.int16(27)
+        key += np.int16(13)
+        key += side(v16) * np.int16(9)
+        key += side(p_levels.take((v16.view(np.uint16) << 8) | sb)) \
+            * np.int16(3)
+        key += side(_rounded_levels(middle).astype(np.int16))
+        index[rows] = corners.take(key)
     return index
 
 

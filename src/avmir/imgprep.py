@@ -103,17 +103,13 @@ def _channel_min(rgb):
     return np.minimum(np.minimum(rgb[..., 0], rgb[..., 1]), rgb[..., 2])
 
 
-def _by_rows(convert, *arrays):
-    """convert(*arrays) for a per-pixel conversion, computed over blocks of
-    BLOCK_ROWS leading rows, whose temporaries stay in cache, and joined.
-    convert returns one array or a tuple of arrays; arrays without rows
-    make one empty block."""
-    n = max(arrays[0].shape[0], 1)
-    blocks = [convert(*(a[y:y + _kernels.BLOCK_ROWS] for a in arrays))
-              for y in range(0, n, _kernels.BLOCK_ROWS)]
-    if isinstance(blocks[0], tuple):
-        return tuple(np.concatenate(parts) for parts in zip(*blocks))
-    return np.concatenate(blocks)
+def _by_rows(convert, frame):
+    """The planes convert(frame) of a per-pixel conversion, computed over
+    blocks of BLOCK_ROWS rows, whose temporaries stay in cache, and
+    joined."""
+    blocks = [convert(frame[y:y + _kernels.BLOCK_ROWS])
+              for y in range(0, frame.shape[0], _kernels.BLOCK_ROWS)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 class FrameContext:
@@ -250,36 +246,6 @@ def _hsv_planes(frame):
 
     s = np.divide(delta, mx, out=np.zeros_like(mx), where=mx > 0)
     return h, s, mx
-
-
-def hsv_to_rgb(h, s, v):
-    """Inverse of FrameContext.hsv; returns a uint8 frame."""
-    h, s, v = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64)
-                                    for x in (h, s, v)))
-    if h.ndim == 0:
-        return _rgb_levels(h, s, v)
-    return _by_rows(_rgb_levels, h, s, v)
-
-
-def _rgb_levels(h, s, v):
-    h = _mod(h, 360.0) / 60.0
-    s = np.clip(s, 0.0, 1.0)
-    v = np.clip(v, 0.0, 1.0)
-
-    i = np.floor(h).astype(np.int64) % 6
-    f = h - np.floor(h)
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
-
-    choices_r = [v, q, p, p, t, v]
-    choices_g = [t, v, v, q, p, p]
-    choices_b = [p, p, t, v, v, q]
-    r = np.choose(i, choices_r)
-    g = np.choose(i, choices_g)
-    b = np.choose(i, choices_b)
-    rgb = np.stack([r, g, b], axis=-1)
-    return np.clip(np.round(rgb * 255.0), 0, 255).astype(np.uint8)
 
 
 def circular_stats(hues, weights=None):

@@ -36,7 +36,18 @@ CN_CLAHE_TILE = (22, 22)
 CN_CLAHE_CLIP_LIMIT = 1.0
 CN_BAYER_ORDER = 32
 CN_DITHER_SPREAD = 64.0
-_CN_BAYER_MAP = imgprep.bayer_matrix(CN_BAYER_ORDER)
+# CN dithers in 8-bit levels.  Its palette holds the corners of the RGB cube,
+# and a Bayer value k (0 .. order^2 - 1) offsets each channel level L by
+# spread * (k / order^2 - 0.5) = k / 16 - 32, so every squared RGB distance
+# to a corner is exact in float64, and the nearest corners are decided
+# channel by channel: L + offset > 127.5 (nearer 255 than 0) exactly when
+# scale * L + k > tie, with scale = order^2 / spread = 16 and
+# tie = scale * 127.5 + order^2 / 2 = 2552; equality is a tie
+_CN_SCALE = int(CN_BAYER_ORDER ** 2 / CN_DITHER_SPREAD)
+_CN_TIE = int(_CN_SCALE * 127.5 + CN_BAYER_ORDER ** 2 / 2)
+_CN_TMAP = (imgprep.bayer_matrix(CN_BAYER_ORDER) * CN_BAYER_ORDER ** 2
+            ).astype(np.int16) - np.int16(_CN_TIE)
+_CN_CORNERS = _kernels.corner_table(CN_PALETTE)
 
 # Colorfulness: the RGB cube split into CF_PARTITIONS^3 cells; the EMD ground
 # distance CF_COST is Euclidean between cell centers, its largest value is
@@ -84,7 +95,11 @@ class LfpPattern:
 
 def is_warm(hue):
     """Classify LCH hue angles (radians) into warm (True) / cold (False)."""
-    h = imgprep.wrap_angle(hue)
+    h = np.asarray(hue, dtype=np.float64)
+    # LCH and segment hues are already in [0, 2pi), where wrapping changes
+    # no comparison below
+    if h.size and not (h.min() >= 0.0 and h.max() < 2.0 * np.pi):
+        h = imgprep.wrap_angle(h)
     return (h < WARM_HUE_HI) | (h > 2.0 * np.pi + WARM_HUE_LO)
 
 
@@ -161,25 +176,25 @@ def colorfulness(frame):
     return np.array([_CF_DMAX - _cf_distance(rgb_histogram(frame))])
 
 
-def _clahe_unit(plane):
-    """CN's CLAHE of a [0, 1] plane, through 8-bit levels and back."""
-    levels = np.clip(np.round(plane * 255.0), 0, 255).astype(np.uint8)
-    return _kernels.clahe_u8(levels, *CN_CLAHE_TILE, CN_CLAHE_CLIP_LIMIT) / 255.0
-
-
 def color_names(hsv):
     """Eight-bin elementary-color histogram of an enhanced, dithered frame,
     given its (h, s, v) planes (imgprep.FrameContext.hsv).
 
-    Pipeline: CLAHE on the value channel (and, with the same parameters, on
-    saturation), ordered-dither quantization against the 8-color palette
-    with a Bayer threshold map, then a normalized index histogram.  Order:
-    magenta, red, yellow, green, cyan, blue, black, white.
+    Pipeline: s and v to 8-bit levels, CLAHE on both (one pass, same
+    parameters), then ordered-dither quantization of the enhanced HSV
+    pixels against the 8-color palette with a Bayer threshold map, then a
+    normalized index histogram.  Order: magenta, red, yellow, green, cyan,
+    blue, black, white.
     """
     h, s, v = hsv
-    enhanced = imgprep.hsv_to_rgb(h, _clahe_unit(s), _clahe_unit(v))
-    indices = _kernels.dither_indices(enhanced, CN_PALETTE, _CN_BAYER_MAP,
-                                      CN_DITHER_SPREAD)
+    levels = np.empty((2,) + np.shape(s), dtype=np.uint8)
+    for plane, out in zip((s, v), levels):
+        x = np.multiply(plane, 255.0)
+        np.clip(np.rint(x, out=x), 0, 255, out=x)
+        out[...] = x
+    s, v = _kernels.clahe_u8(levels, *CN_CLAHE_TILE, CN_CLAHE_CLIP_LIMIT)
+    indices = _kernels.dither_indices(h, s, v, _CN_TMAP, _CN_SCALE,
+                                      _CN_CORNERS)
     counts = np.bincount(indices.ravel(), minlength=len(CN_PALETTE))
     return counts.astype(np.float64) / counts.sum()
 
@@ -209,16 +224,22 @@ def _box_blur(data, axis):
     """The 9-tap box blur of blur_measure along axis, edge-padded.
 
     The lines along axis, each padded by 4 samples at both ends, are laid
-    end to end and blurred by one np.convolve; each line keeps its own
-    valid outputs, which are the same 9-term dot products over the same
-    samples as a convolve of that line alone.
+    end to end, followed by 8 zeros, and blurred by one np.convolve; each
+    line keeps its own valid outputs, which are the same 9-term dot
+    products over the same samples as a convolve of that line alone.
     """
     lines = data if axis == 1 else data.T
     count, length = lines.shape
-    padded = np.pad(lines, [(0, 0), (4, 4)], mode="edge")
-    flat = np.convolve(padded.ravel(), np.ones(9) / 9.0, mode="valid")
-    # the 8 outputs that straddle two lines are cut off with the padding
-    out = np.append(flat, np.zeros(8)).reshape(count, length + 8)[:, :length]
+    flat = np.empty(count * (length + 8) + 8)
+    padded = flat[:-8].reshape(count, length + 8)
+    padded[:, 4:-4] = lines
+    padded[:, :4] = lines[:, :1]
+    padded[:, -4:] = lines[:, -1:]
+    flat[-8:] = 0.0
+    flat = np.convolve(flat, np.ones(9) / 9.0, mode="valid")
+    # the outputs that straddle two lines or reach the zeros are cut off
+    # with the padding
+    out = flat.reshape(count, length + 8)[:, :length]
     return out if axis == 1 else out.T
 
 
@@ -237,10 +258,14 @@ def blur_measure(gray):
         raise ValueError("blur_measure expects a non-empty 2-D raster")
     blur_scores = []
     for axis in (0, 1):
-        blurred = _box_blur(gray, axis)
-        d_orig = np.abs(np.diff(gray, axis=axis))
-        d_blur = np.abs(np.diff(blurred, axis=axis))
-        kept = np.maximum(d_orig - d_blur, 0.0)
+        # in place where the layout of every summed array stays as it was:
+        # a sum's rounding follows its array's memory order
+        d_orig = np.diff(gray, axis=axis)
+        np.abs(d_orig, out=d_orig)
+        d_blur = np.diff(_box_blur(gray, axis), axis=axis)
+        np.abs(d_blur, out=d_blur)
+        kept = d_orig - d_blur
+        np.maximum(kept, 0.0, out=kept)
         total = d_orig.sum()
         if total <= 0:
             blur_scores.append(1.0)

@@ -5,16 +5,19 @@ independent LP oracle.
 The loop references below are the straightforward per-pixel definitions of
 LBP codes, CLAHE interpolation and ordered dithering, and the per-tile
 definition of the CLAHE lookup tables.  They run as plain Python, so the
-rasters stay small.
+rasters stay small.  The level-domain Colour Names quantizer is checked
+against the float pipeline of tests/cn_oracle.py and the dithering loop.
 """
 
 import numpy as np
 import pytest
 
-from avmir import _kernels
-from avmir._kernels import (_clahe_maps, _transport_simplex, clahe_u8,
-                            dither_indices, emd, lbp_codes)
+import cn_oracle
+from avmir import _kernels, imgprep, visual
+from avmir._kernels import (_clahe_maps, _transport_simplex, clahe_u8, emd,
+                            lbp_codes)
 from avmir.visual import CF_COST, _CF_IDEAL, _cf_distance, rgb_histogram
+from cn_oracle import dither_indices
 from conftest import random_frame
 
 
@@ -188,6 +191,31 @@ def test_clahe_backends_agree(rng):
                 err_msg=f"{h}x{w}, tile {tile_w}x{tile_h}, clip {clip_limit}")
 
 
+def test_clahe_stack_matches_each_plane(rng):
+    # the planes of a stack share the tile grid, blend weights and table
+    # offsets; each must come out as alone and as the loop references give
+    cases = [((45, 57), (16, 16)), ((33, 17), (8, 5)), ((10, 12), (22, 22)),
+             ((1, 1), (22, 22)), ((1, 9), (4, 4)), ((9, 1), (4, 4)),
+             ((70, 50), (22, 22))]
+    for (h, w), (tile_w, tile_h) in cases:
+        for clip_limit in (0.0, 1.0):
+            stack = rng.integers(0, 256, size=(3, h, w), dtype=np.uint8)
+            stack[1] //= 16                      # few levels: flat tiles
+            stack[2] = 200                       # a flat plane
+            th, tw = min(tile_h, h), min(tile_w, w)
+            n_ty, n_tx = -(-h // th), -(-w // tw)
+            out = clahe_u8(stack, tile_w, tile_h, clip_limit)
+            assert out.shape == stack.shape and out.dtype == np.uint8
+            for plane, got in zip(stack, out):
+                maps = _clahe_maps_loop(plane, n_ty, n_tx, th, tw, clip_limit)
+                np.testing.assert_array_equal(
+                    got, _clahe_interp_loop(plane, maps, n_ty, n_tx, th, tw),
+                    err_msg=f"{h}x{w}, tile {tile_w}x{tile_h}, "
+                            f"clip {clip_limit}")
+                np.testing.assert_array_equal(
+                    got, clahe_u8(plane, tile_w, tile_h, clip_limit))
+
+
 def test_clahe_maps_match_tile_loop(rng):
     # (raster, tile (w, h)): whole tiles, partial edge tiles in one or both
     # directions, a raster smaller than one tile and a single pixel
@@ -211,6 +239,172 @@ def test_clahe_maps_match_tile_loop(rng):
                     _clahe_maps_loop(img, n_ty, n_tx, th, tw, clip_limit),
                     err_msg=f"{name} {h}x{w}, tile {tile_w}x{tile_h}, "
                             f"clip {clip_limit}")
+
+
+# ---------------------------------------------------------------------------
+# Colour Names quantizer against the float pipeline
+# ---------------------------------------------------------------------------
+
+_CN_ORDER = visual.CN_BAYER_ORDER
+# Bayer values k = 0 .. order^2 - 1 of CN's threshold map
+_CN_K = (imgprep.bayer_matrix(_CN_ORDER) * _CN_ORDER ** 2).astype(np.int64)
+
+
+def _tie_pixels(rng, hue, s, v, k):
+    """Overwrite, in place, the pixels whose Bayer value k admits a tie
+    (scale * level + k == tie for a level in 0..255) with pixels whose V,
+    P or middle level is that level, in turn; returns how many."""
+    scale, tie = visual._CN_SCALE, visual._CN_TIE
+    target, rest = np.divmod(tie - k, scale)
+    where = np.flatnonzero((rest == 0) & (target >= 0) & (target <= 255))
+    target = target.ravel()[where]
+    kind = np.arange(len(where)) % 3
+    sector = rng.integers(0, 6, size=len(where))
+    # V is the v level; with v = 255, P is 255 - s; with s = v = 255 the
+    # middle level is 255 f in even sectors and 255 (1 - f) in odd ones
+    frac = (target + 0.25) / 255.0
+    frac = np.where(sector % 2 == 0, frac, 1.0 - frac)
+    v.ravel()[where] = np.where(kind == 0, target, 255)
+    s.ravel()[where] = np.select([kind == 1, kind == 2],
+                                 [255 - target, 255], s.ravel()[where])
+    hue.ravel()[where] = np.where(kind == 2, 60.0 * (sector + frac),
+                                  hue.ravel()[where])
+    return len(where)
+
+
+def _cn_planes(rng, h, w, kmap):
+    """A hue plane (degrees) and s, v level planes: random pixels, exact
+    sector starts, then forced ties wherever kmap admits one."""
+    hue = rng.uniform(0.0, 360.0, size=(h, w))
+    hue.ravel()[::5] = 60.0 * rng.integers(0, 6, size=hue.size)[::5]
+    s = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+    v = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+    reps = (-(-h // len(kmap)), -(-w // len(kmap)))
+    ties = _tie_pixels(rng, hue, s, v, np.tile(kmap, reps)[:h, :w])
+    return hue, s, v, ties
+
+
+def _quantize(hue, s, v, kmap):
+    return _kernels.dither_indices(hue, s, v, kmap - visual._CN_TIE,
+                                   visual._CN_SCALE, visual._CN_CORNERS)
+
+
+def _quantize_float(hue, s, v, kmap, loop=False):
+    """The float pipeline: hsv_to_rgb of s / 255 and v / 255, then the
+    nearest palette color by squared distance after the Bayer offset."""
+    rgb = cn_oracle.hsv_to_rgb(hue, s / 255.0, v / 255.0)
+    dither = _dither_loop if loop else dither_indices
+    return dither(rgb, visual.CN_PALETTE, kmap / _CN_ORDER ** 2,
+                  visual.CN_DITHER_SPREAD)
+
+
+def test_cn_quantizer_matches_float_pipeline(rng):
+    # CN's map, and the map shifted so that its first pixel admits a tie
+    shift = np.argwhere((visual._CN_TIE - _CN_K) % visual._CN_SCALE == 0)[0]
+    kmaps = {"bayer": _CN_K, "shifted": np.roll(_CN_K, -shift, axis=(0, 1))}
+    ties = 0
+    for name, kmap in kmaps.items():
+        for h, w in _SHAPES + [(270, 480)]:
+            hue, s, v, n = _cn_planes(rng, h, w, kmap)
+            ties += n
+            got = _quantize(hue, s, v, kmap)
+            np.testing.assert_array_equal(
+                got, _quantize_float(hue, s, v, kmap),
+                err_msg=f"{h}x{w}, {name} map")
+            if h * w < 2000:
+                np.testing.assert_array_equal(
+                    got, _quantize_float(hue, s, v, kmap, loop=True),
+                    err_msg=f"{h}x{w}, {name} map, loop")
+    assert ties > 1000
+
+
+def test_cn_quantizer_every_sector_and_tie(rng):
+    # per hue sector: each forced tie kind, and pixels on either side
+    h, w = 96, 96
+    for sector in range(6):
+        hue, s, v, ties = _cn_planes(rng, h, w, _CN_K)
+        hue[::2] = rng.uniform(60.0 * sector, 60.0 * (sector + 1),
+                               size=(h // 2, w))
+        assert ties > 0
+        np.testing.assert_array_equal(_quantize(hue, s, v, _CN_K),
+                                      _quantize_float(hue, s, v, _CN_K),
+                                      err_msg=f"sector {sector}")
+
+
+def test_cn_quantizer_rounds_middle_half_to_even(rng):
+    # middle values whose 255 * value is exactly an even level + 0.5, each
+    # at a map value that puts that level below the midpoint and the next
+    # one above it: rounding half up instead of half to even shows
+    unit = np.arange(256) / 255.0
+    cases = []
+    for sector in range(6):
+        for hue in 60.0 * (sector + np.arange(1, 64) / 64.0):
+            x = hue / 60.0
+            f = x - np.floor(x)
+            g = f if sector % 2 else 1.0 - f
+            m = unit[:, None] * (1.0 - unit[None, :] * g) * 255.0
+            low = np.floor(m)
+            half = (m - low == 0.5) & (low % 2 == 0) & (low >= 96) \
+                & (low < 159)
+            for v, s in np.argwhere(half)[:4]:
+                cases.append((hue, s, v, int(low[v, s])))
+    n = int(np.ceil(np.sqrt(len(cases))))
+    hue = rng.uniform(0.0, 360.0, size=n * n)
+    s = rng.integers(0, 256, size=n * n).astype(np.uint8)
+    v = rng.integers(0, 256, size=n * n).astype(np.uint8)
+    kmap = rng.integers(0, _CN_ORDER ** 2, size=n * n)
+    for i, (h_i, s_i, v_i, level) in enumerate(cases):
+        hue[i], s[i], v[i] = h_i, s_i, v_i
+        kmap[i] = visual._CN_TIE - visual._CN_SCALE * level - 8
+    planes = hue.reshape(n, n), s.reshape(n, n), v.reshape(n, n)
+    kmap = kmap.reshape(n, n)
+    assert len(cases) > 100
+    np.testing.assert_array_equal(_quantize(*planes, kmap),
+                                  _quantize_float(*planes, kmap))
+
+
+def test_cn_quantizer_flat_and_grey_frames(rng):
+    h, w = 64, 70
+    cases = {"black": (0.0, 0, 0), "white": (0.0, 0, 255),
+             "mid grey": (0.0, 0, 128), "tie grey": (0.0, 0, 150),
+             "red": (0.0, 255, 255), "hue 360": (360.0, 200, 200),
+             "negative hue": (-30.0, 128, 140), "wrapped hue": (725.0, 90, 99),
+             # np.mod wraps it to 360 itself
+             "tiny negative hue": (-1e-20, 210, 160)}
+    for name, (hue, s, v) in cases.items():
+        planes = (np.full((h, w), hue), np.full((h, w), s, np.uint8),
+                  np.full((h, w), v, np.uint8))
+        np.testing.assert_array_equal(_quantize(*planes, _CN_K),
+                                      _quantize_float(*planes, _CN_K),
+                                      err_msg=name)
+    grey = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+    planes = (np.zeros((h, w)), np.zeros((h, w), np.uint8), grey)
+    np.testing.assert_array_equal(_quantize(*planes, _CN_K),
+                                  _quantize_float(*planes, _CN_K))
+
+
+def test_cn_quantizer_any_corner_order(rng):
+    # the table follows the palette's order, ties included
+    h, w = 64, 96
+    for trial in range(3):
+        palette = visual.CN_PALETTE[rng.permutation(8)]
+        hue, s, v, ties = _cn_planes(rng, h, w, _CN_K)
+        got = _kernels.dither_indices(hue, s, v, _CN_K - visual._CN_TIE,
+                                      visual._CN_SCALE,
+                                      _kernels.corner_table(palette))
+        rgb = cn_oracle.hsv_to_rgb(hue, s / 255.0, v / 255.0)
+        np.testing.assert_array_equal(
+            got, dither_indices(rgb, palette, _CN_K / _CN_ORDER ** 2,
+                                visual.CN_DITHER_SPREAD),
+            err_msg=f"trial {trial}")
+
+
+def test_corner_table_rejects_other_palettes():
+    corners = visual.CN_PALETTE
+    for palette in (corners[:7], np.vstack([corners[:7], [[128, 0, 0]]]),
+                    np.vstack([corners[:7], corners[:1]])):
+        with pytest.raises(ValueError):
+            _kernels.corner_table(palette)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cn_oracle
 from avmir import imgprep, visual
 from conftest import random_frame, solid_frame
 
@@ -103,6 +104,27 @@ def frame_color_names(frame):
     return visual.color_names(imgprep.FrameContext(frame).hsv)
 
 
+def _cn_frames(rng):
+    """Frames of the CN parity test: random ones of many shapes, flat, grey
+    and near-grey ones, and one 480x270 mosaic with texture."""
+    frames = {}
+    for h, w in [(37, 41), (33, 17), (3, 5), (1, 1), (1, 9), (9, 1), (2, 2)]:
+        frames[f"noise {h}x{w}"] = random_frame(rng, h, w)
+        grey = rng.integers(0, 256, size=(h, w, 1), dtype=np.uint8)
+        frames[f"grey {h}x{w}"] = np.repeat(grey, 3, axis=2)
+        near = grey.astype(int) + rng.integers(-3, 4, size=(h, w, 3))
+        frames[f"near grey {h}x{w}"] = np.clip(near, 0, 255).astype(np.uint8)
+    for r, g, b in [(0, 0, 0), (255, 255, 255), (128, 128, 128),
+                    (150, 150, 150), (255, 0, 0), (10, 200, 90)]:
+        frames[f"flat {r},{g},{b}"] = solid_frame(r, g, b, 45, 50)
+    tiles = rng.uniform(40, 255, size=(3, 4, 3))
+    mosaic = np.kron(tiles, np.ones((90, 120, 1)))
+    mosaic += rng.normal(0.0, 18.0, size=mosaic.shape)
+    frames["mosaic 270x480"] = np.clip(mosaic, 0, 255).astype(np.uint8)
+    frames["noise 270x480"] = random_frame(rng, 270, 480)
+    return frames
+
+
 class TestColorNames:
     def test_all_black(self):
         values = frame_color_names(solid_frame(0, 0, 0, 40, 40))
@@ -118,6 +140,52 @@ class TestColorNames:
             values = frame_color_names(random_frame(rng, 30, 30))
             assert values.sum() == pytest.approx(1.0, abs=1e-9)
             assert values.shape == (8,)
+
+    def test_matches_float_pipeline_bytes(self, rng):
+        for name, frame in _cn_frames(rng).items():
+            hsv = imgprep.FrameContext(frame).hsv
+            assert (visual.color_names(hsv).tobytes()
+                    == cn_oracle.color_names(hsv).tobytes()), name
+
+    def test_palette_and_offsets_admit_level_decisions(self):
+        # the level-domain quantizer needs the palette on the 8 corners of
+        # the RGB cube and dither offsets that are multiples of 1/16: then
+        # every float distance is exact, and L + offset > 127.5 (== 127.5)
+        # exactly when scale * L + k > tie (== tie)
+        corners = {(r, g, b) for r in (0, 255) for g in (0, 255)
+                   for b in (0, 255)}
+        palette = visual.CN_PALETTE
+        assert len(palette) == 8
+        assert {tuple(c) for c in palette.astype(int).tolist()} == corners
+        assert np.array_equal(palette, palette.astype(int))
+        n = visual.CN_BAYER_ORDER ** 2
+        k = np.arange(n)
+        offsets = visual.CN_DITHER_SPREAD * (k / n - 0.5)
+        assert np.array_equal(offsets * 16.0, np.round(offsets * 16.0))
+        assert np.abs(offsets).max() < 128.0
+        level = np.arange(256)[:, None]
+        channel = level + offsets[None, :]
+        key = visual._CN_SCALE * level + k[None, :]
+        assert np.array_equal(channel > 127.5, key > visual._CN_TIE)
+        assert np.array_equal(channel == 127.5, key == visual._CN_TIE)
+
+    def test_level_round_trip(self):
+        # the V channel is the v level itself: level / 255 converts back to
+        # the same level, as hsv_to_rgb rounds it
+        levels = np.arange(256)
+        unit = levels.astype(np.uint8) / 255.0
+        back = np.clip(np.round(unit * 255.0), 0, 255).astype(np.uint8)
+        np.testing.assert_array_equal(back, levels)
+        rgb = cn_oracle.hsv_to_rgb(0.0, 0.0, unit)
+        np.testing.assert_array_equal(rgb, np.repeat(levels[:, None], 3, 1))
+
+    def test_p_levels_match_hsv_to_rgb(self):
+        # in hue sector 0 the blue channel is P = v * (1 - s)
+        from avmir._kernels import _p_levels
+        unit = np.arange(256) / 255.0
+        rgb = cn_oracle.hsv_to_rgb(0.0, unit[None, :], unit[:, None])
+        np.testing.assert_array_equal(_p_levels().reshape(256, 256),
+                                      rgb[..., 2])
 
 
 class TestWaf:
@@ -334,6 +402,21 @@ class TestIttenContrasts:
                                     [np.deg2rad(30), np.deg2rad(200)])
         values = visual.itten_contrasts(seg)
         assert values[3] == pytest.approx(1.0)
+
+    def test_is_warm_matches_wrapped_hues(self, rng):
+        # in [0, 2pi) is_warm compares the hues as they are; elsewhere it
+        # wraps them first
+        inside = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 200),
+                                 [0.0, -0.0, np.nextafter(2.0 * np.pi, 0.0),
+                                  visual.WARM_HUE_HI,
+                                  2.0 * np.pi + visual.WARM_HUE_LO]])
+        outside = np.concatenate([inside, [-1.0, 7.0, 2.0 * np.pi, np.nan]])
+        for hues in (inside, outside, rng.uniform(-20.0, 20.0, 200)):
+            h = imgprep.wrap_angle(hues)
+            want = (h < visual.WARM_HUE_HI) | (h > 2.0 * np.pi
+                                               + visual.WARM_HUE_LO)
+            np.testing.assert_array_equal(visual.is_warm(hues), want)
+        assert visual.is_warm(np.array([])).shape == (0,)
 
     def test_single_segment_is_zero(self, rng):
         lch = imgprep.FrameContext(random_frame(rng, 8, 8)).lch
