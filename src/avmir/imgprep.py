@@ -6,6 +6,7 @@ All functions here are pure; none mutates its input.  A FrameContext
 validates a frame once and converts it to each color space at most once.
 """
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,15 +33,20 @@ _SRGB_TO_XYZ = np.array([
 ])
 _WHITE_XYZ = _SRGB_TO_XYZ @ np.ones(3)
 
+_TWO_PI = 2.0 * np.pi
+
 
 @dataclass
 class IhlsFrame:
     """Improved Hue/Luminance/Saturation planes of one frame.
 
-    hue is in radians [0, 2pi); luminance and saturation in [0, 1];
+    The hue is the angle of each pixel in the chromatic plane, kept as its
+    unit vector (hue_cos, hue_sin); achromatic pixels, whose angle is
+    undefined, get (1, 0).  Luminance and saturation are in [0, 1];
     chromatic is False where saturation < ACHROMATIC_EPS.
     """
-    hue: np.ndarray
+    hue_cos: np.ndarray
+    hue_sin: np.ndarray
     luminance: np.ndarray
     saturation: np.ndarray
     chromatic: np.ndarray
@@ -48,10 +54,13 @@ class IhlsFrame:
 
 @dataclass
 class LchFrame:
-    """CIELAB lightness / chroma / hue-angle planes (D65 white)."""
+    """CIELAB lightness / chroma / hue-angle planes (D65 white), and the
+    a and b planes, which are C * cos(H) and C * sin(H)."""
     L: np.ndarray
     C: np.ndarray
     H: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
 
 
 @dataclass
@@ -60,23 +69,27 @@ class CircularStats:
     angular_deviation: float
 
 
-def _mod(x, period):
-    """np.mod(x, period) for a positive period, bit for bit.
-
-    When every |x| < period, np.mod's fmod returns x itself, so the result
-    is x, or x + period below 0; this skips the much slower division.
-    Adding 0.0 turns -0.0 into +0.0, as np.mod does.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if np.all(np.abs(x) < period):
-        return np.where(x < 0, x + period, x + 0.0)
-    return np.mod(x, period)
+def _wrap_in_place(x):
+    """wrap_angle of an array x inside (-2pi, 2pi), such as arctan2's
+    output, computed in x: -0 turns into +0, negative angles gain 2pi, and
+    a sum that rounds to 2pi itself wraps to 0."""
+    # mask products instead of masked writes, which branch per element:
+    # x + 0.0 and x * 1.0 are x itself (x + 0.0 turns -0 into +0)
+    x += (x < 0.0) * _TWO_PI
+    x *= x < _TWO_PI
+    return x
 
 
 def wrap_angle(theta):
-    """Map angles into [0, 2pi); float dust at exactly 2pi wraps to 0."""
-    out = _mod(theta, 2.0 * np.pi)
-    return np.where(out >= 2.0 * np.pi, 0.0, out)
+    """Map angles into [0, 2pi) as np.mod does; float dust at exactly 2pi
+    wraps to 0."""
+    x = np.array(theta, dtype=np.float64)
+    # below 2pi in magnitude np.mod returns x itself, plus 2pi below 0
+    if x.size and -_TWO_PI < x.min() and x.max() < _TWO_PI:
+        return _wrap_in_place(x)
+    np.mod(x, _TWO_PI, out=x)
+    x *= x < _TWO_PI
+    return x
 
 
 def as_frame(arr):
@@ -103,19 +116,44 @@ def _channel_min(rgb):
     return np.minimum(np.minimum(rgb[..., 0], rgb[..., 1]), rgb[..., 2])
 
 
-def _by_rows(convert, frame):
-    """The planes convert(frame) of a per-pixel conversion, computed over
-    blocks of BLOCK_ROWS rows, whose temporaries stay in cache, and
-    joined."""
-    blocks = [convert(frame[y:y + _kernels.BLOCK_ROWS])
-              for y in range(0, frame.shape[0], _kernels.BLOCK_ROWS)]
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+def _by_rows(convert, planes, *inputs):
+    """Fill the preallocated planes of a per-pixel conversion by
+    convert(*input blocks, *plane blocks) over blocks of BLOCK_ROWS rows,
+    whose temporaries stay in cache; returns planes."""
+    for y in range(0, inputs[0].shape[0], _kernels.BLOCK_ROWS):
+        rows = slice(y, y + _kernels.BLOCK_ROWS)
+        convert(*(x[rows] for x in inputs), *(p[rows] for p in planes))
+    return planes
+
+
+# ---------------------------------------------------------------------------
+# tables over two 8-bit levels p and q, flat at index p * 256 + q; each is
+# built on first use, which keeps it out of the import
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _level_differences():
+    """p / 255 - q / 255 in float64: the difference of two channels of a
+    frame converted to [0, 1]."""
+    unit = _kernels._UNIT_LEVELS
+    return (unit[:, None] - unit[None, :]).ravel()
+
+
+@functools.cache
+def _s_levels():
+    """The 8-bit level of the HSV saturation (max - min) / max at
+    (max, min) level, rounded half to even as np.rint does; 0 for black."""
+    unit = _kernels._UNIT_LEVELS
+    delta = _level_differences().reshape(256, 256)
+    top = np.broadcast_to(unit[:, None], delta.shape)
+    s = np.divide(delta, top, out=np.zeros(delta.shape), where=top > 0)
+    return np.clip(np.rint(s * 255.0), 0, 255).astype(np.uint8).ravel()
 
 
 class FrameContext:
     """One frame, validated once, with lazily converted color planes.
 
-    frame is the (H, W, 3) uint8 frame.  ihls, lch and hsv are each
+    frame is the (H, W, 3) uint8 frame.  ihls, lch and hsv_levels are each
     converted on first read and kept, so every feature reading a color
     space shares one conversion.  shape is the frame's (perfbench's
     frame_features hook counts pixels by it).
@@ -126,24 +164,47 @@ class FrameContext:
         self.shape = self.frame.shape
 
     @cached_property
+    def _extremes(self):
+        """The largest channel level of each pixel, and the key
+        max * 256 + min of the tables over (max, min) level.  The key is
+        kept as uint16, a quarter of an intp plane; take is several times
+        faster with intp indices, so each block converts its rows."""
+        top = _channel_max(self.frame)
+        key = top.astype(np.uint16) << 8
+        key |= _channel_min(self.frame)
+        return top, key
+
+    def _planes(self, *dtypes):
+        return [np.empty(self.shape[:2], dtype=d) for d in dtypes]
+
+    @cached_property
     def ihls(self):
         """The IHLS color space (brightness-independent saturation).
 
-        Luminance is the weighted RGB sum, saturation is max-min and hue is
-        the angle in the chromatic plane; achromatic pixels keep hue 0 and
-        are excluded via the chromatic mask.
+        Luminance is the weighted RGB sum, saturation is max-min and the
+        hue is the direction in the chromatic plane; achromatic pixels are
+        excluded via the chromatic mask.
         """
-        return IhlsFrame(*_by_rows(_ihls_planes, self.frame))
+        planes = self._planes(*[np.float64] * 4, bool)
+        return IhlsFrame(*_by_rows(_ihls_planes, planes, self.frame,
+                                   self._extremes[1]))
 
     @cached_property
     def lch(self):
         """Cylindrical CIELAB: sRGB -> linear -> XYZ (D65) -> LAB -> LCH."""
-        return LchFrame(*_by_rows(_lch_planes, self.frame))
+        planes = self._planes(*[np.float64] * 5)
+        return LchFrame(*_by_rows(_lch_planes, planes, self.frame))
 
     @cached_property
-    def hsv(self):
-        """(h, s, v) planes with h in degrees [0, 360), s and v in [0, 1]."""
-        return _by_rows(_hsv_planes, self.frame)
+    def hsv_levels(self):
+        """Colour Names' HSV planes: the hue in degrees [0, 360), and the
+        uint8 levels of the saturation and the value (the largest
+        channel), each 255 times the float s or v in [0, 1] rounded half
+        to even.  No float s or v plane is built."""
+        top, key = self._extremes
+        hue, s = _by_rows(_hsv_planes, self._planes(np.float64, np.uint8),
+                          self.frame, top, key)
+        return hue, s, top
 
 
 def strip_letterbox(frame):
@@ -179,25 +240,45 @@ def strip_letterbox(frame):
     return frame[top:bottom, left:right]
 
 
-def _ihls_planes(frame):
-    rgb = frame.astype(np.float64) / 255.0
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+def _ihls_planes(frame, key, hue_cos, hue_sin, luminance, saturation,
+                 chromatic):
+    # one contiguous plane per channel
+    rgb = np.moveaxis(frame, -1, 0).astype(np.float64)
+    rgb /= 255.0
+    r, g, b = rgb
 
-    luminance = _LUMA_R * r + _LUMA_G * g + _LUMA_B * b
-    saturation = _channel_max(rgb) - _channel_min(rgb)
+    np.multiply(r, _LUMA_R, out=luminance)
+    luminance += _LUMA_G * g
+    luminance += _LUMA_B * b
+    # max - min of the [0, 1] channels
+    _level_differences().take(key.astype(np.intp), out=saturation)
+    np.greater_equal(saturation, ACHROMATIC_EPS, out=chromatic)
 
-    num = r - 0.5 * g - 0.5 * b
-    den_sq = r * r + g * g + b * b - r * g - r * b - g * b
-    den = np.sqrt(np.maximum(den_sq, 0.0))
-    chromatic = saturation >= ACHROMATIC_EPS
+    num = r - 0.5 * g
+    num -= 0.5 * b
+    # r*r + g*g + b*b - r*g - r*b - g*b, summed left to right
+    den = r * r
+    den += g * g
+    den += b * b
+    den -= r * g
+    den -= r * b
+    den -= g * b
+    np.maximum(den, 0.0, out=den)
+    np.sqrt(den, out=den)
 
-    safe = den > 1e-12
-    ratio = np.clip(np.divide(num, den, out=np.zeros_like(r), where=safe), -1.0, 1.0)
-    hue = np.where(safe, np.arccos(ratio), 0.0)
-    # an achromatic pixel flipped to 2pi falls back to 0 with the wrap below
-    hue = np.where(b > g, 2.0 * np.pi - hue, hue)
-    hue = np.where(hue >= 2.0 * np.pi, 0.0, hue)
-    return hue, luminance, saturation, chromatic
+    # cos is the clipped ratio num / den (1 where den vanishes), sin is
+    # sqrt(1 - cos^2), negative where b > g
+    hue_cos[...] = 1.0
+    np.divide(num, den, out=hue_cos, where=den > 1e-12)
+    np.clip(hue_cos, -1.0, 1.0, out=hue_cos)
+    np.multiply(hue_cos, hue_cos, out=hue_sin)
+    np.subtract(1.0, hue_sin, out=hue_sin)
+    np.sqrt(hue_sin, out=hue_sin)
+    # times -1 (exact) or 1: faster than a masked negate on noisy frames
+    sign = np.less_equal(frame[..., 2], frame[..., 1]).view(np.int8)
+    sign *= np.int8(2)
+    sign -= np.int8(1)
+    hue_sin *= sign
 
 
 def _srgb_to_linear(c):
@@ -215,37 +296,57 @@ def _lab_f(t):
                     t / (3.0 * delta * delta) + 4.0 / 29.0)
 
 
-def _lch_planes(frame):
+def _lch_planes(frame, L, C, H, a, b):
     xyz = _LINEAR_LEVELS[frame] @ _SRGB_TO_XYZ.T
     xyz /= _WHITE_XYZ
 
     fx = _lab_f(xyz[..., 0])
     fy = _lab_f(xyz[..., 1])
     fz = _lab_f(xyz[..., 2])
-    L = 116.0 * fy - 16.0
-    a = 500.0 * (fx - fy)
-    b = 200.0 * (fy - fz)
+    np.multiply(116.0, fy, out=L)
+    L -= 16.0
+    np.subtract(fx, fy, out=a)
+    a *= 500.0
+    np.subtract(fy, fz, out=b)
+    b *= 200.0
 
-    C = np.hypot(a, b)
-    H = wrap_angle(np.arctan2(b, a))
-    return L, C, H
+    np.hypot(a, b, out=C)
+    _wrap_in_place(np.arctan2(b, a, out=H))
 
 
-def _hsv_planes(frame):
-    rgb = frame.astype(np.float64) / 255.0
-    mx = _channel_max(rgb)
-    mn = _channel_min(rgb)
-    delta = mx - mn
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+def _hsv_planes(frame, top, key, hue, s):
+    """The HSV hue in degrees, with the float operations of a conversion
+    from channels in [0, 1]: (g - b) / d wrapped into [0, 6) where red is
+    the largest channel, (b - r) / d + 2 where green is, else
+    (r - g) / d + 4, times 60, d being max - min (1 for grey); and the
+    saturation level."""
+    key = key.astype(np.intp)
+    _s_levels().take(key, out=s)
+    r, g, b = frame[..., 0], frame[..., 1], frame[..., 2]
+    # which channel is largest, ties to red then green, as 0 or 1 masks
+    red = np.equal(r, top).view(np.uint8)
+    green = np.equal(g, top).view(np.uint8)
+    green &= red ^ np.uint8(1)
+    blue = red | green
+    blue ^= np.uint8(1)
+    # the numerator's two levels and the sector offset: a negative red
+    # ratio wraps by 6
+    first = g * red + b * green + r * blue
+    second = b * red + r * green + g * blue
+    offset = red * np.less(g, b).view(np.uint8)
+    offset *= np.uint8(6)
+    offset += green * np.uint8(2)
+    offset += blue * np.uint8(4)
 
-    # a gray pixel divides 0 by 1 in the red branch, which gives hue 0
-    d = np.where(delta > 0, delta, 1.0)
-    h = np.where(mx == r, _mod((g - b) / d, 6.0),
-                 np.where(mx == g, (b - r) / d + 2.0, (r - g) / d + 4.0))
-    h *= 60.0
-
-    s = np.divide(delta, mx, out=np.zeros_like(mx), where=mx > 0)
-    return h, s, mx
+    num_key = first.astype(np.intp) << 8
+    num_key |= second
+    diff = _level_differences()
+    den = diff.take(key)
+    den += den == 0.0  # grey: the numerator is 0, the divisor 1
+    diff.take(num_key, out=hue)
+    hue /= den
+    hue += offset
+    hue *= 60.0
 
 
 def circular_stats(hues, weights=None):
@@ -266,25 +367,37 @@ def circular_stats(hues, weights=None):
             raise ValueError("weights must be nonnegative")
         if weights.sum() <= 0:
             raise ValueError("weights must not all be zero")
-    return _circular_stats(hues, weights, np.sin(hues), np.cos(hues))
+    return _circular_stats(np.cos(hues), np.sin(hues), weights)
 
 
-def _circular_stats(hues, weights, sin_h, cos_h):
-    """circular_stats of checked hues, given their sines and cosines, so
-    that several statistics of one hue set share them; weights None means
-    equal weights."""
-    def weighted(values):
-        # unit weights would multiply every value by exactly 1
-        return values if weights is None else weights * values
+def _circular_stats(cos_h, sin_h, weights):
+    """circular_stats of checked hues given as unit vectors (cos_h, sin_h);
+    weights None means equal weights, and a boolean mask as weights keeps
+    the hues it marks.
 
-    total = float(hues.size) if weights is None else weights.sum()
-    sin_sum = float(np.sum(weighted(sin_h)))
-    cos_sum = float(np.sum(weighted(cos_h)))
-    mean = float(wrap_angle(np.arctan2(sin_sum, cos_sum)))
-    # sqrt(2 * (1 - R)) via the identity 2*(1 - R) = sum(w * 4*sin^2((h-mean)/2))/W,
-    # which stays accurate near zero deviation where 1 - R cancels badly
-    half = np.sin((hues - mean) / 2.0)
-    deviation = float(2.0 * np.sqrt(np.sum(weighted(half) * half) / total))
+    The mean is the direction of the weighted resultant (0 for a zero
+    resultant).  sqrt(2 * (1 - R)) is computed as the weighted root mean
+    square distance of the vectors from the mean's unit vector m: each
+    |u - m|^2 is 2 - 2 cos(h - mean), and summing these stays accurate
+    near zero deviation, where 1 - R cancels badly.
+    """
+    # one buffer for the weighted products and the squared distances
+    work = np.empty_like(cos_h)
+
+    def weighted_sum(values):
+        if weights is None:
+            return np.sum(values)
+        return np.sum(np.multiply(weights, values, out=work))
+
+    def squared_sum(values, centre):
+        dist = np.subtract(values, centre, out=work)
+        return weighted_sum(np.square(dist, out=dist))
+
+    total = float(cos_h.size) if weights is None else weights.sum()
+    mean = float(wrap_angle(np.arctan2(weighted_sum(sin_h),
+                                       weighted_sum(cos_h))))
+    deviation = float(np.sqrt((squared_sum(cos_h, np.cos(mean))
+                               + squared_sum(sin_h, np.sin(mean))) / total))
     return CircularStats(angular_mean=mean, angular_deviation=deviation)
 
 

@@ -113,16 +113,17 @@ def gcs(ihls):
     mean_sat = float(ihls.saturation.mean())
     mean_lum = float(ihls.luminance.mean())
 
-    hues = ihls.hue[ihls.chromatic]
-    if hues.size == 0:
+    chromatic = ihls.chromatic.ravel()
+    if not chromatic.any():
         return np.array([mean_sat, mean_lum,
                          0.0, MAX_DEVIATION, 0.0, MAX_DEVIATION])
 
-    # both statistics share the sines and cosines of the hues
-    sin_h, cos_h = np.sin(hues), np.cos(hues)
-    plain = imgprep._circular_stats(hues, None, sin_h, cos_h)
-    weighted = imgprep._circular_stats(
-        hues, ihls.saturation[ihls.chromatic], sin_h, cos_h)
+    # both statistics read the hue vectors of every pixel, and weight 0
+    # drops the achromatic ones
+    cos_h, sin_h = ihls.hue_cos.ravel(), ihls.hue_sin.ravel()
+    plain = imgprep._circular_stats(cos_h, sin_h, chromatic)
+    weighted = imgprep._circular_stats(cos_h, sin_h,
+                                       ihls.saturation.ravel() * chromatic)
     return np.array([mean_sat, mean_lum,
                      plain.angular_mean, plain.angular_deviation,
                      weighted.angular_mean, weighted.angular_deviation])
@@ -176,24 +177,20 @@ def colorfulness(frame):
     return np.array([_CF_DMAX - _cf_distance(rgb_histogram(frame))])
 
 
-def color_names(hsv):
+def color_names(hue, s, v):
     """Eight-bin elementary-color histogram of an enhanced, dithered frame,
-    given its (h, s, v) planes (imgprep.FrameContext.hsv).
+    given its HSV hue in degrees and its 8-bit s and v levels
+    (imgprep.FrameContext.hsv_levels).
 
-    Pipeline: s and v to 8-bit levels, CLAHE on both (one pass, same
-    parameters), then ordered-dither quantization of the enhanced HSV
-    pixels against the 8-color palette with a Bayer threshold map, then a
-    normalized index histogram.  Order: magenta, red, yellow, green, cyan,
-    blue, black, white.
+    Pipeline: CLAHE on the s and v levels (one pass, same parameters), then
+    ordered-dither quantization of the enhanced HSV pixels against the
+    8-color palette with a Bayer threshold map, then a normalized index
+    histogram.  Order: magenta, red, yellow, green, cyan, blue, black,
+    white.
     """
-    h, s, v = hsv
-    levels = np.empty((2,) + np.shape(s), dtype=np.uint8)
-    for plane, out in zip((s, v), levels):
-        x = np.multiply(plane, 255.0)
-        np.clip(np.rint(x, out=x), 0, 255, out=x)
-        out[...] = x
-    s, v = _kernels.clahe_u8(levels, *CN_CLAHE_TILE, CN_CLAHE_CLIP_LIMIT)
-    indices = _kernels.dither_indices(h, s, v, _CN_TMAP, _CN_SCALE,
+    s, v = _kernels.clahe_u8(np.stack((s, v)), *CN_CLAHE_TILE,
+                             CN_CLAHE_CLIP_LIMIT)
+    indices = _kernels.dither_indices(hue, s, v, _CN_TMAP, _CN_SCALE,
                                       _CN_CORNERS)
     counts = np.bincount(indices.ravel(), minlength=len(CN_PALETTE))
     return counts.astype(np.float64) / counts.sum()
@@ -210,13 +207,25 @@ def _triangular_memberships(x, centers):
     n = len(centers)
     # one contiguous plane per center, so each level reads as a plain array
     out = np.empty((n,) + x.shape)
+    fall = np.empty(x.shape)
     for i, c in enumerate(centers):
         # each edge is exactly 1 at c and reaches 0 at the neighboring
         # center; the smaller edge, clipped to [0, 1], is the triangle, and
-        # a missing edge (the outer levels) stays at 1
-        rise = (x - centers[i - 1]) / (c - centers[i - 1]) if i > 0 else 1.0
-        fall = (centers[i + 1] - x) / (centers[i + 1] - c) if i < n - 1 else 1.0
-        np.clip(np.minimum(rise, fall), 0.0, 1.0, out=out[i])
+        # a missing edge (the outer levels) stays at 1, which the clip
+        # also gives
+        level = out[i]
+        if i > 0:
+            np.subtract(x, centers[i - 1], out=level)
+            level /= c - centers[i - 1]
+        if i < n - 1:
+            edge = fall if i > 0 else level
+            np.subtract(centers[i + 1], x, out=edge)
+            edge /= centers[i + 1] - c
+            if i > 0:
+                np.minimum(level, fall, out=level)
+        if n == 1:
+            level.fill(1.0)
+        np.clip(level, 0.0, 1.0, out=level)
     return np.moveaxis(out, 0, -1)
 
 
@@ -284,24 +293,31 @@ def waf(lch, sharpness):
     Factor three (1): the supplied sharpness.
     """
     n = lch.L.size
-    # (levels, pixels): one contiguous row per membership level
-    l_m = _triangular_memberships(lch.L.ravel(), WAF_LIGHTNESS_CENTERS).T
     warm_hue = is_warm(lch.H.ravel())
-    # masked sums as gathers by index: the same elements in the same order
-    warm, cold = np.flatnonzero(warm_hue), np.flatnonzero(~warm_hue)
-
+    # the pixels cold then warm, each in pixel order, so every class sum
+    # below adds a contiguous slice: the same elements in the same order
+    # as a masked sum
+    order = np.concatenate([np.flatnonzero(~warm_hue),
+                            np.flatnonzero(warm_hue)])
+    n_cold = n - int(np.count_nonzero(warm_hue))
+    chroma = lch.C.ravel()
+    ordered_chroma = chroma.take(order)
+    # (levels, pixels): one contiguous row per membership level
+    l_m = _triangular_memberships(lch.L.ravel().take(order),
+                                  WAF_LIGHTNESS_CENTERS).T
+    del order
     factor_one = np.empty(10)
     for i in range(5):
-        factor_one[2 * i] = l_m[i].take(cold).sum() / n      # cold
-        factor_one[2 * i + 1] = l_m[i].take(warm).sum() / n  # warm
+        factor_one[2 * i] = l_m[i, :n_cold].sum() / n      # cold
+        factor_one[2 * i + 1] = l_m[i, n_cold:].sum() / n  # warm
+    del l_m
 
-    chroma = lch.C.ravel()
-    c_m = _triangular_memberships(chroma, WAF_CHROMA_CENTERS).T
-    c_m *= chroma >= 1.0  # achromatic pixels belong to no chroma level
+    c_m = _triangular_memberships(ordered_chroma, WAF_CHROMA_CENTERS).T
+    c_m *= ordered_chroma >= 1.0  # achromatic pixels belong to no level
     factor_two = np.empty(7)
     for i in range(3):
-        factor_two[2 * i] = c_m[i].take(warm).sum() / n      # warm share
-        factor_two[2 * i + 1] = c_m[i].take(cold).sum() / n  # cool share
+        factor_two[2 * i] = c_m[i, n_cold:].sum() / n      # warm share
+        factor_two[2 * i + 1] = c_m[i, :n_cold].sum() / n  # cool share
     mad = np.abs(chroma - chroma.mean()).mean()
     factor_two[6] = min(mad / (CHROMA_RANGE / 2.0), 1.0)
 
@@ -325,9 +341,9 @@ def segment_frame(lch):
     mean_l = np.bincount(flat, weights=lch.L.ravel(), minlength=count) / areas
     mean_c = np.bincount(flat, weights=lch.C.ravel(), minlength=count) / areas
 
-    cw = lch.C.ravel()
-    sin_sum = np.bincount(flat, weights=cw * np.sin(lch.H.ravel()), minlength=count)
-    cos_sum = np.bincount(flat, weights=cw * np.cos(lch.H.ravel()), minlength=count)
+    # the chroma-weighted hue vectors C * (cos H, sin H) are (a, b)
+    sin_sum = np.bincount(flat, weights=lch.b.ravel(), minlength=count)
+    cos_sum = np.bincount(flat, weights=lch.a.ravel(), minlength=count)
     mean_h = imgprep.wrap_angle(np.arctan2(sin_sum, cos_sum))
 
     return SegmentationMap(labels=labels.reshape(h, w), segment_count=count,
@@ -458,7 +474,7 @@ FRAME_FEATURES = {
     "gcs": (6, lambda ctx: gcs(ctx.ihls)),
     "gev": (3, lambda ctx: gev(ctx.ihls)),
     "cf": (1, lambda ctx: colorfulness(ctx.frame)),
-    "cn": (8, lambda ctx: color_names(ctx.hsv)),
+    "cn": (8, lambda ctx: color_names(*ctx.hsv_levels)),
     "waf": (18, lambda ctx: waf(ctx.lch,
                                 blur_measure(ctx.ihls.luminance * 255.0))),
     "ic": (4, lambda ctx: itten_contrasts(segment_frame(ctx.lch))),

@@ -1,11 +1,13 @@
-"""The float Colour Names pipeline, the oracle of the level-domain
+"""The float Colour Names pipeline, the oracle of the level-domain HSV
+planes of avmir.imgprep.FrameContext.hsv_levels and of the level-domain
 quantizer in avmir._kernels.dither_indices.
 
-It converts the CLAHE-enhanced HSV planes back to 8-bit RGB (hsv_to_rgb)
-and dithers them against any palette by squared RGB distance
-(dither_indices), one palette entry at a time.  color_names is the float
-form of avmir.visual.color_names: CLAHE of s and v, then the two above,
-then the index histogram.
+hsv_planes converts a frame to float HSV planes.  The pipeline converts
+the CLAHE-enhanced HSV planes back to 8-bit RGB (hsv_to_rgb) and dithers
+them against any palette by squared RGB distance (dither_indices), one
+palette entry at a time.  color_names is the float form of
+avmir.visual.color_names: CLAHE of s and v, then the two above, then the
+index histogram.
 """
 
 import numpy as np
@@ -13,15 +15,39 @@ import numpy as np
 from avmir import _kernels, imgprep, visual
 
 
+def hsv_planes(frame):
+    """(h, s, v) planes of a uint8 RGB frame, with h in degrees [0, 360)
+    and s and v in [0, 1]."""
+    rgb = frame.astype(np.float64) / 255.0
+    mx = np.maximum(np.maximum(rgb[..., 0], rgb[..., 1]), rgb[..., 2])
+    mn = np.minimum(np.minimum(rgb[..., 0], rgb[..., 1]), rgb[..., 2])
+    delta = mx - mn
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+
+    # a gray pixel divides 0 by 1 in the red branch, which gives hue 0
+    d = np.where(delta > 0, delta, 1.0)
+    h = np.where(mx == r, np.mod((g - b) / d, 6.0),
+                 np.where(mx == g, (b - r) / d + 2.0, (r - g) / d + 4.0))
+    h *= 60.0
+
+    s = np.divide(delta, mx, out=np.zeros_like(mx), where=mx > 0)
+    return h, s, mx
+
+
+def unit_levels(plane):
+    """The 8-bit levels of a [0, 1] plane, rounded half to even."""
+    return np.clip(np.round(plane * 255.0), 0, 255).astype(np.uint8)
+
+
 def hsv_to_rgb(h, s, v):
-    """Inverse of FrameContext.hsv; returns a uint8 frame."""
+    """Inverse of hsv_planes; returns a uint8 frame."""
     h, s, v = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64)
                                     for x in (h, s, v)))
     return _rgb_levels(h, s, v)
 
 
 def _rgb_levels(h, s, v):
-    h = imgprep._mod(h, 360.0) / 60.0
+    h = np.mod(h, 360.0) / 60.0
     s = np.clip(s, 0.0, 1.0)
     v = np.clip(v, 0.0, 1.0)
 
@@ -81,8 +107,7 @@ def dither_indices(rgb, palette, tmap, spread):
 
 def clahe_unit(plane):
     """CN's CLAHE of a [0, 1] plane, through 8-bit levels and back."""
-    levels = np.clip(np.round(plane * 255.0), 0, 255).astype(np.uint8)
-    return _kernels.clahe_u8(levels, *visual.CN_CLAHE_TILE,
+    return _kernels.clahe_u8(unit_levels(plane), *visual.CN_CLAHE_TILE,
                              visual.CN_CLAHE_CLIP_LIMIT) / 255.0
 
 

@@ -7,6 +7,11 @@ def rng():
     return np.random.default_rng(20240311)
 
 
+# (height, width): smaller than a tile or threshold map, not a multiple of
+# one, a single pixel, single rows and columns
+SHAPES = [(37, 41), (33, 17), (3, 5), (1, 1), (1, 9), (9, 1), (2, 2)]
+
+
 def solid_frame(r, g, b, h=16, w=16):
     frame = np.empty((h, w, 3), dtype=np.uint8)
     frame[..., 0] = r
@@ -17,6 +22,23 @@ def solid_frame(r, g, b, h=16, w=16):
 
 def random_frame(rng, h=16, w=16):
     return rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+
+
+def circular_trig(hues, weights=None):
+    """(angular mean, angular deviation) of hue angles by the trig
+    formulas: the wrapped arctan2 of the summed weighted sines and cosines,
+    and 2 * sqrt(sum(w * sin^2((h - mean) / 2)) / W)."""
+    hues = np.asarray(hues, dtype=np.float64)
+    w = np.ones_like(hues) if weights is None else np.asarray(weights, float)
+    mean = np.mod(np.arctan2(np.sum(w * np.sin(hues)),
+                             np.sum(w * np.cos(hues))), 2.0 * np.pi)
+    half = np.sin((hues - mean) / 2.0)
+    return mean, 2.0 * np.sqrt(np.sum(w * half * half) / w.sum())
+
+
+def angle_gap(a, b):
+    """The distance between two angles around the circle."""
+    return np.abs(np.angle(np.exp(1j * (np.asarray(a) - np.asarray(b)))))
 
 
 def sine_clip(freq, seconds=1.0, sr=22050, amplitude=0.9):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from avmir import _kernels, imgprep
 import cn_oracle
-from conftest import random_frame, solid_frame
+from conftest import (SHAPES, angle_gap, circular_trig, random_frame,
+                      solid_frame)
 
 
 class TestStripLetterbox:
@@ -57,7 +58,7 @@ class TestIhls:
 
     def test_pure_red(self):
         ih = imgprep.FrameContext(solid_frame(255, 0, 0)).ihls
-        assert ih.hue[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert ih.hue_cos[0, 0] == 1.0 and ih.hue_sin[0, 0] == 0.0
         assert ih.saturation[0, 0] == pytest.approx(1.0)
         assert ih.chromatic[0, 0]
 
@@ -72,8 +73,9 @@ class TestIhls:
 
     def test_hue_range(self, rng):
         ih = imgprep.FrameContext(random_frame(rng)).ihls
-        assert np.all(ih.hue >= 0.0)
-        assert np.all(ih.hue < 2.0 * np.pi)
+        assert np.all(np.abs(ih.hue_cos) <= 1.0)
+        np.testing.assert_allclose(ih.hue_cos ** 2 + ih.hue_sin ** 2, 1.0,
+                                   atol=1e-12)
 
 
 class TestLch:
@@ -131,6 +133,27 @@ class TestCircularStats:
     def test_empty_input_raises(self):
         with pytest.raises(ValueError, match="no chromatic pixels"):
             imgprep.circular_stats([])
+
+    def test_matches_trig_formulas(self, rng):
+        for n in (1, 2, 7, 500):
+            hues = rng.uniform(-1.0, 7.0, n)
+            # a tight cluster: the deviation is near zero
+            for spread in (1.0, 1e-6):
+                cluster = rng.uniform(0.0, 2.0 * np.pi) + spread * hues
+                for weights in (None, rng.uniform(0.0, 3.0, n) + 1e-3):
+                    cs = imgprep.circular_stats(cluster, weights)
+                    mean, dev = circular_trig(cluster, weights)
+                    assert 0.0 <= cs.angular_mean < 2.0 * np.pi
+                    assert angle_gap(cs.angular_mean, mean) <= 1e-12
+                    assert abs(cs.angular_deviation - dev) <= 1e-12
+
+    def test_hues_symmetric_about_zero_mean_exactly_zero(self):
+        # sin(-h) is -sin(h) exactly, so the resultant lies on the axis
+        for h in (0.3, 1e-9, 1.5):
+            for weights in (None, [2.0, 2.0]):
+                cs = imgprep.circular_stats([h, -h], weights)
+                assert cs.angular_mean == 0.0
+                assert not np.signbit(cs.angular_mean)
 
     def test_all_zero_weights_raise(self):
         with pytest.raises(ValueError):
@@ -258,14 +281,79 @@ class TestHsv:
 
     def test_roundtrip(self, rng):
         frame = random_frame(rng, 24, 24)
-        h, s, v = imgprep.FrameContext(frame).hsv
+        h, s, v = cn_oracle.hsv_planes(frame)
         back = cn_oracle.hsv_to_rgb(h, s, v)
         assert np.abs(back.astype(int) - frame.astype(int)).max() <= 1
 
     def test_primaries(self):
-        h, s, v = imgprep.FrameContext(solid_frame(255, 0, 0)).hsv
-        assert h[0, 0] == 0.0 and s[0, 0] == 1.0 and v[0, 0] == 1.0
-        h, s, v = imgprep.FrameContext(solid_frame(0, 255, 0)).hsv
-        assert h[0, 0] == pytest.approx(120.0)
-        h, s, v = imgprep.FrameContext(solid_frame(0, 0, 255)).hsv
-        assert h[0, 0] == pytest.approx(240.0)
+        for (r, g, b), hue in (((255, 0, 0), 0.0), ((0, 255, 0), 120.0),
+                               ((0, 0, 255), 240.0)):
+            frame = solid_frame(r, g, b)
+            h, s, v = cn_oracle.hsv_planes(frame)
+            assert h[0, 0] == pytest.approx(hue)
+            assert s[0, 0] == 1.0 and v[0, 0] == 1.0
+            h, s, v = imgprep.FrameContext(frame).hsv_levels
+            assert h[0, 0] == pytest.approx(hue)
+            assert s[0, 0] == 255 and v[0, 0] == 255
+
+
+def _hsv_sector_frame(rng):
+    """Every (max, min) level pair with a random middle level, in each of
+    the six channel orders: all six hue sectors, and every entry of the
+    tables over (max, min) level."""
+    top, bottom = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    keep = top >= bottom
+    top, bottom = top[keep], bottom[keep]
+    middle = rng.integers(bottom, top + 1)
+    triples = np.stack([top, middle, bottom], axis=-1)
+    orders = [(0, 1, 2), (1, 0, 2), (2, 0, 1), (2, 1, 0), (1, 2, 0),
+              (0, 2, 1)]
+    pixels = np.concatenate([triples[:, order] for order in orders])
+    return pixels.astype(np.uint8).reshape(-1, 256, 3)
+
+
+class TestHsvLevels:
+    """FrameContext.hsv_levels against the float HSV planes of
+    cn_oracle.hsv_planes, whose s and v round to levels half to even."""
+
+    @staticmethod
+    def _assert_matches(frame, name):
+        hue, s, v = imgprep.FrameContext(frame).hsv_levels
+        want_h, want_s, want_v = cn_oracle.hsv_planes(frame)
+        assert s.dtype == v.dtype == np.uint8
+        assert hue.tobytes() == want_h.tobytes(), name
+        assert np.array_equal(s, cn_oracle.unit_levels(want_s)), name
+        assert np.array_equal(v, cn_oracle.unit_levels(want_v)), name
+
+    def test_every_shape_grey_and_flat(self, rng):
+        # 70 rows span three row blocks, the last one short
+        for h, w in SHAPES + [(70, 45)]:
+            self._assert_matches(random_frame(rng, h, w), f"noise {h}x{w}")
+            grey = rng.integers(0, 256, size=(h, w, 1), dtype=np.uint8)
+            self._assert_matches(np.repeat(grey, 3, axis=2), f"grey {h}x{w}")
+            for rgb in [(0, 0, 0), (255, 255, 255), (128, 128, 128),
+                        (10, 200, 90), (255, 0, 255)]:
+                self._assert_matches(solid_frame(*rgb, h, w),
+                                     f"flat {rgb} {h}x{w}")
+
+    def test_one_pixel(self):
+        for rgb in [(200, 30, 90), (0, 0, 0), (1, 0, 0), (0, 0, 1)]:
+            self._assert_matches(np.array([[rgb]], np.uint8), f"{rgb}")
+
+    def test_every_sector_and_level_pair(self, rng):
+        frame = _hsv_sector_frame(rng)
+        hue = imgprep.FrameContext(frame).hsv_levels[0]
+        assert set(np.unique((hue // 60).astype(int))) == set(range(6))
+        self._assert_matches(frame, "sectors")
+
+    def test_channel_ties(self, rng):
+        # a largest level shared by two or three channels takes the first
+        # of them: max == r == g is the red branch, max == g == b green
+        levels = rng.integers(1, 256, size=(40, 30))
+        lower = rng.integers(0, levels)
+        for name, order in (("max == r == g", (0, 0, 1)),
+                            ("max == g == b", (1, 0, 0)),
+                            ("max == r == b", (0, 1, 0))):
+            planes = [levels if k == 0 else lower for k in order]
+            frame = np.stack(planes, axis=-1).astype(np.uint8)
+            self._assert_matches(frame, name)

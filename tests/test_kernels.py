@@ -18,7 +18,7 @@ from avmir._kernels import (_clahe_maps, _transport_simplex, clahe_u8, emd,
                             lbp_codes)
 from avmir.visual import CF_COST, _CF_IDEAL, _cf_distance, rgb_histogram
 from cn_oracle import dither_indices
-from conftest import random_frame
+from conftest import SHAPES, random_frame
 
 
 @pytest.fixture
@@ -138,13 +138,8 @@ def _dither_loop(rgb, palette, tmap, spread):
 # vectorized kernels against the loop references
 # ---------------------------------------------------------------------------
 
-# (height, width): smaller than a tile or threshold map, not a multiple of
-# one, a single pixel, single rows and columns
-_SHAPES = [(37, 41), (33, 17), (3, 5), (1, 1), (1, 9), (9, 1), (2, 2)]
-
-
 def test_lbp_backends_agree(rng):
-    for h, w in _SHAPES:
+    for h, w in SHAPES:
         for top in (256, 3):  # few levels make neighbor == center common
             img = rng.integers(0, top, size=(h, w)).astype(np.int32)
             np.testing.assert_array_equal(
@@ -159,7 +154,7 @@ def test_dither_backends_agree(rng):
     tie_palette = np.array([[0, 0, 0], [255, 255, 255], [0, 0, 0],
                             [128, 0, 128], [128, 255, 128], [128, 0, 128],
                             [255, 255, 255], [128, 128, 128]], dtype=np.float64)
-    for h, w in _SHAPES:
+    for h, w in SHAPES:
         for palette in (random_palette, tie_palette):
             for n, spread in ((4, 64.0), (8, 0.0), (2, 32.0)):
                 rgb = rng.integers(0, 256, size=(h, w, 3)).astype(np.float64)
@@ -304,7 +299,7 @@ def test_cn_quantizer_matches_float_pipeline(rng):
     kmaps = {"bayer": _CN_K, "shifted": np.roll(_CN_K, -shift, axis=(0, 1))}
     ties = 0
     for name, kmap in kmaps.items():
-        for h, w in _SHAPES + [(270, 480)]:
+        for h, w in SHAPES + [(270, 480)]:
             hue, s, v, n = _cn_planes(rng, h, w, kmap)
             ties += n
             got = _quantize(hue, s, v, kmap)

@@ -3,7 +3,7 @@ import pytest
 
 import cn_oracle
 from avmir import imgprep, visual
-from conftest import random_frame, solid_frame
+from conftest import angle_gap, circular_trig, random_frame, solid_frame
 
 
 def make_lch(l_values, c_values, h_values):
@@ -11,7 +11,30 @@ def make_lch(l_values, c_values, h_values):
     l_arr = np.atleast_2d(np.asarray(l_values, dtype=np.float64))
     c_arr = np.atleast_2d(np.asarray(c_values, dtype=np.float64))
     h_arr = np.atleast_2d(np.asarray(h_values, dtype=np.float64))
-    return imgprep.LchFrame(L=l_arr, C=c_arr, H=h_arr)
+    return imgprep.LchFrame(L=l_arr, C=c_arr, H=h_arr,
+                            a=c_arr * np.cos(h_arr), b=c_arr * np.sin(h_arr))
+
+
+def ihls_hue_angles(frame):
+    """IHLS hue angles in [0, 2pi) and saturations by the angle formulas:
+    arccos of the clipped ratio num / den, mirrored where b > g."""
+    r, g, b = np.moveaxis(frame.astype(np.float64) / 255.0, -1, 0)
+    num = r - 0.5 * g - 0.5 * b
+    den = np.sqrt(np.maximum(r * r + g * g + b * b - r * g - r * b - g * b,
+                             0.0))
+    ratio = np.divide(num, den, out=np.ones_like(num), where=den > 1e-12)
+    hue = np.arccos(np.clip(ratio, -1.0, 1.0))
+    hue = np.mod(np.where(b > g, 2.0 * np.pi - hue, hue), 2.0 * np.pi)
+    rgb = np.stack([r, g, b])
+    return hue, rgb.max(axis=0) - rgb.min(axis=0)
+
+
+def gcs_trig(frame):
+    """gcs's four hue statistics by the trig formulas."""
+    hue, sat = ihls_hue_angles(frame)
+    chromatic = sat >= imgprep.ACHROMATIC_EPS
+    return (circular_trig(hue[chromatic])
+            + circular_trig(hue[chromatic], sat[chromatic]))
 
 
 class TestGcs:
@@ -45,6 +68,52 @@ class TestGcs:
     def test_dimension(self, rng):
         ihls = imgprep.FrameContext(random_frame(rng)).ihls
         assert visual.gcs(ihls).shape == (6,)
+
+    def test_matches_trig_formulas(self, rng):
+        tiles = rng.uniform(40, 255, size=(3, 4, 3))
+        mosaic = np.kron(tiles, np.ones((30, 40, 1)))
+        mosaic += rng.normal(0.0, 18.0, size=mosaic.shape)
+        # hues near red, where the ratio is near 1, and a tight cluster
+        near_red = solid_frame(250, 20, 20, 24, 24).astype(int)
+        near_red[..., 1:] += rng.integers(-2, 3, size=(24, 24, 2))
+        frames = {"noise": random_frame(rng, 37, 53),
+                  "mosaic": np.clip(mosaic, 0, 255).astype(np.uint8),
+                  "near red": near_red.astype(np.uint8),
+                  "one pixel": np.array([[[200, 30, 90]]], np.uint8)}
+        for name, frame in frames.items():
+            got = visual.gcs(imgprep.FrameContext(frame).ihls)[2:]
+            want = gcs_trig(frame)
+            assert angle_gap(got[0], want[0]) <= 1e-12, name
+            assert abs(got[1] - want[1]) <= 1e-12, name
+            assert angle_gap(got[2], want[2]) <= 1e-12, name
+            assert abs(got[3] - want[3]) <= 1e-12, name
+
+    def test_hues_symmetric_about_zero_mean_exactly_zero(self):
+        # with one channel at 0, swapping g and b keeps the ratio's bits and
+        # negates the sine exactly: the resultant lies on the red axis
+        for level in (1, 60, 128, 254):
+            frame = np.array([[[255, 0, level], [255, level, 0]]], np.uint8)
+            values = visual.gcs(imgprep.FrameContext(frame).ihls)
+            assert values[2] == 0.0 and values[4] == 0.0, level
+            assert not np.signbit(values[2]) and not np.signbit(values[4])
+
+    def test_opposite_hues_zero_resultant(self):
+        # red and cyan: (1, 0) and (-1, 0) sum to zero, which keeps the
+        # convention mean 0, and each lies 2 or 0 away from (1, 0)
+        frame = np.array([[[255, 0, 0], [0, 255, 255]]], np.uint8)
+        values = visual.gcs(imgprep.FrameContext(frame).ihls)
+        assert values[2] == 0.0 and values[4] == 0.0
+        assert values[3] == visual.MAX_DEVIATION
+        assert values[5] == visual.MAX_DEVIATION
+
+    @pytest.mark.parametrize("rgb, sixths", [
+        ((255, 0, 0), 0), ((255, 255, 0), 1), ((0, 255, 0), 2),
+        ((0, 255, 255), 3), ((0, 0, 255), 4), ((255, 0, 255), 5)])
+    def test_primaries_and_secondaries(self, rgb, sixths):
+        values = visual.gcs(imgprep.FrameContext(solid_frame(*rgb)).ihls)
+        for mean, dev in (values[2:4], values[4:6]):
+            assert angle_gap(mean, sixths * np.pi / 3.0) <= 1e-12
+            assert dev <= 1e-12
 
 
 class TestGev:
@@ -101,7 +170,7 @@ class TestColorfulness:
 
 
 def frame_color_names(frame):
-    return visual.color_names(imgprep.FrameContext(frame).hsv)
+    return visual.color_names(*imgprep.FrameContext(frame).hsv_levels)
 
 
 def _cn_frames(rng):
@@ -143,8 +212,8 @@ class TestColorNames:
 
     def test_matches_float_pipeline_bytes(self, rng):
         for name, frame in _cn_frames(rng).items():
-            hsv = imgprep.FrameContext(frame).hsv
-            assert (visual.color_names(hsv).tobytes()
+            hsv = cn_oracle.hsv_planes(frame)
+            assert (frame_color_names(frame).tobytes()
                     == cn_oracle.color_names(hsv).tobytes()), name
 
     def test_palette_and_offsets_admit_level_decisions(self):
@@ -215,6 +284,29 @@ class TestWaf:
         cool = values[11] + values[13] + values[15]
         assert warm == pytest.approx(cool, abs=0.01)
         assert warm > 0
+
+    def test_class_sums_equal_masked_gathers(self, rng):
+        # the level sums gathered class by class in pixel order, as
+        # separate takes of the warm and cold pixels
+        for frame in (random_frame(rng, 37, 53), solid_frame(200, 40, 40),
+                      solid_frame(40, 40, 200)):
+            lch = imgprep.FrameContext(frame).lch
+            n = lch.L.size
+            warm_hue = visual.is_warm(lch.H.ravel())
+            warm, cold = np.flatnonzero(warm_hue), np.flatnonzero(~warm_hue)
+            l_m = visual._triangular_memberships(
+                lch.L.ravel(), visual.WAF_LIGHTNESS_CENTERS).T
+            chroma = lch.C.ravel()
+            c_m = visual._triangular_memberships(
+                chroma, visual.WAF_CHROMA_CENTERS).T
+            c_m *= chroma >= 1.0
+            want = []
+            for level in l_m:
+                want += [level.take(cold).sum() / n, level.take(warm).sum() / n]
+            for level in c_m:
+                want += [level.take(warm).sum() / n, level.take(cold).sum() / n]
+            got = visual.waf(lch, 0.5)
+            assert got[:16].tobytes() == np.array(want).tobytes()
 
     def test_dimension_and_range(self, rng):
         lch = imgprep.FrameContext(random_frame(rng)).lch
@@ -374,6 +466,15 @@ class TestSegmentFrame:
             mask = seg.labels == sid
             assert seg.mean_l[sid] == pytest.approx(lch.L[mask].mean(),
                                                     abs=1e-9)
+
+    def test_mean_hue_matches_trig_formula(self, rng):
+        lch = imgprep.FrameContext(random_frame(rng, 45, 37)).lch
+        seg = visual.segment_frame(lch)
+        for sid in range(seg.segment_count):
+            mask = seg.labels == sid
+            mean, _ = circular_trig(lch.H[mask], lch.C[mask])
+            assert angle_gap(seg.mean_h[sid], mean) <= 1e-12, sid
+        assert np.all((seg.mean_h >= 0.0) & (seg.mean_h < 2.0 * np.pi))
 
 
 class TestIttenContrasts:
@@ -551,8 +652,9 @@ class TestFrameContext:
         fresh = imgprep.FrameContext(ctx.frame).lch
         assert np.array_equal(ctx.lch.L, fresh.L)
         assert np.array_equal(ctx.lch.H, fresh.H)
-        h, s, v = imgprep.FrameContext(ctx.frame).hsv
-        assert all(np.array_equal(a, b) for a, b in zip(ctx.hsv, (h, s, v)))
+        assert ctx.hsv_levels is ctx.hsv_levels
+        fresh = imgprep.FrameContext(ctx.frame).hsv_levels
+        assert all(np.array_equal(a, b) for a, b in zip(ctx.hsv_levels, fresh))
 
 
 class TestFrameDims:
