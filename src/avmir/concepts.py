@@ -7,6 +7,7 @@ grayscale images.  Nothing here runs a detector or a network.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,16 +37,33 @@ class ConceptScoreSequence:
     vocabulary: list
     rows: np.ndarray
 
+    SCORE_TOLERANCE = 1e-9  # how far a score may lie outside [0, 1]
+    SUM_TOLERANCE = 1e-4    # how far a row's sum may lie from 1
+
     def __post_init__(self):
         self.rows = np.atleast_2d(np.asarray(self.rows, dtype=np.float64))
         if self.rows.shape[1] != len(self.vocabulary):
             raise ValueError("row width does not match vocabulary size")
-        if not np.all((self.rows >= -1e-9) & (self.rows <= 1.0 + 1e-9)):
-            raise ValueError("concept scores must lie in [0, 1]")
-        sums = self.rows.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-4):
-            bad = int(np.argmax(np.abs(sums - 1.0)))
-            raise ValueError(f"row {bad} sums to {sums[bad]:.6f}, expected 1")
+        fault = self.first_fault(self.rows)
+        if fault is not None:
+            raise ValueError(f"{fault[1]} (row {fault[0]})")
+
+    @classmethod
+    def first_fault(cls, rows):
+        """(index, reason) of the first row of rows with a score outside
+        [0, 1] (NaN included) or, when there is none, of the first row whose
+        sum is not 1; None when every row is a probability vector."""
+        tol = cls.SCORE_TOLERANCE
+        in_range = ((rows >= -tol) & (rows <= 1.0 + tol)).all(axis=1)
+        if not in_range.all():
+            bad = int(np.argmin(in_range))
+            return bad, "concept scores must lie in [0, 1]"
+        sums = rows.sum(axis=1)
+        summed = np.abs(sums - 1.0) <= cls.SUM_TOLERANCE
+        if not summed.all():
+            bad = int(np.argmin(summed))
+            return bad, f"row sums to {sums[bad]:.6f}, expected 1"
+        return None
 
 
 @dataclass
@@ -229,6 +247,8 @@ def read_concept_scores(path, vocabulary):
                 if ln == 1:
                     continue  # header
                 raise InputError(f"{path}:{ln}: non-numeric frame index")
+            if not math.isfinite(idx):
+                raise InputError(f"{path}:{ln}: non-finite frame index")
             try:
                 values = [float(c) for c in cells[1:]]
             except ValueError:
@@ -238,15 +258,17 @@ def read_concept_scores(path, vocabulary):
                 raise InputError(
                     f"{path}:{ln}: expected {len(vocabulary)} scores, "
                     f"got {len(values)}")
-            rows.append((idx, values))
+            rows.append((idx, ln, values))
     if not rows:
         raise InputError(f"no score rows in {path}")
-    rows.sort(key=lambda r: r[0])
-    try:
-        return ConceptScoreSequence(vocabulary=list(vocabulary),
-                                    rows=np.array([r[1] for r in rows]))
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    # file order, so that a fault names the first offending line
+    matrix = np.array([r[2] for r in rows], dtype=np.float64)
+    fault = ConceptScoreSequence.first_fault(matrix)
+    if fault is not None:
+        raise InputError(f"{path}:{rows[fault[0]][1]}: {fault[1]}")
+    order = sorted(range(len(rows)), key=lambda i: rows[i][0])
+    return ConceptScoreSequence(vocabulary=list(vocabulary),
+                                rows=matrix[order])
 
 
 def load_face_gallery(root):

@@ -261,24 +261,44 @@ def sanitize_attribute_name(name):
     return clean if clean else "_"
 
 
+def _arff_names(names, kind, path):
+    """Map each raw name to its sanitized ARFF name, in first-seen order.
+
+    Two different raw names with one ARFF name would be read back as one
+    attribute or one class, so they raise InputError naming both.
+    """
+    clean = {}
+    owner = {}
+    for raw in names:
+        name = sanitize_attribute_name(raw)
+        first = owner.setdefault(name, raw)
+        if first != raw:
+            raise InputError(f"{path}: {kind} {str(first)!r} and {str(raw)!r} "
+                             f"are both written as {name!r}")
+        clean[raw] = name
+    return clean
+
+
 def write_arff(dataset, relation, path):
     """Write a LabeledDataset: numeric attributes, nominal class last.
 
     Class values are enumerated in first-seen order; floats carry 9
-    significant digits.
+    significant digits.  Two attribute names, or two class labels, that
+    sanitize to one ARFF name raise InputError.
     """
     lines = [f"@RELATION {sanitize_attribute_name(relation)}", ""]
+    attributes = _arff_names(dataset.schema, "attributes", path)
     for name in dataset.schema:
-        lines.append(f"@ATTRIBUTE {sanitize_attribute_name(name)} NUMERIC")
-    class_list = ",".join(sanitize_attribute_name(c) for c in dataset.classes)
-    lines.append(f"@ATTRIBUTE class {{{class_list}}}")
+        lines.append(f"@ATTRIBUTE {attributes[name]} NUMERIC")
+    classes = _arff_names(dataset.classes, "class labels", path)
+    lines.append(f"@ATTRIBUTE class {{{','.join(classes.values())}}}")
     lines.append("")
     lines.append("@DATA")
     for row, label in zip(dataset.matrix, dataset.labels):
         # python floats format faster than numpy scalars, to the same text
         values = ",".join([f"{v:.9g}" for v in row.tolist()])
         sep = "," if values else ""
-        lines.append(f"{values}{sep}{sanitize_attribute_name(label)}")
+        lines.append(f"{values}{sep}{classes[label]}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -50,39 +50,45 @@ def mean_color_bar(frames, resample_height=None):
     return np.clip(np.round(bar), 0, 255).astype(np.uint8)
 
 
-def _mean_rgb_l1(a, b):
-    ma = a.astype(np.float64).mean(axis=(0, 1))
-    mb = b.astype(np.float64).mean(axis=(0, 1))
+def _mean_rgb(frame):
+    return frame.astype(np.float64).mean(axis=(0, 1))
+
+
+def _mean_rgb_l1(ma, mb):
     return float(np.abs(ma - mb).sum() / 765.0)
 
 
-def _hist_chi2(a, b):
-    def hist(frame):
-        h = [np.bincount((frame[..., c].ravel() * HIST_CHI2_BINS) // 256,
-                         minlength=HIST_CHI2_BINS) for c in range(3)]
-        h = np.concatenate(h).astype(np.float64)
-        return h / h.sum()
-
-    return chi_square(hist(a.astype(np.int64)), hist(b.astype(np.int64))) / 2.0
+def _channel_histogram(frame):
+    frame = frame.astype(np.int64)
+    h = [np.bincount((frame[..., c].ravel() * HIST_CHI2_BINS) // 256,
+                     minlength=HIST_CHI2_BINS) for c in range(3)]
+    h = np.concatenate(h).astype(np.float64)
+    return h / h.sum()
 
 
-ACTIVITY_METRICS = {"mean-rgb-l1": _mean_rgb_l1, "histogram-chi2": _hist_chi2}
+def _hist_chi2(ha, hb):
+    return chi_square(ha, hb) / 2.0
+
+
+# metric name -> (per-frame descriptor, distance of two descriptors)
+ACTIVITY_METRICS = {"mean-rgb-l1": (_mean_rgb, _mean_rgb_l1),
+                    "histogram-chi2": (_channel_histogram, _hist_chi2)}
 
 
 def frame_activity(frames, metric="mean-rgb-l1"):
     """Normalized distance between each consecutive frame pair, an
-    (n_frames - 1,) array."""
+    (n_frames - 1,) array; each frame's descriptor is computed once."""
     try:
-        fn = ACTIVITY_METRICS[metric]
+        describe, distance = ACTIVITY_METRICS[metric]
     except KeyError:
         raise ValueError(f"unknown activity metric: {metric!r}") from None
     distances = []
     prev = None
     for frame in frames:
-        frame = imgprep.as_frame(frame)
+        desc = describe(imgprep.as_frame(frame))
         if prev is not None:
-            distances.append(fn(prev, frame))
-        prev = frame
+            distances.append(distance(prev, desc))
+        prev = desc
     if len(distances) < 1:
         raise ValueError("need at least two frames")
     return np.array(distances)

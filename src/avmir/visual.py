@@ -73,6 +73,8 @@ WARM_HUE_LO = np.deg2rad(-70.0)
 WARM_HUE_HI = np.deg2rad(110.0)
 # approximate maximal sRGB chroma, used to normalize chroma dispersions
 CHROMA_RANGE = 134.0
+# LCH chroma below which a pixel (WAF) or a segment mean (IC) is achromatic
+ACHROMATIC_CHROMA = 1.0
 
 
 @dataclass
@@ -313,7 +315,8 @@ def waf(lch, sharpness):
     del l_m
 
     c_m = _triangular_memberships(ordered_chroma, WAF_CHROMA_CENTERS).T
-    c_m *= ordered_chroma >= 1.0  # achromatic pixels belong to no level
+    # achromatic pixels belong to no level
+    c_m *= ordered_chroma >= ACHROMATIC_CHROMA
     factor_two = np.empty(7)
     for i in range(3):
         factor_two[2 * i] = c_m[i, n_cold:].sum() / n      # warm share
@@ -372,7 +375,7 @@ def itten_contrasts(seg):
     mean_c = float(np.sum(areas * seg.mean_c))
     sat = float(np.sum(areas * np.abs(seg.mean_c - mean_c))) / (CHROMA_RANGE / 2.0)
 
-    chromatic = seg.mean_c >= 1.0
+    chromatic = seg.mean_c >= ACHROMATIC_CHROMA
     if np.any(chromatic):
         stats = imgprep.circular_stats(seg.mean_h[chromatic],
                                        seg.areas[chromatic])

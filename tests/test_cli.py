@@ -1,5 +1,9 @@
+import argparse
+import hashlib
+import importlib.util
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,13 @@ def make_wav(path, seconds=7.0, freq=440.0, sr=22050, seed=0):
     t = np.arange(int(seconds * sr)) / sr
     samples = 0.4 * np.sin(2 * np.pi * freq * t) + rng.normal(0, 0.05, t.size)
     fileutil.write_wav(path, AudioClip(np.clip(samples, -1, 1), sr))
+
+
+def subcommands():
+    """The subcommand names that cli.build_parser() declares."""
+    (sub,) = [action for action in cli.build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    return sorted(sub.choices)
 
 
 def make_frames(path, count=40, size=12, color=(200, 30, 30), blink=None,
@@ -132,6 +143,21 @@ class TestSpectrumFrontEnd:
         for got, want in zip(blocked, rows()):
             assert np.array_equal(got, want)
 
+    def test_44100_wav_gives_the_columns_of_a_22050_one(self, workspace):
+        # a 44.1 kHz clip is low-passed and resampled to ANALYSIS_RATE
+        # before any spectrum
+        wav = workspace / "clip44100.wav"
+        make_wav(wav, seconds=13.0, sr=44100)
+        schemas = []
+        for source in (wav, workspace / "rock0.wav"):
+            outs = (workspace / "audio.arff", workspace / "ten.arff")
+            assert run("extract-audio", "--wav", source, "--features",
+                       self.AUDIO_FEATURES, "--out", outs[0]) == 0
+            assert run("aggregate", "--wav", source, "--preset", "TEN",
+                       "--out", outs[1]) == 0
+            schemas.append([avio.read_arff(out).schema for out in outs])
+        assert schemas[0] == schemas[1]
+
     def test_one_spectrum_per_window_per_track(self, workspace, monkeypatch):
         windows = []
 
@@ -148,13 +174,13 @@ class TestSpectrumFrontEnd:
 
 class TestExtractVisual:
     def test_dimension_arithmetic(self, workspace):
-        # gcs,gev,cn: (6+3+8) per-frame dims x 7 moments = 119 columns
+        # gcs,gev,cn,cf: (6+3+8+1) per-frame dims x 7 moments = 126 columns
         out = workspace / "vis.arff"
         assert run("extract-visual", "--frames", workspace / "rock0.rgb",
-                   "--features", "gcs,gev,cn", "--label", "rock",
+                   "--features", "gcs,gev,cn,cf", "--label", "rock",
                    "--out", out) == 0
         ds = avio.read_arff(out)
-        assert ds.matrix.shape == (1, 119)
+        assert ds.matrix.shape == (1, 126)
 
     def test_manifest_with_lfp(self, workspace):
         out = workspace / "vis_all.arff"
@@ -464,12 +490,35 @@ class TestArffExport:
         assert run("arff-export", "--csv", tmp_path / "f.csv",
                    "--out", tmp_path / "f.arff") == 2
 
+    @pytest.mark.parametrize("table, names", [
+        ("f,class\n1.0,rock n roll\n2.0,rock_n_roll\n",
+         "'rock n roll' and 'rock_n_roll' are both written as 'rock_n_roll'"),
+        ("f 0,f_0,class\n1.0,2.0,a\n",
+         "'f 0' and 'f_0' are both written as 'f_0'"),
+    ], ids=["class-labels", "attributes"])
+    def test_names_that_sanitize_alike_exit_two(self, tmp_path, capsys,
+                                                table, names):
+        # they used to be written as one class, or as two equal attributes
+        (tmp_path / "f.csv").write_text(table)
+        assert run("arff-export", "--csv", tmp_path / "f.csv",
+                   "--out", tmp_path / "f.arff") == 2
+        assert names in capsys.readouterr().err
+        assert not (tmp_path / "f.arff").exists()
+
 
 class TestExitCodes:
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["crossval", "--bogus"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", subcommands())
+    def test_every_subcommand_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, "--help"])
+        assert err.value.code == 0
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage.startswith("usage: ") and f" {command} " in usage
 
     def test_seed_reproducibility_arff_bytes(self, workspace):
         out1 = workspace / "s1.arff"
@@ -852,3 +901,38 @@ class TestPinnedClassifierOutputs:
                    "--out-dir", "ens") == 0
         assert (arffs / "ens" / "metrics.json").read_bytes() == \
             ENSEMBLE_METRICS.encode()
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py, the benchmark's input generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPinnedVisualOutputs:
+    # sha256 of the visual-hd outputs of seed 1 from the angle-form pipeline
+    # (per-pixel arccos, sin and cos, float HSV planes) that the hue vectors
+    # and the level-domain Colour Names replaced
+    HD_SHA256 = {
+        "hd.arff":
+            "49d2aff5a218576b4b14e5290e67c161d266d982238038b9c689238684d1d466",
+        "hd_frames.csv":
+            "0eaac8b8759b800401e243029c1e6fb20f939ae5679e633719cc5fa542259b40",
+    }
+
+    def test_visual_hd_seed_1(self, tmp_path):
+        # the benchmark's inputs: six letterboxed 480x360 PPM frames
+        benchmark_workloads().generate("visual-hd", 1, tmp_path)
+        with pytest.warns(UserWarning, match="fewer frames"):
+            assert run("extract-visual", "--frames", tmp_path / "in" / "hd",
+                       "--features", "gcs,gev,cn,waf,ic,lfp",
+                       "--lfp-preset", "paper-80", "--jobs", "1",
+                       "--label", "hd",
+                       "--dump-frames", tmp_path / "hd_frames.csv",
+                       "--out", tmp_path / "hd.arff") == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
+                   .hexdigest() for name in self.HD_SHA256}
+        assert digests == self.HD_SHA256

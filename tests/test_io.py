@@ -184,6 +184,21 @@ class TestArff:
         text = (tmp_path / "t.arff").read_text()
         assert "@ATTRIBUTE class {zeta,alpha}" in text
 
+    @pytest.mark.parametrize("labels, schema, message", [
+        (["rock n roll", "rock_n_roll"], ["f"], "class labels 'rock n roll' "
+         "and 'rock_n_roll' are both written as 'rock_n_roll'"),
+        (["a", "b"], ["f 0", "f_0"],
+         "attributes 'f 0' and 'f_0' are both written as 'f_0'"),
+    ], ids=["class-labels", "attributes"])
+    def test_names_that_sanitize_alike_rejected(self, tmp_path, labels,
+                                                schema, message):
+        ds = LabeledDataset(np.zeros((2, len(schema))), labels, schema)
+        path = tmp_path / "t.arff"
+        with pytest.raises(InputError) as err:
+            avio.write_arff(ds, "rel", path)
+        assert str(err.value) == f"{path}: {message}"
+        assert not path.exists()
+
     def test_malformed_header_has_line_number(self, tmp_path):
         (tmp_path / "bad.arff").write_text(
             "@RELATION x\n@ATTRIBUTE f NUMERIC\nbogus line\n@DATA\n")
@@ -477,17 +492,29 @@ ARFF_HEAD = b"@RELATION x\n@ATTRIBUTE f NUMERIC\n@ATTRIBUTE class {a}\n@DATA\n"
      "inf.arff: non-finite feature value (line 5)"),
     ("sums.csv", b"0,0.5,0.7\n",
      lambda p: concepts.read_concept_scores(p, ["a", "b"]), InputError,
-     "sums.csv: row 0 sums to 1.200000"),
+     "sums.csv:1: row sums to 1.200000"),
     ("nan.csv", b"0,nan,1.0\n",
      lambda p: concepts.read_concept_scores(p, ["a", "b"]), InputError,
-     "nan.csv: concept scores must lie in [0, 1]"),
+     "nan.csv:1: concept scores must lie in [0, 1]"),
+    ("index.csv", b"frame_index,a,b\n0,0.5,0.5\nnan,0.5,0.5\n",
+     lambda p: concepts.read_concept_scores(p, ["a", "b"]), InputError,
+     "index.csv:3: non-finite frame index"),
+    ("range.csv", b"frame_index,a,b\n0,0.5,0.5\n1,1.5,-0.5\n",
+     lambda p: concepts.read_concept_scores(p, ["a", "b"]), InputError,
+     "range.csv:3: concept scores must lie in [0, 1]"),
+    # the faulty row is the second by frame index and the third in the file
+    ("order.csv", b"frame_index,a,b\n0,0.5,0.5\n2,0.5,0.5\n1,0.6,0.5\n",
+     lambda p: concepts.read_concept_scores(p, ["a", "b"]), InputError,
+     "order.csv:4: row sums to 1.100000"),
     ("table.csv", b"class,f\na,1.0\nb,nan\n", _arff_export, InputError,
      "table.csv:3: non-finite feature value"),
 ], ids=["arff-quoted-name", "ppm-header", "pgm-header", "ppm-zero-width",
         "ppm-zero-height", "pgm-negative-width", "concept-score",
         "wav-zero-rate", "wav-file-named", "wav-odd-data-file-named",
         "arff-file-named", "arff-no-data-file-named", "arff-non-finite",
-        "concept-row-sum", "concept-nan", "arff-export-non-finite"])
+        "concept-row-sum", "concept-nan", "concept-nan-frame-index",
+        "concept-out-of-range", "concept-row-sum-unsorted",
+        "arff-export-non-finite"])
 def test_parse_errors_are_located(tmp_path, name, blob, reader, error,
                                   location):
     path = tmp_path / name

@@ -39,6 +39,31 @@ class TestMeanColorBar:
         assert bar.shape == (24, 2, 3)
 
 
+def mean_rgb_l1(a, b):
+    ma = a.astype(np.float64).mean(axis=(0, 1))
+    mb = b.astype(np.float64).mean(axis=(0, 1))
+    return float(np.abs(ma - mb).sum() / 765.0)
+
+
+def histogram_chi2(a, b):
+    # 64 bins per channel: a level's bin is level // 4
+    def hist(frame):
+        h = np.concatenate([np.bincount(frame[..., c].ravel() // 4,
+                                        minlength=64) for c in range(3)])
+        return h / h.sum()
+
+    ha, hb = hist(a), hist(b)
+    total = ha + hb
+    occupied = total > 0
+    diff = ha[occupied] - hb[occupied]
+    return float(np.sum(diff * diff / total[occupied])) / 2.0
+
+
+# each metric of one frame pair, by its formula
+PAIRWISE_ACTIVITY = {"mean-rgb-l1": mean_rgb_l1,
+                     "histogram-chi2": histogram_chi2}
+
+
 class TestFrameActivity:
     def test_identical_frames_zero(self, rng):
         f = random_frame(rng)
@@ -60,6 +85,24 @@ class TestFrameActivity:
             d_ab = shotviz.frame_activity([a, b], metric)[0]
             d_ba = shotviz.frame_activity([b, a], metric)[0]
             assert d_ab == pytest.approx(d_ba)
+
+    @pytest.mark.parametrize("metric", sorted(shotviz.ACTIVITY_METRICS))
+    def test_one_descriptor_per_frame(self, rng, monkeypatch, metric):
+        frames = [random_frame(rng, 12, 20) for _ in range(7)]
+        describe, distance = shotviz.ACTIVITY_METRICS[metric]
+        described = []
+
+        def counting(frame):
+            described.append(frame)
+            return describe(frame)
+
+        monkeypatch.setitem(shotviz.ACTIVITY_METRICS, metric,
+                            (counting, distance))
+        got = shotviz.frame_activity(frames, metric)
+        want = np.array([PAIRWISE_ACTIVITY[metric](a, b)
+                         for a, b in zip(frames, frames[1:])])
+        assert got.tobytes() == want.tobytes()
+        assert len(described) == len(frames)
 
     def test_chi2_range(self, rng):
         frames = [random_frame(rng) for _ in range(4)]

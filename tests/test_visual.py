@@ -216,6 +216,21 @@ class TestColorNames:
             assert (frame_color_names(frame).tobytes()
                     == cn_oracle.color_names(hsv).tobytes()), name
 
+    def test_pinned_histogram(self):
+        # computed by the float pipeline (hsv_to_rgb, then the nearest
+        # palette colour by squared RGB distance) before the level-domain
+        # quantizer replaced it
+        rng = np.random.default_rng(0)
+        tiles = rng.uniform(40, 255, (3, 4, 3))
+        frame = (np.kron(tiles, np.ones((30, 40, 1)))
+                 + rng.normal(0.0, 24.0, (90, 160, 3)))
+        frame = np.clip(frame, 0, 255).astype(np.uint8)
+        got = " ".join(x.hex() for x in frame_color_names(frame))
+        assert got == (
+            "0x1.002468acf1358p-3 0x1.f37c048d159e2p-4 0x1.50369d0369d03p-3 "
+            "0x1.ae147ae147ae1p-5 0x1.9555555555555p-3 0x1.c28f5c28f5c29p-7 "
+            "0x1.2fedcba987654p-3 0x1.68f5c28f5c28fp-3")
+
     def test_palette_and_offsets_admit_level_decisions(self):
         # the level-domain quantizer needs the palette on the 8 corners of
         # the RGB cube and dither offsets that are multiples of 1/16: then
@@ -338,6 +353,26 @@ def _triangular_memberships_loop(x, centers):
             m[x > c] = 1.0
         out[..., i] = m
     return out
+
+
+@pytest.mark.parametrize("chromatic", [True, False])
+def test_waf_and_itten_share_the_achromatic_chroma(chromatic):
+    # chroma exactly at the threshold is chromatic, one ulp below it is not
+    chroma = visual.ACHROMATIC_CHROMA
+    if not chromatic:
+        chroma = np.nextafter(chroma, 0.0)
+    warm, cold = np.deg2rad(30.0), np.deg2rad(200.0)
+    waf = visual.waf(make_lch([50.0] * 4, [chroma] * 4, [warm] * 4), 0.0)
+    assert (waf[10:16].sum() > 0.0) == chromatic
+    labels = np.zeros((2, 2), np.int64)
+    labels[1] = 1
+    seg = visual.SegmentationMap(
+        labels=labels, segment_count=2, mean_l=np.full(2, 50.0),
+        mean_c=np.full(2, chroma), mean_h=np.array([warm, cold]),
+        areas=np.ones(2))
+    _, _, hue, warm_cold = visual.itten_contrasts(seg)
+    assert (hue > 0.0) == chromatic
+    assert (warm_cold > 0.0) == chromatic
 
 
 class TestTriangularMemberships:
