@@ -55,7 +55,8 @@ class IhlsFrame:
 @dataclass
 class LchFrame:
     """CIELAB lightness / chroma / hue-angle planes (D65 white), and the
-    a and b planes, which are C * cos(H) and C * sin(H)."""
+    a and b planes, which are C * cos(H) and C * sin(H).  C is formed as
+    sqrt(a * a + b * b), which is within one ulp of np.hypot(a, b)."""
     L: np.ndarray
     C: np.ndarray
     H: np.ndarray
@@ -93,13 +94,17 @@ def wrap_angle(theta):
 
 
 def as_frame(arr):
-    """Validate and return an (H, W, 3) uint8 RGB frame."""
+    """Validate and return an (H, W, 3) uint8 RGB frame; any other dtype
+    must hold finite values in [0, 255], which are cast to uint8."""
     arr = np.asarray(arr)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"frame must have shape (H, W, 3), got {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("frame must contain at least one pixel")
     if arr.dtype != np.uint8:
+        # NaN passes both range comparisons, and its uint8 cast is undefined
+        if not np.isfinite(arr).all():
+            raise ValueError("frame channel values must be finite")
         if arr.min() < 0 or arr.max() > 255:
             raise ValueError("frame channel values must lie in [0, 255]")
         arr = arr.astype(np.uint8)
@@ -289,28 +294,44 @@ def _srgb_to_linear(c):
 _LINEAR_LEVELS = _srgb_to_linear(np.arange(256) / 255.0)
 
 
-def _lab_f(t):
-    delta = 6.0 / 29.0
-    return np.where(t > delta ** 3,
-                    np.cbrt(t),
-                    t / (3.0 * delta * delta) + 4.0 / 29.0)
+_LAB_DELTA = 6.0 / 29.0
+
+
+def _lab_f(t, out):
+    """CIELAB's f(t) into out: the cube root of t, and the linear segment
+    t / (3 delta^2) + 4/29 where t <= delta^3 (delta = 6/29)."""
+    np.cbrt(t, out=out)
+    # the segment is written only where it applies: cheaper than np.where,
+    # which evaluates both branches on every pixel
+    low = np.less_equal(t, _LAB_DELTA ** 3)
+    np.divide(t, 3.0 * _LAB_DELTA * _LAB_DELTA, out=out, where=low)
+    np.add(out, 4.0 / 29.0, out=out, where=low)
+    return out
 
 
 def _lch_planes(frame, L, C, H, a, b):
-    xyz = _LINEAR_LEVELS[frame] @ _SRGB_TO_XYZ.T
-    xyz /= _WHITE_XYZ
-
-    fx = _lab_f(xyz[..., 0])
-    fy = _lab_f(xyz[..., 1])
-    fz = _lab_f(xyz[..., 2])
+    # take is about twice as fast as indexing the table by the frame
+    xyz = _LINEAR_LEVELS.take(frame) @ _SRGB_TO_XYZ.T
+    # each XYZ plane over its own white value, the same division as a
+    # broadcast over the last axis without its 3-element inner loop; f(X)
+    # goes to a, f(Y) to C and f(Z) to b until L, a and b are formed
+    t = np.empty(L.shape)
+    for k, f in enumerate((a, C, b)):
+        _lab_f(np.divide(xyz[..., k], _WHITE_XYZ[k], out=t), f)
+    fy = C
     np.multiply(116.0, fy, out=L)
     L -= 16.0
-    np.subtract(fx, fy, out=a)
+    a -= fy
     a *= 500.0
-    np.subtract(fy, fz, out=b)
+    np.subtract(fy, b, out=b)
     b *= 200.0
 
-    np.hypot(a, b, out=C)
+    # C = sqrt(a*a + b*b), with H as the buffer of b*b; np.hypot is several
+    # times slower and differs only in the last bit
+    np.multiply(b, b, out=H)
+    np.multiply(a, a, out=C)
+    C += H
+    np.sqrt(C, out=C)
     _wrap_in_place(np.arctan2(b, a, out=H))
 
 

@@ -67,12 +67,18 @@ class Scaler:
     def fit(self, matrix):
         matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
         self.mean = matrix.mean(axis=0)
-        std = matrix.std(axis=0)
+        # np.std's own steps from the mean kept above, which it would
+        # recompute: the same bits
+        dev = matrix - self.mean
+        np.square(dev, out=dev)
+        std = np.sqrt(dev.sum(axis=0) / len(matrix))
         self.std = np.where(std > 0, std, 1.0)
         return self
 
     def transform(self, matrix):
-        return (np.asarray(matrix, dtype=np.float64) - self.mean) / self.std
+        out = np.asarray(matrix, dtype=np.float64) - self.mean
+        out /= self.std
+        return out
 
 
 # ---------------------------------------------------------------------------

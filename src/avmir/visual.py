@@ -392,9 +392,17 @@ def itten_contrasts(seg):
 
 
 def lightness_histogram(lch, bins):
-    """Normalized histogram of the CIELAB L channel over [0, 100]."""
-    counts, _ = np.histogram(lch.L, bins=bins, range=(0.0, 100.0))
-    return counts.astype(np.float64) / lch.L.size
+    """Normalized histogram of the CIELAB L channel over [0, 100].
+
+    The bins are np.histogram's: [e_i, e_i+1) between the edges
+    np.linspace(0, 100, bins + 1), the last bin closed, L outside [0, 100]
+    dropped.  Each count is a difference of two counts of pixels at or
+    above an edge, one pass per edge instead of a bin index per pixel.
+    """
+    edges = np.linspace(0.0, 100.0, bins + 1)
+    at_least = [np.count_nonzero(lch.L >= e) for e in edges[:-1]]
+    at_least.append(np.count_nonzero(lch.L > 100.0))
+    return -np.diff(at_least) / lch.L.size
 
 
 def lfp_from_histograms(hists, fps):

@@ -1,10 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from avmir import _kernels, imgprep
 import cn_oracle
+import lch_oracle
 from conftest import (SHAPES, angle_gap, circular_trig, random_frame,
                       solid_frame)
 
@@ -96,6 +97,63 @@ class TestLch:
         assert lch.C[0, 0] == pytest.approx(104.55, abs=0.01)
 
 
+def lch_parity_frames():
+    rng = np.random.default_rng(22)
+    pillarboxed = random_frame(rng, 40, 64)
+    pillarboxed[:, :8] = pillarboxed[:, -8:] = 0
+    return {
+        "noise-270x480": random_frame(rng, 270, 480),
+        "all-greys": np.repeat(np.arange(256, dtype=np.uint8),
+                               3).reshape(16, 16, 3),
+        "dark": rng.integers(0, 10, (37, 41, 3), dtype=np.uint8),
+        "cube-corners": np.array(list(itertools.product((0, 255), repeat=3)),
+                                 dtype=np.uint8).reshape(2, 4, 3),
+        "1x1": random_frame(rng, 1, 1),
+        "pillarboxed-view": pillarboxed[:, 8:-8],
+    }
+
+
+class TestLchParity:
+    @pytest.mark.parametrize("name", list(lch_parity_frames()))
+    def test_planes_match_oracle(self, name):
+        frame = lch_parity_frames()[name]
+        got = imgprep.FrameContext(frame).lch
+        want = lch_oracle.lch(frame)
+        for plane in ("L", "H", "a", "b"):
+            assert getattr(got, plane).tobytes() == \
+                getattr(want, plane).tobytes(), plane
+        a, b = got.a, got.b
+        assert got.C.tobytes() == np.sqrt(a * a + b * b).tobytes()
+        assert np.all(np.abs(got.C - want.C) <= np.spacing(want.C))
+
+    def test_inputs_cover_their_cases(self):
+        frames = lch_parity_frames()
+        # every X, Y and Z of the dark frame is on f's linear segment
+        xyz = lch_oracle.white_relative_xyz(frames["dark"])
+        assert np.all(xyz <= lch_oracle.DELTA ** 3)
+        assert not frames["pillarboxed-view"].flags.c_contiguous
+
+
+class TestAsFrame:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, value):
+        frame = np.full((2, 3, 3), 7.0)
+        frame[1, 2, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            imgprep.as_frame(frame)
+
+    def test_in_range_float_frame_is_cast(self):
+        frame = np.full((2, 3, 3), 254.0)
+        out = imgprep.as_frame(frame)
+        assert out.dtype == np.uint8
+        assert np.all(out == 254)
+
+    def test_uint8_frame_is_returned_as_is(self, rng):
+        frame = random_frame(rng)
+        assert imgprep.as_frame(frame) is frame
+
+
 class TestWrapAngle:
     def test_equals_np_mod_bit_for_bit(self, rng):
         two_pi = 2.0 * np.pi
@@ -158,20 +216,6 @@ class TestCircularStats:
     def test_all_zero_weights_raise(self):
         with pytest.raises(ValueError):
             imgprep.circular_stats([0.0, 1.0], weights=[0.0, 0.0])
-
-    @given(st.lists(st.floats(0.0, 2.0 * np.pi - 1e-9), min_size=1,
-                    max_size=32),
-           st.floats(-10.0, 10.0))
-    @settings(max_examples=60, deadline=None)
-    def test_rotation_equivariance(self, hues, delta):
-        base = imgprep.circular_stats(hues)
-        rotated = imgprep.circular_stats(np.mod(np.array(hues) + delta,
-                                                2.0 * np.pi))
-        expected = np.mod(base.angular_mean + delta, 2.0 * np.pi)
-        diff = np.angle(np.exp(1j * (rotated.angular_mean - expected)))
-        assert abs(diff) < 1e-9
-        assert rotated.angular_deviation == pytest.approx(
-            base.angular_deviation, abs=1e-9)
 
 
 class TestClahe:

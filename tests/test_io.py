@@ -8,8 +8,6 @@ from io import StringIO
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from avmir import cli, concepts
 from avmir import io as avio
@@ -18,6 +16,7 @@ from avmir.errors import ArffFormatError, InputError, WavFormatError
 from avmir.ml import LabeledDataset
 
 import fileutil
+from arff_oracle import assert_arff_parity
 
 
 class TestWav:
@@ -215,101 +214,6 @@ class TestArff:
         assert err.value.line_number == 5
 
 
-def reference_data_rows(data_lines, first_line, n_features, class_values):
-    """Reference parser for ARFF data rows: each cell is stripped and read
-    with float(), and the checks run in read_arff's order (value count,
-    numeric, finite, class).  Returns (matrix, labels) or the first fault
-    as (reason, line number)."""
-    rows, labels = [], []
-    for ln, raw in enumerate(data_lines, start=first_line):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != n_features + 1:
-            return f"expected {n_features + 1} values, got {len(cells)}", ln
-        try:
-            rows.append([float(c) for c in cells[:-1]])
-        except ValueError:
-            return "non-numeric feature value", ln
-        if not np.all(np.isfinite(rows[-1])):
-            return "non-finite feature value", ln
-        if cells[-1] not in class_values:
-            return f"undeclared class value {cells[-1]!r}", ln
-        labels.append(cells[-1])
-    return np.array(rows, dtype=np.float64).reshape(len(rows), n_features), \
-        labels
-
-
-def assert_arff_parity(path, n_features, data_lines):
-    """read_arff and reference_data_rows agree bit for bit on a file with
-    n_features numeric attributes, classes a and b, and these data lines."""
-    header = (["@RELATION r"]
-              + [f"@ATTRIBUTE f{i} NUMERIC" for i in range(n_features)]
-              + ["@ATTRIBUTE class {a,b}", "@DATA"])
-    path.write_bytes("\n".join(header + data_lines + [""]).encode("utf-8"))
-    expected = reference_data_rows(data_lines, len(header) + 1, n_features,
-                                   ["a", "b"])
-    if isinstance(expected[0], str):
-        with pytest.raises(ArffFormatError) as err:
-            avio.read_arff(path)
-        assert (err.value.reason, err.value.line_number) == expected
-        assert str(err.value) == f"{path}: {expected[0]} (line {expected[1]})"
-    else:
-        back = avio.read_arff(path)
-        assert back.matrix.shape == expected[0].shape
-        assert back.matrix.tobytes() == expected[0].tobytes()
-        assert back.labels == expected[1]
-
-
-# spellings float() reads, and a few it rejects
-ARFF_SPELLINGS = ["1_0", "+.5e-3", "1.", ".5", "-0", "-0.0", "1E+2", "5e-324",
-                  "1e999", "-1e999", "nan", "-NaN", "inf", "-Infinity", "١",
-                  "٣.٥", "١_٢", "0x10", "1__0", "_1", "", "1e", "--1", "1 2"]
-ARFF_SPACES = ["", " ", "\t", "\x0b", "\x0c", "\xa0", "\u2003", "\x1c", "\x1f"]
-ARABIC_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
-
-arff_cell = st.tuples(
-    st.sampled_from(ARFF_SPACES),
-    st.one_of(st.floats().map(repr),
-              st.floats(width=32).map(lambda v: f"{v:.9g}"),
-              st.floats(allow_nan=False).map(
-                  lambda v: repr(v).translate(ARABIC_DIGITS)),
-              st.sampled_from(ARFF_SPELLINGS)),
-    st.sampled_from(ARFF_SPACES)).map("".join)
-arff_label = st.sampled_from(["a", "b", " b\t", "a\xa0", "\x1ca", "z", "A"])
-# cells built from digits, signs, ".", "e", "_", spaces, the separators
-# U+001C to U+001F that str.strip removes, "nan", "inf" and "0x": laid out
-# as a number, or in any order
-ARFF_TOKENS = [*"0123456789+-.e_ \t\x1c\x1d\x1e\x1f", "nan", "inf", "0x"]
-arff_pad = st.sampled_from(["", " ", "\t", "\x1c", "\x1d", "\x1e", "\x1f"])
-arff_digits = st.text("0123456789_", max_size=4)
-arff_token_cell = st.one_of(
-    st.tuples(arff_pad, st.sampled_from(["", "+", "-"]), arff_digits,
-              st.sampled_from(["", "."]), arff_digits,
-              st.sampled_from(["", "e", "e-", "e+"]), arff_digits,
-              arff_pad).map("".join),
-    st.tuples(arff_pad, st.sampled_from(["", "+", "-"]),
-              st.sampled_from(["nan", "inf", "0x", "0x1f"]),
-              arff_pad).map("".join),
-    st.lists(st.sampled_from(ARFF_TOKENS), max_size=6).map("".join))
-
-
-@st.composite
-def arff_data(draw):
-    n_features = draw(st.integers(0, 4))
-    lines = []
-    for _ in range(draw(st.integers(0, 5))):
-        kind = draw(st.sampled_from(["row"] * 6 + ["short", "long", "blank"]))
-        if kind == "blank":
-            lines.append(draw(st.sampled_from(["", "% note", " \x1c "])))
-            continue
-        count = n_features + {"row": 0, "short": -1, "long": 1}[kind]
-        cells = [draw(arff_cell) for _ in range(max(count, 0))]
-        lines.append(",".join(cells + [draw(arff_label)]))
-    return n_features, lines
-
-
 class TestArffParity:
     @pytest.mark.parametrize("n_features, lines", [
         (3, [" 1.5 ,\t-2\xa0, 3e0 , a ", "\x1c4\x1c,5,6,b"]),
@@ -329,29 +233,6 @@ class TestArffParity:
             "two-faults-count-first", "finite-values-whose-sum-overflows"])
     def test_matches_reference(self, tmp_path, n_features, lines):
         assert_arff_parity(tmp_path / "t.arff", n_features, lines)
-
-    @settings(max_examples=150, deadline=None)
-    @given(data=arff_data())
-    def test_generated_files_match_reference(self, tmp_path_factory, data):
-        assert_arff_parity(tmp_path_factory.mktemp("arff") / "t.arff", *data)
-
-    @settings(max_examples=300, deadline=None)
-    @given(cells=st.lists(arff_token_cell, min_size=1, max_size=6))
-    def test_streamed_cells_match_line_parser(self, tmp_path_factory, cells):
-        # one cell per row: the streamed parse of each row either gives way
-        # to the line parser, without a warning, or reads what it reads, and
-        # read_arff reads the whole file as float() does
-        lines = [f"{cell},a" for cell in cells]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for line in lines:
-                streamed = avio._load_data_block([line], 1, [], 1, ["a"])
-                if streamed is not None:
-                    matrix, _ = avio._parse_data_rows([line], "t.arff", 1, 1,
-                                                      1, ["a"])
-                    assert streamed.tobytes() == matrix.tobytes()
-            path = tmp_path_factory.mktemp("arff") / "t.arff"
-            assert_arff_parity(path, 1, lines)
 
     def test_written_file_takes_the_streamed_parse(self, tmp_path, rng,
                                                    monkeypatch):

@@ -79,6 +79,20 @@ class TestScaler:
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    @pytest.mark.parametrize("shape", [(180, 1440), (7, 3), (1, 5)])
+    def test_stats_and_transform_are_numpys_bytes(self, rng, shape, scale):
+        m = rng.normal(3.0, 2.5, size=shape) * scale
+        # squared deviations overflow to inf at 1e200, in np.std as here
+        with np.errstate(over="ignore"):
+            scaler = ml.Scaler().fit(m)
+            std = np.std(m, axis=0)
+        mean = np.mean(m, axis=0)
+        std = np.where(std > 0, std, 1.0)
+        assert scaler.mean.tobytes() == mean.tobytes()
+        assert scaler.std.tobytes() == std.tobytes()
+        assert scaler.transform(m).tobytes() == ((m - mean) / std).tobytes()
+
 
 class TestKnn:
     def test_training_point_predicts_own_label(self, rng):

@@ -626,6 +626,37 @@ class TestLfp:
             visual.lfp_from_histograms(rng.random((64, 8)), fps=15.0)
 
 
+def lightness_planes(bins):
+    """L planes of real frames, and arrays of every edge value of a
+    bins-bin histogram over [0, 100], of the values one ulp either side of
+    each edge and of values just outside [0, 100]."""
+    rng = np.random.default_rng(8)
+    edges = np.linspace(0.0, 100.0, bins + 1)
+    greys = np.repeat(np.arange(256, dtype=np.uint8), 3).reshape(16, 16, 3)
+    return {
+        "noise-frame": imgprep.FrameContext(random_frame(rng, 270, 480)).lch.L,
+        "all-greys": imgprep.FrameContext(greys).lch.L,
+        "edges": edges,
+        "edges-one-ulp-off": np.concatenate([np.nextafter(edges, -np.inf),
+                                             np.nextafter(edges, np.inf)]),
+        "just-outside": np.array([-5e-324, -1e-12, -np.inf, 0.0, 100.0,
+                                  np.nextafter(100.0, np.inf), 100.0 + 1e-9,
+                                  np.inf]),
+    }
+
+
+class TestLightnessHistogram:
+    @pytest.mark.parametrize("name", list(lightness_planes(8)))
+    @pytest.mark.parametrize("bins", [8, 24])
+    def test_equals_numpy_histogram(self, bins, name):
+        plane = lightness_planes(bins)[name]
+        got = visual.lightness_histogram(
+            make_lch(plane, np.zeros_like(plane), np.zeros_like(plane)), bins)
+        counts, _ = np.histogram(plane, bins=bins, range=(0.0, 100.0))
+        assert got.tobytes() == (counts.astype(np.float64)
+                                 / plane.size).tobytes()
+
+
 def _parity_frames():
     rng = np.random.default_rng(41)
     noise = random_frame(rng, 37, 53)
