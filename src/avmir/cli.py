@@ -417,16 +417,16 @@ def cmd_salience(args):
 
 
 def cmd_meancolorbar(args):
-    bar = shotviz.mean_color_bar(avio.read_frames(args.frames),
-                                 resample_height=args.height)
+    bar = _entry_row(lambda path: shotviz.mean_color_bar(
+        avio.read_frames(path), resample_height=args.height), args.frames)
     avio.write_ppm(args.out, bar)
     print(f"wrote {bar.shape[1]}-column mean-color bar to {args.out}")
     return 0
 
 
 def cmd_cutscan(args):
-    distances = shotviz.frame_activity(avio.read_frames(args.frames),
-                                       args.metric)
+    distances = _entry_row(lambda path: shotviz.frame_activity(
+        avio.read_frames(path), args.metric), args.frames)
     boundaries = shotviz.naive_cut_detect(distances, window=args.window,
                                           kappa=args.kappa)
     write_json(args.out, {"metric": args.metric, "window": args.window,
@@ -591,7 +591,9 @@ def build_parser():
     p = add("meancolorbar", cmd_meancolorbar,
             help="mean-color bar image of a frame stream")
     p.add_argument("--frames", type=Path, required=True)
-    p.add_argument("--height", type=int)
+    p.add_argument("--height", type=int,
+                   help="resample every column to this many rows "
+                        "(needed when the frame heights differ)")
     p.add_argument("--out", type=Path, required=True)
 
     p = add("cutscan", cmd_cutscan,

@@ -223,11 +223,12 @@ def _read_pnm(path, magic, channels):
     if maxval != 255:
         raise InputError(f"{path}: only maxval 255 supported")
     need = w * h * channels
-    payload = data[offset:offset + need]
-    if len(payload) != need:
-        raise InputError(f"{path}: expected {need} payload bytes, "
-                         f"got {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, channels)
+    got = max(len(data) - offset, 0)
+    if got < need:
+        raise InputError(f"{path}: expected {need} payload bytes, got {got}")
+    # a view of the file's bytes: the payload is not copied
+    return np.frombuffer(data, dtype=np.uint8, count=need,
+                         offset=offset).reshape(h, w, channels)
 
 
 def read_ppm(path):

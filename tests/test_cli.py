@@ -461,6 +461,31 @@ class TestShotCommands:
         payload = json.loads(out.read_text())
         assert payload["boundaries"] == [30]
 
+    def test_meancolorbar_mixed_heights_name_source_and_frame(self, tmp_path,
+                                                              capsys):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        avio.write_ppm(frames / "0.ppm", np.zeros((10, 4, 3), np.uint8))
+        avio.write_ppm(frames / "1.ppm", np.zeros((12, 4, 3), np.uint8))
+        out = tmp_path / "bar.ppm"
+        assert run("meancolorbar", "--frames", frames, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{frames}: frame 1 is 12 rows high but frame 0 is 10" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, message", [
+        ("meancolorbar", "empty frame stream (frame 0 is missing)"),
+        ("cutscan", "need at least two frames, got 0 (frame 0 is missing)"),
+    ])
+    def test_header_only_stream_names_source_and_frame(self, tmp_path, capsys,
+                                                       command, message):
+        stream = tmp_path / "empty.rgb"
+        stream.write_bytes(b'{"width": 4, "height": 2, "fps": 25}\n')
+        out = tmp_path / "out"
+        assert run(command, "--frames", stream, "--out", out) == 2
+        assert f"{stream}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSplitsCmd:
     def test_artist_filter(self, workspace):
@@ -922,6 +947,27 @@ class TestPinnedVisualOutputs:
         "hd_frames.csv":
             "0eaac8b8759b800401e243029c1e6fb20f939ae5679e633719cc5fa542259b40",
     }
+
+    # sha256 of the shot-command outputs of visual-hd seed 1 from the float64
+    # means that the exact integer channel sums replaced
+    SHOT_SHA256 = {
+        "bar.ppm":
+            "c45a474f564a864c2564e8ad50c84087803a19b42638b50079e09ed5792b5f5d",
+        "cuts.json":
+            "7bccc2cb0351b35a091b950ea9c8ff841ff9c44a257914e1a8b287df96afd94f",
+    }
+
+    def test_visual_hd_seed_1_shot_commands(self, tmp_path):
+        # the benchmark's meancolorbar and cutscan steps on its inputs
+        benchmark_workloads().generate("visual-hd", 1, tmp_path)
+        frames = tmp_path / "in" / "hd"
+        assert run("meancolorbar", "--frames", frames,
+                   "--out", tmp_path / "bar.ppm") == 0
+        assert run("cutscan", "--frames", frames, "--window", "3",
+                   "--out", tmp_path / "cuts.json") == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
+                   .hexdigest() for name in self.SHOT_SHA256}
+        assert digests == self.SHOT_SHA256
 
     def test_visual_hd_seed_1(self, tmp_path):
         # the benchmark's inputs: six letterboxed 480x360 PPM frames

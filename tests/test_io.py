@@ -356,6 +356,8 @@ ARFF_HEAD = b"@RELATION x\n@ATTRIBUTE f NUMERIC\n@ATTRIBUTE class {a}\n@DATA\n"
      "flat.ppm: P6 height"),
     ("negative.pgm", b"P5\n-4 4\n255\n" + bytes(16), avio.read_pgm,
      InputError, "negative.pgm: P5 width"),
+    ("truncated.ppm", b"P6\n2 2\n255\n" + bytes(5), avio.read_ppm,
+     InputError, "truncated.ppm: expected 12 payload bytes, got 5"),
     ("scores.csv", b"frame_index,a,b\n0,0.5,0.5\n1,0.5,high\n",
      lambda p: concepts.read_concept_scores(p, ["a", "b"]), InputError,
      "scores.csv:3"),
@@ -390,7 +392,8 @@ ARFF_HEAD = b"@RELATION x\n@ATTRIBUTE f NUMERIC\n@ATTRIBUTE class {a}\n@DATA\n"
     ("table.csv", b"class,f\na,1.0\nb,nan\n", _arff_export, InputError,
      "table.csv:3: non-finite feature value"),
 ], ids=["arff-quoted-name", "ppm-header", "pgm-header", "ppm-zero-width",
-        "ppm-zero-height", "pgm-negative-width", "concept-score",
+        "ppm-zero-height", "pgm-negative-width", "ppm-short-payload",
+        "concept-score",
         "wav-zero-rate", "wav-file-named", "wav-odd-data-file-named",
         "arff-file-named", "arff-no-data-file-named", "arff-non-finite",
         "concept-row-sum", "concept-nan", "concept-nan-frame-index",

@@ -5,6 +5,35 @@ from avmir import shotviz
 from conftest import random_frame, solid_frame
 
 
+def mean_color_bar_oracle(frames, resample_height=None):
+    """The float64 formula: per-row channel means of each frame, each column
+    resampled by np.interp when asked, rounded half to even."""
+    columns = []
+    for frame in frames:
+        col = frame.astype(np.float64).mean(axis=1)
+        if resample_height is not None:
+            src = np.linspace(0.0, 1.0, col.shape[0])
+            dst = np.linspace(0.0, 1.0, resample_height)
+            col = np.stack([np.interp(dst, src, col[:, c]) for c in range(3)],
+                           axis=1)
+        columns.append(col)
+    bar = np.stack(columns, axis=1)
+    return np.clip(np.round(bar), 0, 255).astype(np.uint8)
+
+
+def views(rng):
+    """Non-contiguous frames: a letterbox-and-pillarbox crop, a mirror and a
+    read-only (H, W, 3) view of channel-planar storage."""
+    crop = random_frame(rng, 20, 30)[3:-3, 2:-2]
+    mirror = random_frame(rng, 14, 9)[:, ::-1]
+    planar = np.moveaxis(random_frame(rng, 11, 6).transpose(2, 0, 1).copy(),
+                         0, -1)
+    planar.flags.writeable = False
+    frames = crop, mirror, planar
+    assert not any(f.flags.c_contiguous for f in frames)
+    return frames
+
+
 class TestMeanColorBar:
     def test_constant_video_exact(self):
         frames = [solid_frame(12, 200, 77, 10, 6)] * 5
@@ -24,8 +53,37 @@ class TestMeanColorBar:
         frames = [random_frame(rng, 12, 20) for _ in range(4)]
         bar = shotviz.mean_color_bar(frames)
         for i, frame in enumerate(frames):
-            expect = frame.astype(float).mean(axis=1)
-            assert np.abs(bar[:, i].astype(float) - expect).max() <= 1.0
+            expect = np.round(frame.astype(float).mean(axis=1)).astype(np.uint8)
+            assert bar[:, i].tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (7, 13)])
+    def test_bytes_match_float_oracle(self, rng, h, w):
+        frames = [random_frame(rng, h, w) for _ in range(3)]
+        assert shotviz.mean_color_bar(frames).tobytes() == \
+            mean_color_bar_oracle(frames).tobytes()
+
+    def test_non_contiguous_views_match_float_oracle(self, rng):
+        for view in views(rng):
+            frames = [view, np.ascontiguousarray(view)]
+            assert shotviz.mean_color_bar(frames).tobytes() == \
+                mean_color_bar_oracle(frames).tobytes()
+
+    def test_half_means_round_to_even(self):
+        # rows of two pixels v and v + 1: every mean is exactly v + 0.5
+        v = np.array([0, 1, 2, 3, 126, 127, 253, 254], np.uint8)
+        frame = np.empty((v.size, 2, 3), np.uint8)
+        frame[:, 0] = v[:, None]
+        frame[:, 1] = v[:, None] + 1
+        bar = shotviz.mean_color_bar([frame])
+        assert bar.tobytes() == mean_color_bar_oracle([frame]).tobytes()
+        even = v + v % 2
+        np.testing.assert_array_equal(bar[:, 0], np.repeat(even[:, None], 3, 1))
+
+    def test_resampled_bytes_match_float_oracle(self, rng):
+        frames = [random_frame(rng, 32, 8), random_frame(rng, 17, 5),
+                  random_frame(rng, 40, 12)[::-1, 2:9]]
+        assert shotviz.mean_color_bar(frames, 24).tobytes() == \
+            mean_color_bar_oracle(frames, 24).tobytes()
 
     def test_mirror_invariance(self, rng):
         frames = [random_frame(rng, 8, 10)]
@@ -103,6 +161,15 @@ class TestFrameActivity:
                          for a, b in zip(frames, frames[1:])])
         assert got.tobytes() == want.tobytes()
         assert len(described) == len(frames)
+
+    @pytest.mark.parametrize("metric", sorted(shotviz.ACTIVITY_METRICS))
+    def test_non_contiguous_views_match_formula(self, rng, metric):
+        crop, mirror, planar = views(rng)
+        frames = [crop, mirror, planar, crop[::-1], planar]
+        want = np.array([PAIRWISE_ACTIVITY[metric](a, b)
+                         for a, b in zip(frames, frames[1:])])
+        assert shotviz.frame_activity(frames, metric).tobytes() == \
+            want.tobytes()
 
     def test_chi2_range(self, rng):
         frames = [random_frame(rng) for _ in range(4)]
