@@ -190,6 +190,11 @@ def segment_bundle_from_audio(clip):
     mean of MFCC coefficients 1..12 (the gain coefficient is dropped), the
     pitch proxy the mean chroma vector, plus peak absolute amplitude, its
     offset within the segment and the segment length.
+
+    The segments are views of the clip's samples, which stay the one
+    whole-clip array: the MFCC and chroma spectra go segment by segment
+    and block by block, and each peak is found from the segment's maximum
+    and minimum without an absolute-value copy.
     """
     from . import audio  # local import to keep module load light
 
@@ -202,7 +207,7 @@ def segment_bundle_from_audio(clip):
 
     timbre = audio.mfcc(segments)[..., 1:13].mean(axis=1)
     pitches = audio.chroma(segments)[0].mean(axis=1)
-    peaks = np.abs(segments).argmax(axis=1)
+    peaks = _first_abs_peaks(segments)
     return SegmentBundle(
         timbre=timbre,
         pitches=pitches,
@@ -210,3 +215,15 @@ def segment_bundle_from_audio(clip):
         loudness_max_time=peaks / audio.ANALYSIS_RATE,
         segment_length=np.full(n_seg, BUNDLE_SEGMENT_SECONDS),
     )
+
+
+def _first_abs_peaks(rows):
+    """np.abs(rows).argmax(axis=1) without the copy: the first index of
+    each row's largest magnitude, which is its first maximum or its first
+    minimum, whichever is larger in magnitude, or earlier on a tie.  A row
+    with NaN gives its first NaN, as argmax does."""
+    index = np.arange(len(rows))
+    hi, lo = rows.argmax(axis=1), rows.argmin(axis=1)
+    top, bottom = rows[index, hi], -rows[index, lo]
+    return np.where(top > bottom, hi,
+                    np.where(bottom > top, lo, np.minimum(hi, lo)))

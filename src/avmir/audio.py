@@ -17,11 +17,11 @@ is the standard one (doubling per 10 phon above 40, power law below).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from . import _kernels, aggregate
+from . import aggregate
 
 ANALYSIS_RATE = 22050
 DB_FLOOR = -72.0
@@ -57,6 +57,13 @@ SEGMENT_SECONDS = 6.0
 # the same SPECTRUM_WINDOW spectrum.
 SPECTRUM_WINDOW = 512
 CHROMA_WINDOW = 4096
+
+# bytes of one block of windowed frames: every spectrum is transformed, and
+# chroma folded, this much of its input at a time (64 frames of
+# SPECTRUM_WINDOW, 8 of CHROMA_WINDOW), so a block's windowed frames,
+# complex spectrum and power stay in cache and no whole-clip temporary is
+# made
+SPECTRUM_BLOCK_BYTES = 256 * 1024
 
 # sonogram frames per second, and the frames of one SEGMENT_SECONDS segment
 FRAME_RATE = ANALYSIS_RATE / SPECTRUM_WINDOW
@@ -142,27 +149,47 @@ def resample(clip):
     return AudioClip(np.interp(dst_t, src_t, samples), ANALYSIS_RATE)
 
 
+@cache
+def _hann(window):
+    """The Hann window of that length, read-only, and the power scale that
+    calibrates a full-scale sine at a bin center to unit power."""
+    hann = np.hanning(window)
+    hann.setflags(write=False)
+    return hann, (hann.sum() / 2.0) ** 2
+
+
+def _block_frames(window):
+    """Frames of one SPECTRUM_BLOCK_BYTES block of windowed frames."""
+    return max(1, SPECTRUM_BLOCK_BYTES // (8 * window))
+
+
+def _frame_count(samples, window):
+    """Back-to-back frames of window samples along the last axis; a
+    trailing partial frame is dropped."""
+    if samples.shape[-1] < window:
+        raise ValueError("clip too short for one analysis window")
+    return samples.shape[-1] // window
+
+
 def _stft_power(samples, window):
     """Power spectra of back-to-back Hann-windowed frames along the last
     axis: (..., frames, window // 2 + 1); a trailing partial frame is
     dropped.
 
-    The frames are a view of samples.  They are transformed BLOCK_ROWS at a
-    time into the preallocated result, so each block's windowed frames and
-    complex spectrum stay in cache instead of making whole-clip temporaries.
+    The frames are a view of samples.  They are transformed
+    _block_frames(window) at a time into the preallocated result, so each
+    block's windowed frames and complex spectrum stay in cache instead of
+    making whole-clip temporaries.
     """
-    if samples.shape[-1] < window:
-        raise ValueError("clip too short for one analysis window")
-    n_frames = samples.shape[-1] // window
+    n_frames = _frame_count(samples, window)
     frames = samples[..., :n_frames * window].reshape(
         samples.shape[:-1] + (n_frames, window))
-    hann = np.hanning(window)
-    # calibrated so a full-scale sine at a bin center gives unit power
-    scale = (hann.sum() / 2.0) ** 2
+    hann, scale = _hann(window)
+    step = _block_frames(window)
     power = np.empty(frames.shape[:-1] + (window // 2 + 1,))
     for lead in np.ndindex(frames.shape[:-2]):
-        for f in range(0, n_frames, _kernels.BLOCK_ROWS):
-            block = slice(f, f + _kernels.BLOCK_ROWS)
+        for f in range(0, n_frames, step):
+            block = slice(f, f + step)
             rows = power[lead][block]
             np.abs(np.fft.rfft(frames[lead][block] * hann), out=rows)
             np.square(rows, out=rows)
@@ -211,9 +238,16 @@ def phon_from_db(db_spl):
 def sone_from_phon(phon):
     """Standard phon -> sone map: 2**((phon-40)/10) above 40, power law below."""
     phon = np.asarray(phon, dtype=np.float64)
-    return np.where(phon >= 40.0,
-                    2.0 ** ((phon - 40.0) / 10.0),
-                    (np.maximum(phon, 0.0) / 40.0) ** 2.642)
+    # np.where's two branches, each over every value but computed in
+    # place: the same bits with one temporary less
+    sone = phon - 40.0
+    sone /= 10.0
+    np.power(2.0, sone, out=sone)
+    quiet = np.maximum(phon, 0.0)
+    quiet /= 40.0
+    np.power(quiet, 2.642, out=quiet)
+    np.copyto(sone, quiet, where=phon < 40.0)
+    return sone
 
 
 def sonogram(clip):
@@ -335,17 +369,25 @@ def mfcc(samples):
     ANALYSIS_RATE samples, shape (..., frames, 13).
 
     samples may also be an AudioClip at ANALYSIS_RATE; its kept spectrum is
-    used, so a clip's MFCC and sonogram share one STFT.
+    used, so a clip's MFCC and sonogram share one STFT, and its mel energies
+    are one product.  Stacked rows are transformed and projected one row at
+    a time, so only one row's spectrum exists at once; the stacked product
+    gives each row the same bits.
 
     Power spectrum -> triangular mel filterbank (0..Nyquist) -> log ->
     orthonormal DCT-II, keeping the first MFCC_COEFFS coefficients.
     """
     if isinstance(samples, AudioClip):
-        power = samples.spectrum
+        mel = samples.spectrum @ _MEL_BANK.T
     else:
-        power = _stft_power(samples, SPECTRUM_WINDOW)
-    logs = np.log(power @ _MEL_BANK.T + 1e-20)
-    return _dct2_ortho(logs)[..., :MFCC_COEFFS]
+        lead = samples.shape[:-1]
+        mel = np.empty(lead + (_frame_count(samples, SPECTRUM_WINDOW),
+                               MFCC_FILTERS))
+        for row in np.ndindex(lead):
+            mel[row] = _stft_power(samples[row], SPECTRUM_WINDOW) @ _MEL_BANK.T
+    mel += 1e-20
+    np.log(mel, out=mel)
+    return _dct2_ortho(mel)[..., :MFCC_COEFFS]
 
 
 def _mel(f):
@@ -391,6 +433,33 @@ _PITCH_CLASS = np.round(69.0 + 12.0 * np.log2(
 _CHROMA_BINS = tuple(_CHROMA_USABLE[_PITCH_CLASS == pc] for pc in range(12))
 
 
+def _pitch_class_table():
+    """(longest class, 12): column pc lists class pc's bins in bin order,
+    padded with the index of the zero row that _pitch_class_sums appends
+    to the bins."""
+    table = np.full((max(map(len, _CHROMA_BINS)), 12), _CHROMA_FREQS.size)
+    for pc, bins in enumerate(_CHROMA_BINS):
+        table[:bins.size, pc] = bins
+    return table
+
+
+_CHROMA_TABLE = _pitch_class_table()
+
+
+def _pitch_class_sums(power, out):
+    """Fold a block of power spectra (frames, bins) into out (frames, 12).
+
+    Each class's bins are added one after another in bin order, the order
+    in which numpy sums a gathered array of more than one frame.  They are
+    gathered from a transposed copy of the block with a zero row, which
+    pads the shorter classes without changing their sums.
+    """
+    padded = np.empty((power.shape[1] + 1, power.shape[0]))
+    padded[:-1] = power.T
+    padded[-1] = 0.0
+    np.sum(np.take(padded, _CHROMA_TABLE, axis=0), axis=0, out=out.T)
+
+
 def chroma(samples):
     """Pitch-class energy profile per frame of the last axis of
     ANALYSIS_RATE samples (A4 = 440 Hz reference).
@@ -398,10 +467,27 @@ def chroma(samples):
     Returns (values (..., frames, 12), significant (..., frames)): rows are
     normalized to sum 1; near-silent frames are uniform and flagged
     non-significant.  Pitch class 0 is C.
+
+    No whole power spectrum is made: each row is transformed
+    _block_frames(CHROMA_WINDOW) frames at a time, and each block is folded
+    into its pitch-class sums before the next.  Each class's bins are added
+    in bin order, except that the bins of an input of one frame in all are
+    summed pairwise, as numpy sums one contiguous frame.
     """
-    power = _stft_power(samples, CHROMA_WINDOW)
-    values = np.stack([power[..., bins].sum(axis=-1) for bins in _CHROMA_BINS],
-                      axis=-1)
+    lead = samples.shape[:-1]
+    n_frames = _frame_count(samples, CHROMA_WINDOW)
+    values = np.empty(lead + (n_frames, 12))
+    if values.size == 12:
+        power = _stft_power(samples, CHROMA_WINDOW).reshape(-1)
+        values.flat = [power[bins].sum() for bins in _CHROMA_BINS]
+    else:
+        step = _block_frames(CHROMA_WINDOW)
+        for row in np.ndindex(lead):
+            for f in range(0, n_frames, step):
+                block = samples[row][f * CHROMA_WINDOW:
+                                     (f + step) * CHROMA_WINDOW]
+                _pitch_class_sums(_stft_power(block, CHROMA_WINDOW),
+                                  values[row][f:f + step])
 
     totals = values.sum(axis=-1)
     significant = totals > 1e-10

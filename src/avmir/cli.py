@@ -146,11 +146,11 @@ def _audio_feature_vector(wav_path, features):
         elif name == "mfcc":
             # the clip, not its samples: the MFCC and the sonogram of
             # track_features share the clip's one spectrum
-            frames = audio.mfcc(clip)
-            vector.append(aggregate.moments(frames, ("mean", "std")))
+            vector.append(aggregate.moments(audio.mfcc(clip),
+                                            ("mean", "std")))
         elif name == "chroma":
-            frames, _ = audio.chroma(clip.samples)
-            vector.append(aggregate.moments(frames, ("mean", "std")))
+            vector.append(aggregate.moments(audio.chroma(clip.samples)[0],
+                                            ("mean", "std")))
     return np.concatenate(vector)
 
 

@@ -9,6 +9,7 @@ covers the numeric-attributes-plus-nominal-class subset of the WEKA grammar.
 """
 
 import json
+import os
 import re
 import struct
 import warnings
@@ -42,68 +43,97 @@ def open_text(path, newline=None):
 # WAV
 # ---------------------------------------------------------------------------
 
+# bytes of the data chunk read and converted at a time
+WAV_BLOCK_BYTES = 64 * 1024
+
+
 def read_wav(path):
     """Read a PCM WAV file into a mono AudioClip in [-1, 1].
 
     Supports 8-bit unsigned and 16-bit signed little-endian samples; stereo
     is downmixed by channel mean.  Raises WavFormatError with the file and
     the byte offset on malformed or truncated input.
-    """
-    data = Path(path).read_bytes()
-    if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise WavFormatError(path, "not a RIFF/WAVE file", 0)
 
-    fmt = None
-    pos = 12
-    while pos + 8 <= len(data):
-        chunk_id = data[pos:pos + 4]
-        (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = pos + 8
-        if body + size > len(data):
-            raise WavFormatError(path, f"chunk {chunk_id!r} truncated", pos)
-        if chunk_id == b"fmt ":
-            if size < 16:
-                raise WavFormatError(path, "fmt chunk too small", pos)
-            fmt = struct.unpack_from("<HHIIHH", data, body)
-            audio_format, channels, sample_rate, _, _, bits = fmt
-            if audio_format != 1:
-                raise WavFormatError(path, f"unsupported format tag "
-                                     f"{audio_format} (PCM only)", pos)
-            if channels not in (1, 2):
-                raise WavFormatError(
-                    path, f"unsupported channel count {channels}", pos)
-            if bits not in (8, 16):
-                raise WavFormatError(path, f"unsupported bit depth {bits}", pos)
-            if sample_rate == 0:
-                raise WavFormatError(path, "sample rate 0", pos)
-        elif chunk_id == b"data":
-            if fmt is None:
-                raise WavFormatError(path, "data chunk before fmt chunk", pos)
-            return _decode_pcm(path, data, body, size, fmt)
-        pos = body + size + (size & 1)
+    The chunk headers are read one by one and the data chunk is decoded
+    WAV_BLOCK_BYTES at a time straight into the float64 samples, so the
+    samples are the only whole-file array: no copy of the file's bytes and
+    no integer copy of the samples is made.
+    """
+    with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+        riff = fh.read(12)
+        if len(riff) < 12 or riff[0:4] != b"RIFF" or riff[8:12] != b"WAVE":
+            raise WavFormatError(path, "not a RIFF/WAVE file", 0)
+
+        fmt = None
+        pos = 12
+        while pos + 8 <= file_size:
+            fh.seek(pos)
+            chunk_id, size = struct.unpack("<4sI", fh.read(8))
+            body = pos + 8
+            if body + size > file_size:
+                raise WavFormatError(path, f"chunk {chunk_id!r} truncated", pos)
+            if chunk_id == b"fmt ":
+                if size < 16:
+                    raise WavFormatError(path, "fmt chunk too small", pos)
+                fmt = struct.unpack("<HHIIHH", fh.read(16))
+                audio_format, channels, sample_rate, _, _, bits = fmt
+                if audio_format != 1:
+                    raise WavFormatError(path, f"unsupported format tag "
+                                         f"{audio_format} (PCM only)", pos)
+                if channels not in (1, 2):
+                    raise WavFormatError(
+                        path, f"unsupported channel count {channels}", pos)
+                if bits not in (8, 16):
+                    raise WavFormatError(path, f"unsupported bit depth {bits}",
+                                         pos)
+                if sample_rate == 0:
+                    raise WavFormatError(path, "sample rate 0", pos)
+            elif chunk_id == b"data":
+                if fmt is None:
+                    raise WavFormatError(path, "data chunk before fmt chunk",
+                                         pos)
+                return _decode_pcm(path, fh, pos, size, fmt)
+            pos = body + size + (size & 1)
     raise WavFormatError(path, "no data chunk found", pos)
 
 
-def _decode_pcm(path, data, body, size, fmt):
+def _decode_pcm(path, fh, pos, size, fmt):
+    """Decode the data chunk at pos, whose body fh is positioned at.
+
+    Each block of whole frames is read into one reused buffer and converted
+    into its slice of the samples.  Every step is exact (the integer sum of
+    the channels, then one division by a power of two), so the samples
+    equal the per-channel scaling and channel mean done on the whole
+    chunk.
+    """
     _, channels, sample_rate, _, _, bits = fmt
+    body = pos + 8
     bytes_per_frame = channels * bits // 8
     if size % bytes_per_frame != 0:
         raise WavFormatError(path, "data size is not a whole number of frames",
                              body + size - size % bytes_per_frame)
-    # read in place from the file bytes: a slice of them would be a copy
-    if bits == 16:
-        samples = np.frombuffer(data, dtype="<i2", count=size // 2,
-                                offset=body).astype(np.float64)
-        samples /= 32768.0
-    else:
-        samples = np.frombuffer(data, dtype=np.uint8, count=size,
-                                offset=body).astype(np.float64)
-        samples -= 128.0
-        samples /= 128.0
-    if channels == 2:
-        samples = samples.reshape(-1, 2).mean(axis=1)
-    if samples.size == 0:
+    if size == 0:
         raise WavFormatError(path, "empty data chunk", body)
+    dtype, zero, full_scale = (("<i2", 0.0, 32768.0) if bits == 16
+                               else (np.uint8, 128.0, 128.0))
+    samples = np.empty(size // bytes_per_frame)
+    block = bytearray(WAV_BLOCK_BYTES)
+    step = WAV_BLOCK_BYTES // bytes_per_frame
+    for start in range(0, samples.size, step):
+        out = samples[start:start + step]
+        want = out.size * bytes_per_frame
+        if fh.readinto(memoryview(block)[:want]) != want:
+            # the file shrank after its size was read
+            raise WavFormatError(path, "chunk b'data' truncated", pos)
+        pcm = np.frombuffer(block, dtype=dtype, count=out.size * channels)
+        if channels == 2:
+            np.add(pcm[0::2], pcm[1::2], out=out, dtype=np.float64)
+        else:
+            out[:] = pcm
+        if zero:
+            out -= channels * zero
+        out /= channels * full_scale
     return AudioClip(samples, sample_rate)
 
 

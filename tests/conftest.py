@@ -73,6 +73,34 @@ def stft_power_oracle(samples, window):
     return np.abs(spec) ** 2 / scale
 
 
+def chroma_oracle(samples):
+    """Whole-power reference for audio.chroma: the one-shot power of every
+    frame, and each pitch class's bins summed from one gather of that whole
+    array.  numpy lays the gather out column-first and adds a class's bins
+    one after another in bin order, except when the array holds a single
+    frame, which it sums pairwise."""
+    from avmir import audio
+
+    power = stft_power_oracle(samples, audio.CHROMA_WINDOW)
+    values = np.stack([power[..., bins].sum(axis=-1)
+                       for bins in audio._CHROMA_BINS], axis=-1)
+    totals = values.sum(axis=-1)
+    significant = totals > 1e-10
+    values[significant] /= totals[significant][:, None]
+    values[~significant] = 1.0 / 12.0
+    return values, significant
+
+
+def mfcc_oracle(samples):
+    """Whole-power reference for audio.mfcc of stacked rows: the one-shot
+    power of every row and one stacked mel product."""
+    from avmir import audio
+
+    power = stft_power_oracle(samples, audio.SPECTRUM_WINDOW)
+    logs = np.log(power @ audio._MEL_BANK.T + 1e-20)
+    return audio._dct2_ortho(logs)[..., :audio.MFCC_COEFFS]
+
+
 class FixedClassifier:
     """Ensemble member classifier that predicts one label for every row."""
 

@@ -171,3 +171,17 @@ class TestSegmentBundleFromAudio:
 
         with pytest.raises(ValueError):
             aggregate.segment_bundle_from_audio(AudioClip(np.zeros(22050), 22050))
+
+    def test_peaks_match_the_absolute_value_argmax(self, rng):
+        # 16-bit levels repeat magnitudes, so maxima and minima often tie
+        rows = np.round(rng.normal(0.0, 40.0, (64, 50))) / 32768.0
+        rows[0] = 0.0
+        rows[1, [3, 7]] = [-0.5, 0.5]
+        rows[2, [3, 7]] = [0.5, -0.5]
+        rows[3, [3, 7, 9]] = [np.nan, 0.9, np.nan]
+        rows[4] = -rows[4]
+        rows[5, 20] = -0.0
+        want = np.abs(rows).argmax(axis=1)
+        assert np.array_equal(aggregate._first_abs_peaks(rows), want)
+        assert np.array_equal(aggregate._first_abs_peaks(rows[:, ::-1]),
+                              np.abs(rows[:, ::-1]).argmax(axis=1))

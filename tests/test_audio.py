@@ -3,7 +3,8 @@ import pytest
 
 from avmir import aggregate, audio
 from avmir.audio import AudioClip
-from conftest import sine_clip, stft_power_oracle
+from conftest import (chroma_oracle, mfcc_oracle, sine_clip,
+                      stft_power_oracle)
 
 
 def brute_seven_stats(values):
@@ -110,6 +111,13 @@ class TestSonogram:
     def test_short_clip_raises(self):
         with pytest.raises(ValueError, match="too short"):
             audio.sonogram(AudioClip(np.zeros(100), 22050))
+
+    def test_sone_equals_the_selected_formula(self):
+        phon = np.linspace(-20.0, 130.0, 24 * 301).reshape(24, 301)
+        phon[0, :3] = [39.999999999999993, 40.0, 40.000000000000007]
+        want = np.where(phon >= 40.0, 2.0 ** ((phon - 40.0) / 10.0),
+                        (np.maximum(phon, 0.0) / 40.0) ** 2.642)
+        assert np.array_equal(audio.sone_from_phon(phon), want)
 
     @pytest.mark.parametrize("fn", [audio.bark_power, audio.sonogram])
     def test_clip_off_the_analysis_rate_raises(self, fn):
@@ -335,6 +343,58 @@ class TestChroma:
         values, significant = audio.chroma(rng.normal(0.0, 0.3, 22050))
         np.testing.assert_allclose(values[significant].sum(axis=1), 1.0,
                                    atol=1e-9)
+
+
+class TestBlockedSpectraMatchWholePower:
+    """chroma and mfcc never hold a whole power spectrum; they equal the
+    whole-power oracles bit for bit, also where a block holds one frame."""
+
+    @pytest.mark.parametrize("n_frames", [1, 2, 31, 32, 33, 161])
+    def test_chroma_of_a_clip(self, rng, n_frames):
+        samples = rng.normal(0.0, 0.2, n_frames * audio.CHROMA_WINDOW + 999)
+        samples[:audio.CHROMA_WINDOW] *= 1e-9  # a near-silent first frame
+        values, significant = audio.chroma(samples)
+        want_values, want_significant = chroma_oracle(samples)
+        assert values.shape == (n_frames, 12)
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(significant, want_significant)
+
+    @pytest.mark.parametrize("n_rows", [1, 3])
+    @pytest.mark.parametrize("n_frames", [1, 2, 5])
+    def test_chroma_of_stacked_rows(self, rng, n_rows, n_frames):
+        # rows cut from the middle of longer rows, every other row
+        window = audio.CHROMA_WINDOW
+        longer = rng.normal(0.0, 0.2, (2 * n_rows, (n_frames + 2) * window))
+        rows = longer[::2, window + 7:window + 7 + n_frames * window + 5]
+        values, significant = audio.chroma(rows)
+        want_values, want_significant = chroma_oracle(rows)
+        assert values.shape == (n_rows, n_frames, 12)
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(significant, want_significant)
+
+    def test_one_frame_is_summed_pairwise(self, rng):
+        # the oracle's two summation orders differ on this frame, so the
+        # pins above tell them apart
+        power = stft_power_oracle(rng.normal(0.0, 0.2, audio.CHROMA_WINDOW),
+                                  audio.CHROMA_WINDOW)
+        pairwise = [power[..., bins].sum(axis=-1)
+                    for bins in audio._CHROMA_BINS]
+        in_order = [np.cumsum(power[..., bins], axis=-1)[..., -1]
+                    for bins in audio._CHROMA_BINS]
+        assert not np.array_equal(pairwise, in_order)
+
+    def test_too_short_for_one_window_raises(self):
+        for samples in (np.zeros(audio.CHROMA_WINDOW - 1),
+                        np.zeros((3, audio.CHROMA_WINDOW - 1))):
+            with pytest.raises(ValueError, match="too short"):
+                audio.chroma(samples)
+            with pytest.raises(ValueError, match="too short"):
+                audio.mfcc(samples[..., :audio.SPECTRUM_WINDOW - 1])
+
+    @pytest.mark.parametrize("shape", [(22050,), (1, 22050), (4, 22050)])
+    def test_mfcc_of_rows_matches_one_stacked_product(self, rng, shape):
+        samples = rng.normal(0.0, 0.2, shape)
+        assert np.array_equal(audio.mfcc(samples), mfcc_oracle(samples))
 
 
 def click_track(seconds=5.3, sr=22050, every=11025):

@@ -159,17 +159,24 @@ class TestSpectrumFrontEnd:
         assert schemas[0] == schemas[1]
 
     def test_one_spectrum_per_window_per_track(self, workspace, monkeypatch):
-        windows = []
+        # the SPECTRUM_WINDOW spectrum is one call, kept for the sonogram
+        # and the MFCC; chroma transforms its frames block by block, each
+        # frame once
+        frames = {audio.SPECTRUM_WINDOW: [], audio.CHROMA_WINDOW: []}
 
         def counting(samples, window):
-            windows.append(window)
-            return stft_power_oracle(samples, window)
+            power = stft_power_oracle(samples, window)
+            frames[window].append(power.shape[0])
+            return power
 
         monkeypatch.setattr(audio, "_stft_power", counting)
-        cli._audio_feature_vector(workspace / "rock0.wav",
-                                  self.AUDIO_FEATURES.split(","))
-        assert sorted(windows) == [audio.SPECTRUM_WINDOW,
-                                   audio.CHROMA_WINDOW]
+        wav = workspace / "rock0.wav"
+        cli._audio_feature_vector(wav, self.AUDIO_FEATURES.split(","))
+        n = avio.read_wav(wav).samples.size
+        assert frames[audio.SPECTRUM_WINDOW] == [n // audio.SPECTRUM_WINDOW]
+        assert sum(frames[audio.CHROMA_WINDOW]) == n // audio.CHROMA_WINDOW
+        assert max(frames[audio.CHROMA_WINDOW]) == audio._block_frames(
+            audio.CHROMA_WINDOW)
 
 
 class TestExtractVisual:

@@ -17,6 +17,7 @@ from avmir.ml import LabeledDataset
 
 import fileutil
 from arff_oracle import assert_arff_parity
+from wav_oracle import read_wav_oracle
 
 
 class TestWav:
@@ -75,8 +76,114 @@ class TestWav:
         fileutil.write_wav(path, AudioClip(np.zeros(100), 8000))
         blob = path.read_bytes()
         (tmp_path / "cut.wav").write_bytes(blob[:-10])
-        with pytest.raises(WavFormatError):
+        with pytest.raises(WavFormatError) as err:
             avio.read_wav(tmp_path / "cut.wav")
+        # the data chunk's header starts at byte 36
+        assert err.value.byte_offset == 36
+        assert str(err.value) == (f"{tmp_path / 'cut.wav'}: chunk b'data' "
+                                  f"truncated (byte offset 36)")
+
+
+def wav_chunk(chunk_id, body):
+    """One RIFF chunk: id, little-endian size, body and a pad byte if odd."""
+    return (chunk_id + struct.pack("<I", len(body)) + body
+            + b"\0" * (len(body) & 1))
+
+
+def wav_file(*chunks):
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def fmt_chunk(channels, bits, rate=22050, tag=1, size=16):
+    block_align = channels * bits // 8
+    body = struct.pack("<HHIIHH", tag, channels, rate, rate * block_align,
+                       block_align, bits)
+    return wav_chunk(b"fmt ", (body + bytes(size))[:size])
+
+
+def pcm_bytes(rng, channels, bits, frames):
+    """Random PCM with the extremes of the sample type at the front."""
+    if bits == 16:
+        pcm = rng.integers(-32768, 32768, frames * channels).astype("<i2")
+        extremes = [-32768, 32767, 0, -1]
+    else:
+        pcm = rng.integers(0, 256, frames * channels).astype(np.uint8)
+        extremes = [0, 255, 128, 127]
+    pcm[:4] = extremes[:pcm.size]
+    return pcm.tobytes()
+
+
+# frames that fill whole WAV_BLOCK_BYTES blocks and leave a partial one
+_MULTI_BLOCK_FRAMES = avio.WAV_BLOCK_BYTES + 1237
+
+
+class TestWavMatchesWholeBufferDecode:
+    """read_wav decodes block by block from the open file; its samples and
+    errors equal those of the whole-buffer decode in wav_oracle."""
+
+    @staticmethod
+    def assert_same_clip(path):
+        got, want = avio.read_wav(path), read_wav_oracle(path)
+        assert got.sample_rate == want.sample_rate
+        assert got.samples.dtype == np.float64
+        assert np.array_equal(got.samples, want.samples)
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("bits", [8, 16])
+    @pytest.mark.parametrize("frames", [1, 5, _MULTI_BLOCK_FRAMES])
+    def test_samples(self, tmp_path, rng, channels, bits, frames):
+        path = tmp_path / "a.wav"
+        path.write_bytes(wav_file(
+            fmt_chunk(channels, bits),
+            wav_chunk(b"data", pcm_bytes(rng, channels, bits, frames))))
+        self.assert_same_clip(path)
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_odd_length_chunks_and_other_chunks(self, tmp_path, rng,
+                                                channels):
+        # an odd-sized chunk before fmt, a long fmt chunk, another chunk
+        # before the data, an 8-bit data chunk (of odd length when mono)
+        # with its pad byte, and a chunk after the data
+        data = pcm_bytes(rng, channels, 8, 2 * _MULTI_BLOCK_FRAMES + 1)
+        path = tmp_path / "odd.wav"
+        path.write_bytes(wav_file(
+            wav_chunk(b"LIST", b"INFOabc"),
+            fmt_chunk(channels, 8, rate=8000, size=18),
+            wav_chunk(b"fact", b"\1\2\3"),
+            wav_chunk(b"data", data),
+            wav_chunk(b"junk", b"x")))
+        self.assert_same_clip(path)
+
+    @pytest.mark.parametrize("blob", [
+        b"RIFF",
+        b"RIFX\0\0\0\0WAVE",
+        wav_file(),
+        wav_file(fmt_chunk(1, 16)),
+        wav_file(wav_chunk(b"data", bytes(4)), fmt_chunk(1, 16)),
+        wav_file(fmt_chunk(1, 16, size=14), wav_chunk(b"data", bytes(4))),
+        wav_file(fmt_chunk(1, 16, tag=3), wav_chunk(b"data", bytes(4))),
+        wav_file(fmt_chunk(3, 16), wav_chunk(b"data", bytes(6))),
+        wav_file(fmt_chunk(1, 24), wav_chunk(b"data", bytes(6))),
+        wav_file(fmt_chunk(1, 16, rate=0), wav_chunk(b"data", bytes(4))),
+        wav_file(fmt_chunk(2, 16), wav_chunk(b"data", bytes(6))),
+        wav_file(fmt_chunk(1, 16), wav_chunk(b"data", b"")),
+        wav_file(fmt_chunk(1, 16), wav_chunk(b"data", bytes(4000)))[:-7],
+        wav_file(wav_chunk(b"LIST", bytes(9)), fmt_chunk(1, 8))[:20],
+        wav_file(fmt_chunk(1, 8), wav_chunk(b"data", bytes(3)))[:-2],
+    ], ids=["short", "not-riff", "no-chunks", "no-data", "data-first",
+            "fmt-small", "format-tag", "channels", "bit-depth", "zero-rate",
+            "partial-frame", "empty-data", "data-truncated",
+            "chunk-truncated", "data-truncated-odd"])
+    def test_errors(self, tmp_path, blob):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(blob)
+        with pytest.raises(WavFormatError) as got:
+            avio.read_wav(path)
+        with pytest.raises(WavFormatError) as want:
+            read_wav_oracle(path)
+        assert str(got.value) == str(want.value)
+        assert got.value.byte_offset == want.value.byte_offset
 
 
 class TestFrameStreams:
