@@ -26,9 +26,6 @@ SSD_MOMENTS = ("min", "max", "mean", "median", "variance", "skewness",
 
 _KNOWN_MOMENTS = frozenset(TEN_MOMENTS) | {"std"}
 
-PRESET_DIMS = {"EN0": 12, "EN1": 24, "EN2": 24, "EN3": 90, "EN4": 96,
-               "EN5": 192, "TEN": 216}
-
 BUNDLE_SEGMENT_SECONDS = 1.0  # segment length of segment_bundle_from_audio
 
 
@@ -138,48 +135,44 @@ def moment_schema(dim_names, spec):
     return [f"{d}_{m}" for d in dim_names for m in spec]
 
 
-def _upper_triangle_covariance(seq):
-    """Row-major upper triangle (incl. diagonal) of the population covariance."""
-    centered = seq - seq.mean(axis=0)
+def _timbre_covariance(bundle):
+    """EN3: the timbre mean, then the row-major upper triangle (diagonal
+    included) of the timbre's population covariance."""
+    seq = bundle.timbre
+    if seq.shape[0] < 2:
+        warnings.warn("EN3 covariance of a single segment is degenerate")
+    mean = seq.mean(axis=0)
+    centered = seq - mean
     cov = centered.T @ centered / seq.shape[0]
-    iu = np.triu_indices(cov.shape[0])
-    return cov[iu]
+    return np.concatenate([mean, cov[np.triu_indices(len(cov))]])
+
+
+def _ten_moments(*seqs):
+    return np.concatenate([moments(seq, TEN_MOMENTS) for seq in seqs])
+
+
+# segment presets: name -> (values per track, function that computes them
+# from one SegmentBundle); EN5 and TEN take the TEN_MOMENTS of each
+# sequence.  Each entry calls its functions through the module globals, so
+# a function replaced on the module after import is the one that runs.
+PRESETS = {
+    "EN0": (12, lambda b: b.timbre.mean(axis=0)),
+    "EN1": (24, lambda b: moments(b.timbre, ("mean", "variance"))),
+    "EN2": (24, lambda b: moments(b.pitches, ("mean", "variance"))),
+    "EN3": (90, _timbre_covariance),
+    "EN4": (96, lambda b: moments(b.timbre, TEN_MOMENTS)),
+    "EN5": (192, lambda b: _ten_moments(b.timbre, b.pitches)),
+    "TEN": (216, lambda b: _ten_moments(
+        b.timbre, b.pitches, b.loudness_max[:, None],
+        b.loudness_max_time[:, None], b.segment_length[:, None])),
+}
 
 
 def preset(bundle, name):
-    """Fixed-dimension aggregation preset of a segment bundle.
-
-    EN0 timbre mean (12); EN1/EN2 mean+variance of timbre/pitches (24);
-    EN3 timbre mean plus non-redundant covariance entries (90); EN4 eight
-    moments of timbre (96); EN5 of timbre and pitches (192); TEN adds the
-    loudness-max, loudness-max-time and segment-length moments (216).
-    """
-    name = name.upper()
-    if name == "EN0":
-        return bundle.timbre.mean(axis=0)
-    if name == "EN1":
-        return moments(bundle.timbre, ("mean", "variance"))
-    if name == "EN2":
-        return moments(bundle.pitches, ("mean", "variance"))
-    if name == "EN3":
-        if bundle.timbre.shape[0] < 2:
-            warnings.warn("EN3 covariance of a single segment is degenerate")
-        return np.concatenate([bundle.timbre.mean(axis=0),
-                               _upper_triangle_covariance(bundle.timbre)])
-    if name == "EN4":
-        return moments(bundle.timbre, TEN_MOMENTS)
-    if name == "EN5":
-        return np.concatenate([moments(bundle.timbre, TEN_MOMENTS),
-                               moments(bundle.pitches, TEN_MOMENTS)])
-    if name == "TEN":
-        return np.concatenate([
-            moments(bundle.timbre, TEN_MOMENTS),
-            moments(bundle.pitches, TEN_MOMENTS),
-            moments(bundle.loudness_max[:, None], TEN_MOMENTS),
-            moments(bundle.loudness_max_time[:, None], TEN_MOMENTS),
-            moments(bundle.segment_length[:, None], TEN_MOMENTS),
-        ])
-    raise ValueError(f"unknown preset: {name!r}")
+    """The PRESETS entry `name` of a segment bundle."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset: {name!r}")
+    return PRESETS[name][1](bundle)
 
 
 def segment_bundle_from_audio(clip):

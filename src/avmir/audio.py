@@ -91,8 +91,8 @@ RESAMPLE_ZERO_CROSSINGS = 32
 class AudioClip:
     """Mono audio in [-1, 1].
 
-    samples must not change once spectrum has been read: the spectrum is
-    computed on first read and kept.
+    samples must not change once spectrum or rp_family has been read: each
+    is computed on first read and kept.
     """
     samples: np.ndarray
     sample_rate: int
@@ -117,6 +117,12 @@ class AudioClip:
             raise ValueError(f"clip at {self.sample_rate} Hz; spectra need "
                              f"ANALYSIS_RATE {ANALYSIS_RATE} Hz (resample it)")
         return _stft_power(self.samples, SPECTRUM_WINDOW)
+
+    @cached_property
+    def rp_family(self):
+        """track_features of this clip, computed on first read and kept,
+        so its TRACK_FEATURES entries share one sonogram."""
+        return track_features(self)
 
 
 def _lowpass_taps(sample_rate):
@@ -331,8 +337,7 @@ def track_features(clip):
     element-wise median for RP/RH, mean for SSD/MVD; the temporal variants
     take the SSD moments over the per-segment SSD and RH vectors.
 
-    Returns a dict of flat float arrays:
-    rp 1440, rh 60, ssd 168, mvd 420, tssd 1176, trh 420.
+    Returns a dict of flat float arrays, sized as in TRACK_FEATURES.
     """
     son = sonogram(resample(clip))
     n_seg = son.shape[1] // SEGMENT_FRAMES
@@ -358,10 +363,6 @@ def track_features(clip):
         "tssd": aggregate.moments(ssds, aggregate.SSD_MOMENTS),
         "trh": aggregate.moments(rhs, aggregate.SSD_MOMENTS),
     }
-
-
-TRACK_FEATURE_DIMS = {"rp": 1440, "rh": 60, "ssd": 168, "mvd": 420,
-                      "tssd": 1176, "trh": 420}
 
 
 def mfcc(samples):
@@ -498,3 +499,24 @@ def chroma(samples):
 
 PITCH_CLASS_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A",
                      "A#", "B")
+
+
+# track feature sets: name -> (values per track, function that computes them
+# from an ANALYSIS_RATE AudioClip); mfcc and chroma are the mean and std of
+# the per-frame values.  Each entry calls its functions through the module
+# globals, so a function replaced on the module after import is the one
+# that runs.
+TRACK_FEATURES = {
+    "rp": (1440, lambda clip: clip.rp_family["rp"]),
+    "rh": (60, lambda clip: clip.rp_family["rh"]),
+    "ssd": (168, lambda clip: clip.rp_family["ssd"]),
+    "mvd": (420, lambda clip: clip.rp_family["mvd"]),
+    "tssd": (1176, lambda clip: clip.rp_family["tssd"]),
+    "trh": (420, lambda clip: clip.rp_family["trh"]),
+    # the clip, not its samples: the MFCC and the sonogram share the
+    # clip's one spectrum
+    "mfcc": (2 * MFCC_COEFFS, lambda clip: aggregate.moments(
+        mfcc(clip), ("mean", "std"))),
+    "chroma": (2 * len(PITCH_CLASS_NAMES), lambda clip: aggregate.moments(
+        chroma(clip.samples)[0], ("mean", "std"))),
+}

@@ -31,10 +31,6 @@ from . import __version__, aggregate, audio, concepts, ml, shotviz, visual
 from . import io as avio
 from .errors import InputError
 
-# dims of one track's audio features; mfcc and chroma are the mean and std
-# of 13 coefficients and 12 pitch classes
-_AUDIO_DIMS = {**audio.TRACK_FEATURE_DIMS, "mfcc": 26, "chroma": 24}
-AUDIO_FEATURES = tuple(_AUDIO_DIMS)
 VISUAL_FEATURES = (*visual.FRAME_FEATURES, "lfp")
 
 # the flags (argparse dests) each --clf passes to its classifier, if any
@@ -136,22 +132,8 @@ def _write_rows(args, source, field, row_fn, schema):
 
 def _audio_feature_vector(wav_path, features):
     clip = audio.resample(avio.read_wav(wav_path))
-    vector = []
-    track = None
-    for name in features:
-        if name in audio.TRACK_FEATURE_DIMS:
-            if track is None:
-                track = audio.track_features(clip)
-            vector.append(track[name])
-        elif name == "mfcc":
-            # the clip, not its samples: the MFCC and the sonogram of
-            # track_features share the clip's one spectrum
-            vector.append(aggregate.moments(audio.mfcc(clip),
-                                            ("mean", "std")))
-        elif name == "chroma":
-            vector.append(aggregate.moments(audio.chroma(clip.samples)[0],
-                                            ("mean", "std")))
-    return np.concatenate(vector)
+    return np.concatenate([audio.TRACK_FEATURES[name][1](clip)
+                           for name in features])
 
 
 def _visual_feature_vector(frames_path, features, fps, lfp_preset,
@@ -212,9 +194,9 @@ def _concept_means(scores_path, vocab):
 
 
 def cmd_extract_audio(args):
-    features = _parse_feature_list(args.features, AUDIO_FEATURES)
+    features = _parse_feature_list(args.features, audio.TRACK_FEATURES)
     schema = [f"{name}_{i}" for name in features
-              for i in range(_AUDIO_DIMS[name])]
+              for i in range(audio.TRACK_FEATURES[name][0])]
     return _write_rows(args, args.wav, "audio",
                        partial(_audio_feature_vector, features=features),
                        schema)
@@ -234,13 +216,10 @@ def cmd_extract_visual(args):
 
 
 def cmd_aggregate(args):
-    preset = args.preset.upper()
-    if preset not in aggregate.PRESET_DIMS:
-        raise InputError(f"unknown preset {args.preset!r}")
-    schema = [f"{preset.lower()}_{i}"
-              for i in range(aggregate.PRESET_DIMS[preset])]
+    schema = [f"{args.preset.lower()}_{i}"
+              for i in range(aggregate.PRESETS[args.preset][0])]
     return _write_rows(args, args.wav, "audio",
-                       partial(_segment_vector, preset=preset), schema)
+                       partial(_segment_vector, preset=args.preset), schema)
 
 
 def cmd_ingest_concepts(args):
@@ -407,8 +386,8 @@ def cmd_salience(args):
         sums[label] = sums.get(label, 0.0) + mean
         counts[label] = counts.get(label, 0) + 1
 
-    class_freqs = {lb: (vocab, sums[lb] / counts[lb]) for lb in sorted(sums)}
-    ranked = concepts.salient_concepts(class_freqs, exclusions)
+    class_freqs = {lb: sums[lb] / counts[lb] for lb in sorted(sums)}
+    ranked = concepts.salient_concepts(vocab, class_freqs, exclusions)
     write_json(args.out, {lb: [[name, score] for name, score in rows[:args.top]]
                           for lb, rows in ranked.items()})
     print(f"ranked {len(vocab) - len(exclusions)} concepts for "
@@ -535,8 +514,9 @@ def build_parser():
 
     p = add_manifest_command(
         "aggregate", cmd_aggregate, "wav", "segment_features",
-        help="segment-descriptor aggregation presets (EN0..EN5, TEN)")
-    p.add_argument("--preset", default="TEN")
+        help="segment-descriptor aggregation presets")
+    p.add_argument("--preset", default="TEN", type=str.upper,
+                   choices=list(aggregate.PRESETS))
 
     p = add_manifest_command(
         "ingest-concepts", cmd_ingest_concepts, "scores", "concept_features",

@@ -102,29 +102,24 @@ def concept_schema(vocabulary, spec):
     return [f"{m}_{c}" for m in spec for c in vocabulary]
 
 
-def salient_concepts(class_frequencies, exclusions=()):
+def salient_concepts(vocabulary, class_frequencies, exclusions=()):
     """Rank concepts per class by the largest minimal lead over other classes.
 
-    class_frequencies maps class -> (vocabulary, frequency vector); for a
+    class_frequencies maps class -> frequency vector over vocabulary; for a
     class c and concept t the score is min over other classes c' of
     freq(c, t) - freq(c', t).  Excluded concept names are dropped before
     ranking.  Returns class -> list of (concept, score) sorted descending.
     """
     if len(class_frequencies) < 2:
         raise ValueError("need at least two classes")
-    items = list(class_frequencies.items())
-    vocab = list(items[0][1][0])
-    for label, (v, _) in items:
-        if list(v) != vocab:
-            raise ValueError(f"vocabulary mismatch for class {label!r}")
-
-    keep = [i for i, name in enumerate(vocab) if name not in set(exclusions)]
-    names = [vocab[i] for i in keep]
+    keep = [i for i, name in enumerate(vocabulary)
+            if name not in set(exclusions)]
+    names = [vocabulary[i] for i in keep]
     freq = np.array([np.asarray(f, dtype=np.float64)[keep]
-                     for _, (_, f) in items])
+                     for f in class_frequencies.values()])
 
     result = {}
-    for ci, (label, _) in enumerate(items):
+    for ci, label in enumerate(class_frequencies):
         others = np.delete(freq, ci, axis=0)
         scores = (freq[ci] - others).min(axis=0)
         order = np.argsort(-scores, kind="stable")

@@ -95,11 +95,6 @@ class TestMoments:
 
 
 class TestPresets:
-    def test_dimensions(self, rng):
-        bundle = random_bundle(rng)
-        for name, dim in aggregate.PRESET_DIMS.items():
-            assert aggregate.preset(bundle, name).shape == (dim,), name
-
     def test_ten_is_216_for_any_bundle(self, rng):
         for segments in (1, 2, 7, 40):
             bundle = random_bundle(rng, segments)

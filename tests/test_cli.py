@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avmir import audio, cli, concepts, ml
+from avmir import audio, cli, concepts, ml, shotviz
 from avmir import io as avio
 from avmir.audio import AudioClip
 from avmir.ml import LabeledDataset
@@ -109,6 +109,34 @@ class TestExtractAudio:
     def test_missing_file_is_input_error(self, workspace):
         assert run("extract-audio", "--wav", workspace / "nope.wav",
                    "--out", workspace / "x.arff") == 2
+
+    def test_two_second_wav(self, tmp_path, capsys):
+        # mfcc and chroma need no 6 s segment; only the rp family does
+        wav = tmp_path / "short.wav"
+        make_wav(wav, seconds=2.0)
+        out = tmp_path / "short.arff"
+        assert run("extract-audio", "--wav", wav, "--features", "mfcc,chroma",
+                   "--out", out) == 0
+        assert avio.read_arff(out).matrix.shape == (1, 26 + 24)
+        assert run("extract-audio", "--wav", wav, "--features", "rp",
+                   "--out", tmp_path / "rp.arff") == 2
+        assert f"{wav}: clip too short: need at least 6 s" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "rp.arff").exists()
+
+    def test_rp_family_computed_once_per_track(self, workspace, monkeypatch):
+        computed = []
+        track_features = audio.track_features
+
+        def counting(clip):
+            computed.append(clip)
+            return track_features(clip)
+
+        monkeypatch.setattr(audio, "track_features", counting)
+        cli._audio_feature_vector(workspace / "rock0.wav",
+                                  ["rp", "mfcc", "rh", "ssd", "mvd", "tssd",
+                                   "trh", "chroma"])
+        assert len(computed) == 1
 
 
 class TestSpectrumFrontEnd:
@@ -255,6 +283,22 @@ class TestAggregateCmd:
         assert run("aggregate", "--wav", workspace / "pop1.wav",
                    "--preset", "EN3", "--out", out) == 0
         assert avio.read_arff(out).matrix.shape == (1, 90)
+
+    def test_preset_name_in_any_case(self, workspace):
+        out = workspace / "en3.arff"
+        assert run("aggregate", "--wav", workspace / "pop1.wav",
+                   "--preset", "en3", "--out", out) == 0
+        ds = avio.read_arff(out)
+        assert ds.matrix.shape == (1, 90)
+        assert ds.schema[0] == "en3_0"
+
+    def test_unknown_preset_exits_two(self, workspace, capsys):
+        with pytest.raises(SystemExit) as err:
+            run("aggregate", "--wav", workspace / "pop1.wav",
+                "--preset", "EN9", "--out", workspace / "en9.arff")
+        assert err.value.code == 2
+        assert "invalid choice: 'EN9'" in capsys.readouterr().err
+        assert not (workspace / "en9.arff").exists()
 
 
 class TestIngestConcepts:
@@ -467,6 +511,24 @@ class TestShotCommands:
                    "--out", out) == 0
         payload = json.loads(out.read_text())
         assert payload["boundaries"] == [30]
+
+    @pytest.mark.parametrize("metric", sorted(shotviz.ACTIVITY_METRICS))
+    def test_cutscan_finds_both_cuts_of_noisy_shots(self, tmp_path, metric):
+        # three shots of 12, 9 and 9 noisy frames around one colour each
+        rng = np.random.default_rng(3)
+        frames = []
+        for i in range(30):
+            base = (200, 30, 30) if i < 12 else \
+                (40, 160, 220) if i < 21 else (90, 90, 90)
+            frames.append(np.clip(base + rng.integers(-20, 21, (12, 12, 3)),
+                                  0, 255))
+        fileutil.write_raw_stream(tmp_path / "shots.rgb", frames)
+        out = tmp_path / "cuts.json"
+        assert run("cutscan", "--frames", tmp_path / "shots.rgb",
+                   "--metric", metric, "--out", out) == 0
+        assert out.read_text() == (
+            '{\n  "boundaries": [\n    12,\n    21\n  ],\n'
+            f'  "kappa": 3.0,\n  "metric": "{metric}",\n  "window": 15\n}}\n')
 
     def test_meancolorbar_mixed_heights_name_source_and_frame(self, tmp_path,
                                                               capsys):
@@ -975,6 +1037,23 @@ class TestPinnedVisualOutputs:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
                    .hexdigest() for name in self.SHOT_SHA256}
         assert digests == self.SHOT_SHA256
+
+    # sha256 of the float64 frame_activity distances of visual-hd seed 1,
+    # which its cutscan step (no cut found) does not show
+    ACTIVITY_SHA256 = {
+        "histogram-chi2":
+            "c61ae31e73aaa921e10a3da6f21e66e896e74a82ce52759f5ca14fdc5b01c467",
+        "mean-rgb-l1":
+            "8ba31706b21eba524f9f66d4e4f8cb252048d78042f4b7a4b1a71873e57afeb4",
+    }
+
+    def test_visual_hd_seed_1_activity_distances(self, tmp_path):
+        benchmark_workloads().generate("visual-hd", 1, tmp_path)
+        frames = tmp_path / "in" / "hd"
+        digests = {metric: hashlib.sha256(shotviz.frame_activity(
+            avio.read_frames(frames), metric).tobytes()).hexdigest()
+            for metric in self.ACTIVITY_SHA256}
+        assert digests == self.ACTIVITY_SHA256
 
     def test_visual_hd_seed_1(self, tmp_path):
         # the benchmark's inputs: six letterboxed 480x360 PPM frames

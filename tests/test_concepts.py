@@ -107,57 +107,46 @@ class TestMomentSpec:
 
 class TestSalientConcepts:
     def test_two_class_difference(self):
-        ranked = concepts.salient_concepts({
-            "x": (["a"], [0.9]),
-            "y": (["a"], [0.1]),
-        })
+        ranked = concepts.salient_concepts(["a"], {"x": [0.9], "y": [0.1]})
         assert ranked["x"][0] == ("a", pytest.approx(0.8))
         assert ranked["y"][0] == ("a", pytest.approx(-0.8))
 
     def test_identical_frequency_scores_zero(self):
-        ranked = concepts.salient_concepts({
-            "x": (["a", "b"], [0.5, 0.5]),
-            "y": (["a", "b"], [0.5, 0.1]),
+        ranked = concepts.salient_concepts(["a", "b"], {
+            "x": [0.5, 0.5],
+            "y": [0.5, 0.1],
         })
         assert dict(ranked["x"])["a"] == pytest.approx(0.0)
 
     def test_three_class_minimum(self):
-        ranked = concepts.salient_concepts({
-            "x": (["a"], [0.5]),
-            "y": (["a"], [0.2]),
-            "z": (["a"], [0.4]),
+        ranked = concepts.salient_concepts(["a"], {
+            "x": [0.5],
+            "y": [0.2],
+            "z": [0.4],
         })
         assert dict(ranked["x"])["a"] == pytest.approx(0.1)
 
     def test_positive_score_iff_strict_domination(self, rng):
         vocab = [f"c{i}" for i in range(6)]
-        freq = {lb: (vocab, rng.random(6)) for lb in ("x", "y", "z")}
-        ranked = concepts.salient_concepts(freq)
-        arr = {lb: np.asarray(f) for lb, (_, f) in freq.items()}
+        freq = {lb: rng.random(6) for lb in ("x", "y", "z")}
+        ranked = concepts.salient_concepts(vocab, freq)
         for lb, rows in ranked.items():
             for name, score in rows:
                 i = vocab.index(name)
-                others = [arr[o][i] for o in arr if o != lb]
-                dominates = all(arr[lb][i] > v for v in others)
+                others = [freq[o][i] for o in freq if o != lb]
+                dominates = all(freq[lb][i] > v for v in others)
                 assert (score > 0) == dominates
 
     def test_exclusions_dropped(self):
-        ranked = concepts.salient_concepts({
-            "x": (["a", "b"], [0.9, 0.1]),
-            "y": (["a", "b"], [0.1, 0.9]),
+        ranked = concepts.salient_concepts(["a", "b"], {
+            "x": [0.9, 0.1],
+            "y": [0.1, 0.9],
         }, exclusions={"a"})
         assert [name for name, _ in ranked["x"]] == ["b"]
 
-    def test_vocabulary_mismatch_raises(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            concepts.salient_concepts({
-                "x": (["a"], [1.0]),
-                "y": (["b"], [1.0]),
-            })
-
     def test_single_class_raises(self):
         with pytest.raises(ValueError):
-            concepts.salient_concepts({"x": (["a"], [1.0])})
+            concepts.salient_concepts(["a"], {"x": [1.0]})
 
 
 class TestLbp:

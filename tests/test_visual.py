@@ -156,6 +156,21 @@ class TestColorfulness:
             assert visual.colorfulness(solid_frame(*center))[0] == (
                 pytest.approx(expected, rel=1e-12)), cell
 
+    def test_histogram_cells_at_the_cell_edges(self, rng):
+        # every pixel of the 8^3 colours whose channels are the first and
+        # last level of each cell, in random counts
+        levels = np.array([0, 63, 64, 127, 128, 191, 192, 255])
+        colours = np.stack(np.meshgrid(levels, levels, levels, indexing="ij"),
+                           axis=-1).reshape(-1, 3)
+        pixels = np.repeat(colours, rng.integers(1, 5, len(colours)), axis=0)
+        frame = pixels[rng.permutation(len(pixels))][None].astype(np.uint8)
+        idx = (frame.astype(np.int64) * visual.CF_PARTITIONS) // 256
+        cells = ((idx[..., 0] * visual.CF_PARTITIONS + idx[..., 1])
+                 * visual.CF_PARTITIONS + idx[..., 2])
+        counts = np.bincount(cells.ravel(), minlength=len(visual.CF_CENTERS))
+        assert visual.rgb_histogram(frame).tobytes() == \
+            (counts.astype(np.float64) / counts.sum()).tobytes()
+
     def test_noise_beats_flat_color(self, rng):
         noisy = visual.colorfulness(random_frame(rng, 32, 32))
         flat = visual.colorfulness(solid_frame(80, 120, 200, 32, 32))
