@@ -238,11 +238,11 @@ def dither_indices(hue, s, v, tmap, scale, corners):
     """Ordered dither of HSV pixels to the eight corners of the RGB cube,
     decided channel by channel on 8-bit levels.
 
-    hue is in degrees (finite), wrapped into [0, 360) as np.mod does; s
-    and v are uint8 levels standing for s / 255 and v / 255.  A pixel's RGB
-    levels are those of the HSV to RGB conversion: V (the v level itself),
-    P = v * (1 - s) and a middle value, placed by the hue sector.  The
-    middle value is q = v * (1 - s * f) in odd sectors and
+    hue is a float plane of degrees in [0, 360), as the HSV conversion
+    gives; s and v are uint8 levels standing for s / 255 and v / 255.  A
+    pixel's RGB levels are those of the HSV to RGB conversion: V (the v
+    level itself), P = v * (1 - s) and a middle value, placed by the hue
+    sector.  The middle value is q = v * (1 - s * f) in odd sectors and
     t = v * (1 - s * (1 - f)) in even ones, f being the hue's fraction
     within its sector.  tmap is the integer threshold map, already shifted
     by the midpoint: a channel at level L lies above, on or below the
@@ -251,14 +251,6 @@ def dither_indices(hue, s, v, tmap, scale, corners):
     gives the index for the three channel decisions, each 0 below, 1 on
     and 2 above the midpoint.  Pixels are quantized in blocks of rows.
     """
-    hue = np.asarray(hue, dtype=np.float64)
-    if not (hue.min() >= 0.0 and hue.max() < 360.0):
-        hue = np.mod(hue, 360.0)
-        # a tiny negative hue wraps to 360 itself: sector 6, which is
-        # sector 0 with f = 0, as for hue 0
-        hue[hue == 360.0] = 0.0
-    # inside [0, 360) np.mod is the identity up to the sign of zero, which
-    # neither the sector nor f sees, and hue / 60 stays below 6
     h, w = hue.shape
     n = tmap.shape[0]
     reps = ((h + n - 1) // n, (w + n - 1) // n)

@@ -89,7 +89,8 @@ RESAMPLE_ZERO_CROSSINGS = 32
 
 @dataclass
 class AudioClip:
-    """Mono audio in [-1, 1].
+    """Mono audio in [-1, 1]: samples is one channel, 1-D, as io.read_wav
+    gives after its exact downmix of stereo.
 
     samples must not change once spectrum or rp_family has been read: each
     is computed on first read and kept.
@@ -99,8 +100,9 @@ class AudioClip:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim == 2:
-            self.samples = self.samples.mean(axis=1)
+        if self.samples.ndim != 1:
+            raise ValueError(f"audio clip must be 1-D (one channel), got "
+                             f"shape {self.samples.shape}")
         if self.samples.size < 1:
             raise ValueError("empty audio clip")
 

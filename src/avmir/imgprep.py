@@ -70,10 +70,11 @@ class CircularStats:
     angular_deviation: float
 
 
-def _wrap_in_place(x):
-    """wrap_angle of an array x inside (-2pi, 2pi), such as arctan2's
-    output, computed in x: -0 turns into +0, negative angles gain 2pi, and
-    a sum that rounds to 2pi itself wraps to 0."""
+def wrap_angle(x):
+    """Map angles x in [-pi, pi], such as np.arctan2 gives, into [0, 2pi)
+    as np.mod does; an array is wrapped in place and returned.  -0 turns
+    into +0, negative angles gain 2pi, and a sum that rounds to 2pi itself
+    wraps to 0."""
     # mask products instead of masked writes, which branch per element:
     # x + 0.0 and x * 1.0 are x itself (x + 0.0 turns -0 into +0)
     x += (x < 0.0) * _TWO_PI
@@ -81,33 +82,16 @@ def _wrap_in_place(x):
     return x
 
 
-def wrap_angle(theta):
-    """Map angles into [0, 2pi) as np.mod does; float dust at exactly 2pi
-    wraps to 0."""
-    x = np.array(theta, dtype=np.float64)
-    # below 2pi in magnitude np.mod returns x itself, plus 2pi below 0
-    if x.size and -_TWO_PI < x.min() and x.max() < _TWO_PI:
-        return _wrap_in_place(x)
-    np.mod(x, _TWO_PI, out=x)
-    x *= x < _TWO_PI
-    return x
-
-
 def as_frame(arr):
-    """Validate and return an (H, W, 3) uint8 RGB frame; any other dtype
-    must hold finite values in [0, 255], which are cast to uint8."""
+    """Validate and return an (H, W, 3) uint8 RGB frame, as every frame
+    reader yields; any other shape or dtype raises ValueError."""
     arr = np.asarray(arr)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"frame must have shape (H, W, 3), got {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("frame must contain at least one pixel")
     if arr.dtype != np.uint8:
-        # NaN passes both range comparisons, and its uint8 cast is undefined
-        if not np.isfinite(arr).all():
-            raise ValueError("frame channel values must be finite")
-        if arr.min() < 0 or arr.max() > 255:
-            raise ValueError("frame channel values must lie in [0, 255]")
-        arr = arr.astype(np.uint8)
+        raise ValueError(f"frame must have dtype uint8, got {arr.dtype}")
     return arr
 
 
@@ -332,7 +316,7 @@ def _lch_planes(frame, L, C, H, a, b):
     np.multiply(a, a, out=C)
     C += H
     np.sqrt(C, out=C)
-    _wrap_in_place(np.arctan2(b, a, out=H))
+    wrap_angle(np.arctan2(b, a, out=H))
 
 
 def _hsv_planes(frame, top, key, hue, s):
@@ -370,35 +354,15 @@ def _hsv_planes(frame, top, key, hue, s):
     hue *= 60.0
 
 
-def circular_stats(hues, weights=None):
-    """Angular mean and deviation of a set of hue angles (radians).
+def circular_stats(cos_h, sin_h, weights):
+    """Angular mean and deviation of hue angles given as unit vectors
+    (cos_h, sin_h), under nonnegative weights that are not all zero; a
+    boolean mask as weights keeps the hues it marks.
 
-    The deviation is sqrt(2 * (1 - R)) with R the mean resultant length, so
-    it lies in [0, sqrt(2)].  Optional nonnegative weights must not all be
-    zero.  Raises ValueError on empty input.
-    """
-    hues = np.asarray(hues, dtype=np.float64).ravel()
-    if hues.size == 0:
-        raise ValueError("no chromatic pixels")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64).ravel()
-        if weights.shape != hues.shape:
-            raise ValueError("weights must match hues in length")
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
-        if weights.sum() <= 0:
-            raise ValueError("weights must not all be zero")
-    return _circular_stats(np.cos(hues), np.sin(hues), weights)
-
-
-def _circular_stats(cos_h, sin_h, weights):
-    """circular_stats of checked hues given as unit vectors (cos_h, sin_h);
-    weights None means equal weights, and a boolean mask as weights keeps
-    the hues it marks.
-
-    The mean is the direction of the weighted resultant (0 for a zero
-    resultant).  sqrt(2 * (1 - R)) is computed as the weighted root mean
-    square distance of the vectors from the mean's unit vector m: each
+    The mean is the direction of the weighted resultant, in [0, 2pi).  The
+    deviation is sqrt(2 * (1 - R)) with R the mean resultant length, so it
+    lies in [0, sqrt(2)].  It is computed as the weighted root mean square
+    distance of the vectors from the mean's unit vector m: each
     |u - m|^2 is 2 - 2 cos(h - mean), and summing these stays accurate
     near zero deviation, where 1 - R cancels badly.
     """
@@ -406,19 +370,17 @@ def _circular_stats(cos_h, sin_h, weights):
     work = np.empty_like(cos_h)
 
     def weighted_sum(values):
-        if weights is None:
-            return np.sum(values)
         return np.sum(np.multiply(weights, values, out=work))
 
     def squared_sum(values, centre):
         dist = np.subtract(values, centre, out=work)
         return weighted_sum(np.square(dist, out=dist))
 
-    total = float(cos_h.size) if weights is None else weights.sum()
     mean = float(wrap_angle(np.arctan2(weighted_sum(sin_h),
                                        weighted_sum(cos_h))))
     deviation = float(np.sqrt((squared_sum(cos_h, np.cos(mean))
-                               + squared_sum(sin_h, np.sin(mean))) / total))
+                               + squared_sum(sin_h, np.sin(mean)))
+                              / weights.sum()))
     return CircularStats(angular_mean=mean, angular_deviation=deviation)
 
 

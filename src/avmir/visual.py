@@ -96,13 +96,9 @@ class LfpPattern:
 
 
 def is_warm(hue):
-    """Classify LCH hue angles (radians) into warm (True) / cold (False)."""
-    h = np.asarray(hue, dtype=np.float64)
-    # LCH and segment hues are already in [0, 2pi), where wrapping changes
-    # no comparison below
-    if h.size and not (h.min() >= 0.0 and h.max() < 2.0 * np.pi):
-        h = imgprep.wrap_angle(h)
-    return (h < WARM_HUE_HI) | (h > 2.0 * np.pi + WARM_HUE_LO)
+    """Classify an array of LCH hue angles in [0, 2pi) (radians, as
+    imgprep.wrap_angle gives) into warm (True) / cold (False)."""
+    return (hue < WARM_HUE_HI) | (hue > 2.0 * np.pi + WARM_HUE_LO)
 
 
 def gcs(ihls):
@@ -123,9 +119,9 @@ def gcs(ihls):
     # both statistics read the hue vectors of every pixel, and weight 0
     # drops the achromatic ones
     cos_h, sin_h = ihls.hue_cos.ravel(), ihls.hue_sin.ravel()
-    plain = imgprep._circular_stats(cos_h, sin_h, chromatic)
-    weighted = imgprep._circular_stats(cos_h, sin_h,
-                                       ihls.saturation.ravel() * chromatic)
+    plain = imgprep.circular_stats(cos_h, sin_h, chromatic)
+    weighted = imgprep.circular_stats(cos_h, sin_h,
+                                      ihls.saturation.ravel() * chromatic)
     return np.array([mean_sat, mean_lum,
                      plain.angular_mean, plain.angular_deviation,
                      weighted.angular_mean, weighted.angular_deviation])
@@ -377,10 +373,11 @@ def itten_contrasts(seg):
 
     chromatic = seg.mean_c >= ACHROMATIC_CHROMA
     if np.any(chromatic):
-        stats = imgprep.circular_stats(seg.mean_h[chromatic],
+        hues = seg.mean_h[chromatic]
+        stats = imgprep.circular_stats(np.cos(hues), np.sin(hues),
                                        seg.areas[chromatic])
         hue = stats.angular_deviation / MAX_DEVIATION
-        warm = is_warm(seg.mean_h[chromatic])
+        warm = is_warm(hues)
         chrom_area = seg.areas[chromatic].sum()
         warm_share = seg.areas[chromatic][warm].sum() / chrom_area
         warm_cold = 1.0 - abs(warm_share - (1.0 - warm_share))

@@ -3,8 +3,9 @@ avmir.imgprep.FrameContext.lch.
 
 lch_planes indexes the linear-level table by the frame, divides the XYZ
 triples by the white point as one broadcast over the last axis, evaluates
-both branches of CIELAB's f through np.where and takes the chroma as
-np.hypot(a, b).  lch runs it over the frame in the row blocks that
+both branches of CIELAB's f through np.where, takes the chroma as
+np.hypot(a, b) and wraps the hue angle into [0, 2pi) by np.mod, with 2pi
+itself taken to 0.  lch runs it over the frame in the row blocks that
 FrameContext uses.
 """
 
@@ -40,7 +41,8 @@ def lch_planes(frame, L, C, H, a, b):
     np.subtract(fy, fz, out=b)
     b *= 200.0
     np.hypot(a, b, out=C)
-    imgprep._wrap_in_place(np.arctan2(b, a, out=H))
+    np.mod(np.arctan2(b, a), 2.0 * np.pi, out=H)
+    H[H == 2.0 * np.pi] = 0.0
 
 
 def lch(frame):

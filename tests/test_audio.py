@@ -27,6 +27,12 @@ def brute_seven_stats(values):
     return [min(values), max(values), mean, median, var, skew, kurt]
 
 
+def test_clip_of_more_than_one_channel_raises():
+    # io.read_wav downmixes stereo itself; a clip holds one channel
+    with pytest.raises(ValueError, match="1-D"):
+        AudioClip(np.zeros((100, 2)), 22050)
+
+
 class TestResample:
     @staticmethod
     def amplitude(clip):

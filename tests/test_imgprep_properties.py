@@ -15,9 +15,12 @@ class TestCircularStats:
            st.floats(-10.0, 10.0))
     @settings(max_examples=60, deadline=None)
     def test_rotation_equivariance(self, hues, delta):
-        base = imgprep.circular_stats(hues)
-        rotated = imgprep.circular_stats(np.mod(np.array(hues) + delta,
-                                                2.0 * np.pi))
+        def stats(h):
+            return imgprep.circular_stats(np.cos(h), np.sin(h),
+                                          np.ones_like(h))
+
+        base = stats(np.array(hues))
+        rotated = stats(np.mod(np.array(hues) + delta, 2.0 * np.pi))
         expected = np.mod(base.angular_mean + delta, 2.0 * np.pi)
         diff = np.angle(np.exp(1j * (rotated.angular_mean - expected)))
         assert abs(diff) < 1e-9

@@ -555,18 +555,14 @@ class TestIttenContrasts:
         assert values[3] == pytest.approx(1.0)
 
     def test_is_warm_matches_wrapped_hues(self, rng):
-        # in [0, 2pi) is_warm compares the hues as they are; elsewhere it
-        # wraps them first
-        inside = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 200),
-                                 [0.0, -0.0, np.nextafter(2.0 * np.pi, 0.0),
-                                  visual.WARM_HUE_HI,
-                                  2.0 * np.pi + visual.WARM_HUE_LO]])
-        outside = np.concatenate([inside, [-1.0, 7.0, 2.0 * np.pi, np.nan]])
-        for hues in (inside, outside, rng.uniform(-20.0, 20.0, 200)):
-            h = imgprep.wrap_angle(hues)
-            want = (h < visual.WARM_HUE_HI) | (h > 2.0 * np.pi
-                                               + visual.WARM_HUE_LO)
-            np.testing.assert_array_equal(visual.is_warm(hues), want)
+        # hues in [0, 2pi), as wrap_angle gives, are compared as they are
+        hues = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 200),
+                               [0.0, -0.0, np.nextafter(2.0 * np.pi, 0.0),
+                                visual.WARM_HUE_HI,
+                                2.0 * np.pi + visual.WARM_HUE_LO]])
+        want = (hues < visual.WARM_HUE_HI) | (hues > 2.0 * np.pi
+                                              + visual.WARM_HUE_LO)
+        np.testing.assert_array_equal(visual.is_warm(hues), want)
         assert visual.is_warm(np.array([])).shape == (0,)
 
     def test_single_segment_is_zero(self, rng):
@@ -737,13 +733,3 @@ class TestFrameContext:
         fresh = imgprep.FrameContext(ctx.frame).hsv_levels
         assert all(np.array_equal(a, b) for a, b in zip(ctx.hsv_levels, fresh))
 
-
-class TestFrameDims:
-    def test_per_frame_dimensions_match_table(self, rng):
-        frame = random_frame(rng, 33, 44)
-        feats = visual.frame_features(imgprep.FrameContext(frame),
-                                      list(visual.FRAME_FEATURES))
-        for name, (dim, _) in visual.FRAME_FEATURES.items():
-            assert feats[name].shape == (dim,), name
-            assert feats[name].dtype == np.float64, name
-            assert np.all(np.isfinite(feats[name])), name
