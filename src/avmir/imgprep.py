@@ -180,9 +180,11 @@ class FrameContext:
 
     @cached_property
     def lch(self):
-        """Cylindrical CIELAB: sRGB -> linear -> XYZ (D65) -> LAB -> LCH."""
+        """Cylindrical CIELAB: sRGB -> linear -> XYZ (D65) -> LAB -> LCH.
+        An exact grey (r = g = b) is achromatic: a = b = C = H = 0."""
         planes = self._planes(*[np.float64] * 5)
-        return LchFrame(*_by_rows(_lch_planes, planes, self.frame))
+        return LchFrame(*_by_rows(_lch_planes, planes, self.frame,
+                                  *self._extremes))
 
     @cached_property
     def hsv_levels(self):
@@ -293,7 +295,7 @@ def _lab_f(t, out):
     return out
 
 
-def _lch_planes(frame, L, C, H, a, b):
+def _lch_planes(frame, top, key, L, C, H, a, b):
     # take is about twice as fast as indexing the table by the frame
     xyz = _LINEAR_LEVELS.take(frame) @ _SRGB_TO_XYZ.T
     # each XYZ plane over its own white value, the same division as a
@@ -309,6 +311,12 @@ def _lch_planes(frame, L, C, H, a, b):
     a *= 500.0
     np.subtract(fy, b, out=b)
     b *= 200.0
+    # an exact grey, max = min, has X, Y and Z in the white's proportions,
+    # so a = b = 0; computed, they are last-bit noise whose sign follows
+    # the CPU's SIMD path and would give the grey an arbitrary hue
+    grey = np.equal(key & np.uint16(255), top)
+    a[grey] = 0.0
+    b[grey] = 0.0
 
     # C = sqrt(a*a + b*b), with H as the buffer of b*b; np.hypot is several
     # times slower and differs only in the last bit

@@ -5,8 +5,10 @@ lch_planes indexes the linear-level table by the frame, divides the XYZ
 triples by the white point as one broadcast over the last axis, evaluates
 both branches of CIELAB's f through np.where, takes the chroma as
 np.hypot(a, b) and wraps the hue angle into [0, 2pi) by np.mod, with 2pi
-itself taken to 0.  lch runs it over the frame in the row blocks that
-FrameContext uses.
+itself taken to 0.  An exact grey (r = g = b) has a = b = 0 by definition:
+its X, Y and Z are the white's times one linear level, so f(X / Xw),
+f(Y / Yw) and f(Z / Zw) are equal, and its C and H follow as 0.  lch runs
+it over the frame in the row blocks that FrameContext uses.
 """
 
 import numpy as np
@@ -40,6 +42,9 @@ def lch_planes(frame, L, C, H, a, b):
     a *= 500.0
     np.subtract(fy, fz, out=b)
     b *= 200.0
+    grey = (frame[..., 0] == frame[..., 1]) & (frame[..., 1] == frame[..., 2])
+    a[grey] = 0.0
+    b[grey] = 0.0
     np.hypot(a, b, out=C)
     np.mod(np.arctan2(b, a), 2.0 * np.pi, out=H)
     H[H == 2.0 * np.pi] = 0.0

@@ -1012,9 +1012,9 @@ class TestPinnedVisualOutputs:
     # and the level-domain Colour Names replaced
     HD_SHA256 = {
         "hd.arff":
-            "49d2aff5a218576b4b14e5290e67c161d266d982238038b9c689238684d1d466",
+            "fa3dccabc2c905a7ec8370758a1f5c4bbbcf651c3f163e06311a1b8103ea842c",
         "hd_frames.csv":
-            "0eaac8b8759b800401e243029c1e6fb20f939ae5679e633719cc5fa542259b40",
+            "0af5a1f6aaee394d2a37ff52180160df45809431f06f3c3f35ab6a9babbf93cd",
     }
 
     # sha256 of the shot-command outputs of visual-hd seed 1 from the float64

@@ -305,6 +305,18 @@ class TestWaf:
         assert mid > 0.5
         assert values[10:16].sum() == pytest.approx(0.0)
 
+    def test_every_grey_level_is_achromatic_and_warm(self):
+        # r = g = b gives a = b = C = H = 0 exactly, on every SIMD path,
+        # so WAF counts each grey level in the warm class
+        greys = np.repeat(np.arange(256, dtype=np.uint8), 3).reshape(16, 16, 3)
+        lch = imgprep.FrameContext(greys).lch
+        for plane in (lch.a, lch.b, lch.C, lch.H):
+            assert np.all(plane == 0.0) and not np.signbit(plane).any()
+        assert visual.is_warm(lch.H.ravel()).all()
+        values = visual.waf(lch, 0.0)
+        assert np.all(values[0:10:2] == 0.0)  # no cold lightness mass
+        assert values[1:10:2].sum() == pytest.approx(1.0)
+
     def test_half_warm_half_cool_equal_shares(self):
         lch = make_lch([50.0] * 8,
                        [45.0] * 8,
