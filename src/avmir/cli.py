@@ -390,7 +390,7 @@ def cmd_salience(args):
     ranked = concepts.salient_concepts(vocab, class_freqs, exclusions)
     write_json(args.out, {lb: [[name, score] for name, score in rows[:args.top]]
                           for lb, rows in ranked.items()})
-    print(f"ranked {len(vocab) - len(exclusions)} concepts for "
+    print(f"ranked {len(next(iter(ranked.values())))} concepts for "
           f"{len(class_freqs)} classes into {args.out}")
     return 0
 

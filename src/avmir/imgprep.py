@@ -367,12 +367,12 @@ def circular_stats(cos_h, sin_h, weights):
     (cos_h, sin_h), under nonnegative weights that are not all zero; a
     boolean mask as weights keeps the hues it marks.
 
-    The mean is the direction of the weighted resultant, in [0, 2pi).  The
-    deviation is sqrt(2 * (1 - R)) with R the mean resultant length, so it
-    lies in [0, sqrt(2)].  It is computed as the weighted root mean square
-    distance of the vectors from the mean's unit vector m: each
-    |u - m|^2 is 2 - 2 cos(h - mean), and summing these stays accurate
-    near zero deviation, where 1 - R cancels badly.
+    The mean is the direction of the weighted resultant, in [0, 2pi) (0
+    for a zero resultant).  The deviation is sqrt(2 * (1 - R)) with R the
+    mean resultant length, so it lies in [0, sqrt(2)].  It is computed as
+    the weighted root mean square distance of the vectors from the mean's
+    unit vector m: each |u - m|^2 is 2 - 2 cos(h - mean), and summing these
+    stays accurate near zero deviation, where 1 - R cancels badly.
     """
     # one buffer for the weighted products and the squared distances
     work = np.empty_like(cos_h)

@@ -439,6 +439,23 @@ class TestSalienceCmd:
         names = [n for n, _ in ranked["rock"]]
         assert "concept_0" not in names
 
+    def test_exclusions_outside_the_vocabulary_rank_nothing_less(
+            self, workspace, capsys):
+        for ci, label in enumerate(["rock", "pop"]):
+            for i in range(3):
+                make_concepts(workspace / f"{label}{i}.csv", vocab_size=3,
+                              hot=ci, seed=ci * 10 + i)
+        (workspace / "vocab3.txt").write_text("a\nb\nc\n")
+        (workspace / "exclude.txt").write_text("x\ny\n")
+        out = workspace / "salience3.json"
+        assert run("salience", "--manifest", workspace / "manifest.json",
+                   "--vocab", workspace / "vocab3.txt",
+                   "--exclude", workspace / "exclude.txt",
+                   "--out", out) == 0
+        assert "ranked 3 concepts for 2 classes" in capsys.readouterr().out
+        ranked = json.loads(out.read_text())
+        assert [len(rows) for rows in ranked.values()] == [3, 3]
+
 
 class TestRangeChecks:
     @pytest.mark.parametrize("command", ["extract-audio", "extract-visual",
