@@ -135,8 +135,16 @@ class TestLchParity:
 
 
 class TestAsFrame:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, value):
+        frame = np.full((2, 3, 3), 7.0)
+        frame[1, 2, 0] = value
+        with pytest.raises(ValueError, match="uint8"):
+            imgprep.as_frame(frame)
+
     def test_non_uint8_frame_rejected(self):
-        for frame in (np.full((2, 3, 3), 254.0), np.full((2, 3, 3), np.nan),
+        for frame in (np.full((2, 3, 3), 254.0),
                       np.full((2, 3, 3), 7, np.int64)):
             with pytest.raises(ValueError, match="uint8"):
                 imgprep.as_frame(frame)

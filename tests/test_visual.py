@@ -745,3 +745,13 @@ class TestFrameContext:
         fresh = imgprep.FrameContext(ctx.frame).hsv_levels
         assert all(np.array_equal(a, b) for a, b in zip(ctx.hsv_levels, fresh))
 
+
+class TestFrameDims:
+    def test_per_frame_dimensions_match_table(self, rng):
+        frame = random_frame(rng, 33, 44)
+        feats = visual.frame_features(imgprep.FrameContext(frame),
+                                      list(visual.FRAME_FEATURES))
+        for name, (dim, _) in visual.FRAME_FEATURES.items():
+            assert feats[name].shape == (dim,), name
+            assert feats[name].dtype == np.float64, name
+            assert np.all(np.isfinite(feats[name])), name
