@@ -220,27 +220,19 @@ def db_from_power(power):
 def phon_from_db(db_spl):
     """Loudness level per band via the equal-loudness contour table.
 
-    Piecewise-linear interpolation between contours, linear extrapolation
-    beyond them, clamped at 0 phon.
+    Piecewise-linear interpolation between contours, clamped at 0 phon
+    below the lowest contour and at 100 phon above the highest.  The upper
+    clamp never acts on audio in [-1, 1]: a band of its sonogram reaches at
+    most 79.8 dB SPL (the Hann window's 512 * sum(w**2) / scale = 6.01),
+    and at most 86.8 dB after resample's low-pass (summed |taps| below
+    2.24), while the 100-phon contour lies at 98.11 dB or more in every
+    band.
     """
     db_spl = np.asarray(db_spl, dtype=np.float64)
     out = np.empty_like(db_spl)
     for b in range(24):
         out[b] = np.interp(db_spl[b], _CONTOUR_SPL[:, b], _PHON_LEVELS)
-        # linear extrapolation above the top contour
-        top = _CONTOUR_SPL[-1, b]
-        above = db_spl[b] > top
-        if np.any(above):
-            slope = (_PHON_LEVELS[-1] - _PHON_LEVELS[-2]) / \
-                (_CONTOUR_SPL[-1, b] - _CONTOUR_SPL[-2, b])
-            out[b][above] = _PHON_LEVELS[-1] + slope * (db_spl[b][above] - top)
-        low = _CONTOUR_SPL[0, b]
-        below = db_spl[b] < low
-        if np.any(below):
-            slope = (_PHON_LEVELS[1] - _PHON_LEVELS[0]) / \
-                (_CONTOUR_SPL[1, b] - _CONTOUR_SPL[0, b])
-            out[b][below] = _PHON_LEVELS[0] + slope * (db_spl[b][below] - low)
-    return np.maximum(out, 0.0)
+    return out
 
 
 def sone_from_phon(phon):

@@ -38,21 +38,14 @@ CLASSIFIER_FLAGS = {"knn": ("k", "metric"), "svm": ("c", "epochs", "seed")}
 
 
 def write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
-
-
-def _plain(value):
-    if isinstance(value, Path):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
+    """payload as indented JSON with sorted keys; a Path is written as its
+    string."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True,
+                                     default=str) + "\n", encoding="utf-8")
 
 
 def write_run_config(out_dir, command, args):
-    config = {k: _plain(v) for k, v in sorted(vars(args).items())
-              if k != "func"}
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     write_json(Path(out_dir) / "run.json",
                {"command": command, "config": config, "version": __version__})
 

@@ -90,12 +90,10 @@ def aggregate_concepts(seq, spec):
 
     spec is a moment tuple from moment_spec; the moments follow the
     aggregate module's convention.  The output is block-major, one block of
-    vocabulary-size values per moment.
+    vocabulary-size values per moment: the transpose of aggregate.moments'
+    dimension-major layout.
     """
-    if seq.rows.shape[0] == 0:
-        raise ValueError("empty concept sequence")
-    cols = aggregate._moment_columns(seq.rows, spec)
-    return np.concatenate([cols[name] for name in spec])
+    return aggregate.moments(seq.rows, spec).reshape(-1, len(spec)).T.ravel()
 
 
 def concept_schema(vocabulary, spec):
@@ -112,8 +110,8 @@ def salient_concepts(vocabulary, class_frequencies, exclusions=()):
     """
     if len(class_frequencies) < 2:
         raise ValueError("need at least two classes")
-    keep = [i for i, name in enumerate(vocabulary)
-            if name not in set(exclusions)]
+    exclusions = set(exclusions)
+    keep = [i for i, name in enumerate(vocabulary) if name not in exclusions]
     names = [vocabulary[i] for i in keep]
     freq = np.array([np.asarray(f, dtype=np.float64)[keep]
                      for f in class_frequencies.values()])
@@ -134,11 +132,10 @@ def lbp_descriptor(face):
     against the center (neighbor >= center sets the bit, clockwise from
     top-left); the image is split into an LBP_GRID x LBP_GRID cell layout and
     each cell contributes a 256-bin histogram normalized to unit sum.  Result
-    is the (LBP_GRID*LBP_GRID*256,) concatenation.
+    is the (LBP_GRID*LBP_GRID*256,) concatenation.  face is 2-D, as
+    io.read_pgm gives it.
     """
     face = np.asarray(face)
-    if face.ndim != 2:
-        raise ValueError("face must be a 2-D grayscale raster")
     h, w = face.shape
     if h < LBP_GRID or w < LBP_GRID:
         raise ValueError(f"face raster must be at least {LBP_GRID}x{LBP_GRID}")

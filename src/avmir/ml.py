@@ -127,8 +127,6 @@ class KnnClassifier:
 
     def fit(self, x, y, n_classes):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[0] == 0:
-            raise ValueError("empty training set")
         if self.k > x.shape[0]:
             raise ValueError("k exceeds the number of training points")
         self.x = x
@@ -429,12 +427,10 @@ CLASSIFIERS = {"knn": KnnClassifier, "nb": GaussianNbClassifier,
 
 
 def make_classifier(spec):
-    """Build a classifier from a (name, params) spec tuple or plain name."""
+    """Build a classifier from a (name, params) spec tuple or plain name,
+    where name is a CLASSIFIERS key in any case."""
     name, params = (spec, {}) if isinstance(spec, str) else spec
-    cls = CLASSIFIERS.get(name.lower())
-    if cls is None:
-        raise ValueError(f"unknown classifier: {name!r}")
-    return cls(**params)
+    return CLASSIFIERS[name.lower()](**params)
 
 
 def _fit_predict(classifier_spec, train_x, train_y, n_classes, test_x,
@@ -574,8 +570,6 @@ def early_fuse(parts):
     order follows the argument order.
     """
     parts = list(parts)
-    if not parts:
-        raise ValueError("nothing to fuse")
     base_name, base = parts[0]
     matrices, schema = [], []
     for name, ds in parts:

@@ -99,11 +99,9 @@ ACTIVITY_METRICS = {"mean-rgb-l1": (_mean_rgb, _mean_rgb_l1),
 
 def frame_activity(frames, metric="mean-rgb-l1"):
     """Normalized distance between each consecutive frame pair, an
-    (n_frames - 1,) array; each frame's descriptor is computed once."""
-    try:
-        describe, distance = ACTIVITY_METRICS[metric]
-    except KeyError:
-        raise ValueError(f"unknown activity metric: {metric!r}") from None
+    (n_frames - 1,) array, under the ACTIVITY_METRICS entry metric; each
+    frame's descriptor is computed once."""
+    describe, distance = ACTIVITY_METRICS[metric]
     distances = []
     prev = None
     for frame in frames:

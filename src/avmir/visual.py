@@ -195,7 +195,8 @@ def color_names(hue, s, v):
 
 
 def _triangular_memberships(x, centers):
-    """Membership of each x in triangles peaking at the given centers.
+    """Membership of each x in triangles peaking at the given centers (at
+    least two, ascending).
 
     Interior triangles fall to zero at the neighboring centers; the
     first/last levels stay at 1 beyond their centers, which makes the
@@ -221,8 +222,6 @@ def _triangular_memberships(x, centers):
             edge /= centers[i + 1] - c
             if i > 0:
                 np.minimum(level, fall, out=level)
-        if n == 1:
-            level.fill(1.0)
         np.clip(level, 0.0, 1.0, out=level)
     return np.moveaxis(out, 0, -1)
 
@@ -413,8 +412,8 @@ def lfp_from_histograms(hists, fps):
     constant video stays exactly silent.
     """
     hists = np.asarray(hists, dtype=np.float64)
-    if hists.ndim != 2 or hists.shape[0] < 2:
-        raise ValueError("need at least two frames of histograms")
+    if len(hists) < 2:
+        raise ValueError("lfp needs at least two frames")
     if fps <= 2.0 * LFP_MAX_MOD_FREQ:
         raise ValueError("fps must exceed twice the maximum modulation frequency")
 
@@ -465,8 +464,6 @@ def lfp_feature(pattern, preset="paper-80"):
     """Fixed-dimension LFP vector: the pattern's modulation bins grouped
     into the preset's equal-width bands, kept per lightness bin or summed
     over them (see LFP_PRESETS)."""
-    if preset not in LFP_PRESETS:
-        raise ValueError(f"unknown LFP preset: {preset!r}")
     bins, bands, apart = LFP_PRESETS[preset]
     if pattern.lightness_bins != bins:
         raise ValueError(f"{preset} preset needs {bins} lightness bins")
@@ -503,16 +500,14 @@ def extract_video_features(frames, features, fps=25.0, lfp_preset="paper-80",
                            crop_letterbox=True):
     """Single-pass per-video feature extraction.
 
-    frames is any iterable of RGB frames.  Per-frame feature sets are
+    frames is any iterable of RGB frames; features are FRAME_FEATURES
+    names, plus "lfp" for the LFP_PRESETS pattern.  Per-frame feature sets are
     aggregated downstream (module aggregate); this function returns
     (per_frame_matrix dict, lfp_pattern or None).  The frame stream is
     consumed exactly once.
     """
     wanted = [f for f in features if f != "lfp"]
     want_lfp = "lfp" in features
-    unknown = set(wanted) - set(FRAME_FEATURES)
-    if unknown:
-        raise ValueError(f"unknown features: {sorted(unknown)}")
     lightness_bins = LFP_PRESETS[lfp_preset][0] if want_lfp else None
 
     rows = {name: [] for name in wanted}
@@ -535,8 +530,6 @@ def extract_video_features(frames, features, fps=25.0, lfp_preset="paper-80",
     matrices = {name: np.array(rows[name]) for name in wanted}
     pattern = None
     if want_lfp:
-        if n < 2:
-            raise ValueError("lfp needs at least two frames")
         pattern = lfp_from_histograms(np.array(hists), fps)
         if pattern.short_input:
             warnings.warn("fewer frames than one LFP window; zero-padded")

@@ -469,3 +469,35 @@ class TestBatchedFrontEnd:
                      "segment_length"):
             assert np.array_equal(getattr(bundle, name),
                                   getattr(oracle, name)), name
+
+
+class TestLoudnessRange:
+    """phon_from_db clamps at the 0- and 100-phon contours; no clip in
+    [-1, 1] reaches the 100-phon one."""
+
+    @staticmethod
+    def hann_bound():
+        # Parseval: the SPECTRUM_WINDOW bins of one Hann-windowed frame in
+        # [-1, 1] hold at most SPECTRUM_WINDOW * sum(w**2) / scale power
+        hann, scale = audio._hann(audio.SPECTRUM_WINDOW)
+        return audio.SPECTRUM_WINDOW * (hann ** 2).sum() / scale
+
+    def test_band_power_of_full_scale_noise_stays_under_the_bound(self, rng):
+        clip = AudioClip(rng.choice([-1.0, 1.0], 2 * 22050), 22050)
+        assert audio.bark_power(clip).max() <= self.hann_bound()
+
+    def test_top_contour_lies_above_every_reachable_level(self):
+        # resample's low-pass can raise a sample in [-1, 1] by its summed
+        # |taps| at most, so a band's power by that factor squared
+        rates = np.unique(np.r_[
+            np.geomspace(22051, 4.3e6, 40).astype(int), 32000, 44100,
+            48000, 88200, 96000, 192000])
+        gain = max(np.abs(audio._lowpass_taps(r)).sum() for r in rates)
+        level = audio.db_from_power(self.hann_bound() * gain ** 2)
+        assert level < audio._CONTOUR_SPL[-1].min()
+
+    def test_levels_outside_the_contours_clamp(self):
+        db = np.stack([audio._CONTOUR_SPL[0] - 5.0,
+                       audio._CONTOUR_SPL[-1] + 5.0], axis=1)
+        assert np.array_equal(audio.phon_from_db(db),
+                              np.tile([0.0, 100.0], (24, 1)))

@@ -1085,3 +1085,35 @@ class TestPinnedVisualOutputs:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
                    .hexdigest() for name in self.HD_SHA256}
         assert digests == self.HD_SHA256
+
+
+class TestInternalError:
+    def test_exits_three_without_run_json(self, tmp_path, monkeypatch,
+                                          capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("invariant broken")
+
+        monkeypatch.setattr(ml, "cross_validate", broken)
+        arff = tmp_path / "d.arff"
+        avio.write_arff(LabeledDataset(np.arange(8.0).reshape(4, 2),
+                                       ["a", "b", "a", "b"], ["f0", "f1"]),
+                        "r", arff)
+        out_dir = tmp_path / "cv"
+        assert run("crossval", "--arff", arff, "--folds", "2",
+                   "--repeats", "1", "--out-dir", out_dir) == 3
+        err = capsys.readouterr().err
+        assert "internal error: invariant broken" in err
+        assert not (out_dir / "run.json").exists()
+
+
+class TestArffExportBlankRows:
+    def test_blank_rows_are_skipped(self, tmp_path):
+        (tmp_path / "plain.csv").write_text(
+            "x,y,class\n1.0,2.0,a\n3.0,4.0,b\n")
+        (tmp_path / "blank.csv").write_text(
+            "x,y,class\n\n1.0,2.0,a\n\n\n3.0,4.0,b\n\n")
+        for name in ("plain", "blank"):
+            assert run("arff-export", "--csv", tmp_path / f"{name}.csv",
+                       "--out", tmp_path / f"{name}.arff") == 0
+        assert (tmp_path / "blank.arff").read_bytes() == \
+            (tmp_path / "plain.arff").read_bytes()

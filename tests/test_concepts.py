@@ -290,3 +290,17 @@ class TestIngestion:
         gallery = concepts.load_face_gallery(tmp_path)
         assert [lb for lb, _ in gallery] == ["alice", "alice", "bob", "bob"]
         assert gallery[0][1].shape == (16384,)
+
+
+class TestBlankScoreRows:
+    def test_blank_rows_are_skipped(self, tmp_path):
+        text = "frame_index,a,b\n1,0.25,0.75\n0,0.5,0.5\n"
+        (tmp_path / "plain.csv").write_text(text)
+        (tmp_path / "blank.csv").write_text(
+            "frame_index,a,b\n\n1,0.25,0.75\n\n0,0.5,0.5\n\n")
+        plain = concepts.read_concept_scores(tmp_path / "plain.csv",
+                                             ["a", "b"])
+        blank = concepts.read_concept_scores(tmp_path / "blank.csv",
+                                             ["a", "b"])
+        np.testing.assert_array_equal(blank.rows, [[0.5, 0.5], [0.25, 0.75]])
+        np.testing.assert_array_equal(blank.rows, plain.rows)

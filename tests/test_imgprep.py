@@ -401,3 +401,13 @@ class TestHsvLevels:
             planes = [levels if k == 0 else lower for k in order]
             frame = np.stack(planes, axis=-1).astype(np.uint8)
             self._assert_matches(frame, name)
+
+
+class TestStripLetterboxDarkColumns:
+    def test_frame_whose_kept_rows_are_dark_in_every_column(self):
+        # the first and last rows are half bright, so they stay, but every
+        # column is dark in 99 of the 100 rows: nothing would be left
+        frame = np.zeros((100, 2, 3), np.uint8)
+        frame[0, 0] = 200
+        frame[-1, 1] = 200
+        assert imgprep.strip_letterbox(frame) is frame

@@ -651,3 +651,42 @@ class TestMakeSplits:
         ids = ["b", "a", "c"]
         avio.write_id_list(tmp_path / "ids.txt", ids)
         assert fileutil.read_id_list(tmp_path / "ids.txt") == ids
+
+
+class TestQuotedArffNames:
+    @pytest.mark.parametrize("quote", ["'", '"'])
+    def test_quoted_attribute_name_keeps_its_spaces(self, tmp_path, quote):
+        path = tmp_path / "q.arff"
+        path.write_text(f"@RELATION r\n@ATTRIBUTE {quote}f 0{quote} NUMERIC\n"
+                        "@ATTRIBUTE g REAL\n@ATTRIBUTE class {a,b}\n"
+                        "@DATA\n1.0,2.0,a\n3.0,4.0,b\n")
+        ds = avio.read_arff(path)
+        assert ds.schema == ["f 0", "g"]
+        assert ds.labels == ["a", "b"]
+        np.testing.assert_array_equal(ds.matrix, [[1.0, 2.0], [3.0, 4.0]])
+
+
+class TestSplitEdges:
+    @pytest.mark.parametrize("count, train_per_class", [(4, 4), (9, 5)])
+    def test_per_class_count(self, tmp_path, count, train_per_class):
+        # a count of the class size or more still leaves one test entry
+        manifest = avio.load_manifest(build_manifest(tmp_path))
+        train, test = avio.make_splits(
+            manifest, avio.SplitSpec(per_class_count=count, seed=2))
+        for label in ("rock", "pop"):
+            assert sum(t.startswith(label) for t in train) == train_per_class
+            assert sum(t.startswith(label) for t in test) == \
+                6 - train_per_class
+
+    @pytest.mark.parametrize("fraction, sizes", [(0.9, (7, 1)),
+                                                 (0.1, (1, 7))])
+    def test_group_split_moves_one_group_to_an_empty_side(
+            self, tmp_path, fraction, sizes):
+        # every class wants all (or none) of its tracks in train, so the
+        # greedy pass puts every artist on one side
+        manifest = avio.load_manifest(build_manifest(
+            tmp_path, per_class=4, artists_per_class=4))
+        train, test = avio.make_splits(manifest, avio.SplitSpec(
+            train_fraction=fraction, group_filter="artist", seed=4))
+        assert (len(train), len(test)) == sizes
+        assert set(train) | set(test) == {e.track_id for e in manifest}
