@@ -1087,6 +1087,31 @@ class TestPinnedVisualOutputs:
         assert digests == self.HD_SHA256
 
 
+class TestPinnedAudioOutputs:
+    # sha256 of the audio-concepts outputs of seed 1 from the stacked-row
+    # STFT, MFCC and chroma that one signal per call replaced
+    SHA256 = {
+        "audio.arff":
+            "5592dc5442fd5e565e647a0956daa310e6d5009c06a3069ae6840c582a1ea8a1",
+        "ten.arff":
+            "aedd2a57ed95250aacddbde83f9388c8daed73ef4229c67090741b4735f65b4c",
+    }
+
+    def test_audio_concepts_seed_1(self, tmp_path, monkeypatch):
+        # the benchmark's extract-audio and aggregate steps on its inputs;
+        # its manifest paths are relative to the work directory
+        benchmark_workloads().generate("audio-concepts", 1, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert run("extract-audio", "--manifest", "in/manifest.json",
+                   "--features", "rp,rh,ssd,mvd,tssd,trh,mfcc,chroma",
+                   "--jobs", "1", "--out", "audio.arff") == 0
+        assert run("aggregate", "--manifest", "in/manifest.json",
+                   "--preset", "TEN", "--out", "ten.arff") == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
+                   .hexdigest() for name in self.SHA256}
+        assert digests == self.SHA256
+
+
 class TestInternalError:
     def test_exits_three_without_run_json(self, tmp_path, monkeypatch,
                                           capsys):
