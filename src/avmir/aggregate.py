@@ -189,7 +189,9 @@ def segment_bundle_from_audio(clip):
     and block by block, and each peak is found from the segment's maximum
     and minimum without an absolute-value copy.
     """
-    from . import audio  # local import to keep module load light
+    # imported here, not at load: audio imports this module, and the
+    # two imports at load would form a cycle
+    from . import audio
 
     clip = audio.resample(clip)
     if clip.duration < 2 * BUNDLE_SEGMENT_SECONDS:
@@ -198,8 +200,9 @@ def segment_bundle_from_audio(clip):
     n_seg = clip.samples.size // seg_len
     segments = clip.samples[:n_seg * seg_len].reshape(n_seg, seg_len)
 
-    timbre = audio.mfcc(segments)[..., 1:13].mean(axis=1)
-    pitches = audio.chroma(segments)[0].mean(axis=1)
+    timbre = [audio.mfcc(audio.AudioClip(seg, audio.ANALYSIS_RATE))
+              [:, 1:13].mean(axis=0) for seg in segments]
+    pitches = [audio.chroma(seg)[0].mean(axis=0) for seg in segments]
     peaks = _first_abs_peaks(segments)
     return SegmentBundle(
         timbre=timbre,

@@ -7,9 +7,9 @@ spectra per band), the statistical spectrum descriptors and their temporal
 variants, plus plain MFCC and chroma features.
 
 Every spectral function expects input at ANALYSIS_RATE, so its frequency
-tables and the modulation weights are built once at import.  resample is
-the one function that sees other rates; the others raise ValueError for an
-AudioClip at any other rate.
+tables and the modulation weights are built once at import, and takes one
+signal per call.  resample is the one function that sees other rates; the
+others raise ValueError for an AudioClip at any other rate.
 
 The equal-loudness data below is a compact piecewise-linear approximation of
 the ISO 226 contours, resampled at the Bark band centers; the phon->sone map
@@ -172,17 +172,16 @@ def _block_frames(window):
 
 
 def _frame_count(samples, window):
-    """Back-to-back frames of window samples along the last axis; a
-    trailing partial frame is dropped."""
-    if samples.shape[-1] < window:
+    """Back-to-back frames of window samples in 1-D samples; a trailing
+    partial frame is dropped."""
+    if samples.size < window:
         raise ValueError("clip too short for one analysis window")
-    return samples.shape[-1] // window
+    return samples.size // window
 
 
 def _stft_power(samples, window):
-    """Power spectra of back-to-back Hann-windowed frames along the last
-    axis: (..., frames, window // 2 + 1); a trailing partial frame is
-    dropped.
+    """Power spectra of back-to-back Hann-windowed frames of 1-D samples:
+    (frames, window // 2 + 1); a trailing partial frame is dropped.
 
     The frames are a view of samples.  They are transformed
     _block_frames(window) at a time into the preallocated result, so each
@@ -190,18 +189,15 @@ def _stft_power(samples, window):
     making whole-clip temporaries.
     """
     n_frames = _frame_count(samples, window)
-    frames = samples[..., :n_frames * window].reshape(
-        samples.shape[:-1] + (n_frames, window))
+    frames = samples[:n_frames * window].reshape(n_frames, window)
     hann, scale = _hann(window)
     step = _block_frames(window)
-    power = np.empty(frames.shape[:-1] + (window // 2 + 1,))
-    for lead in np.ndindex(frames.shape[:-2]):
-        for f in range(0, n_frames, step):
-            block = slice(f, f + step)
-            rows = power[lead][block]
-            np.abs(np.fft.rfft(frames[lead][block] * hann), out=rows)
-            np.square(rows, out=rows)
-            rows /= scale
+    power = np.empty((n_frames, window // 2 + 1))
+    for f in range(0, n_frames, step):
+        rows = power[f:f + step]
+        np.abs(np.fft.rfft(frames[f:f + step] * hann), out=rows)
+        np.square(rows, out=rows)
+        rows /= scale
     return power
 
 
@@ -359,30 +355,20 @@ def track_features(clip):
     }
 
 
-def mfcc(samples):
-    """Mel-frequency cepstral coefficients per frame of the last axis of
-    ANALYSIS_RATE samples, shape (..., frames, 13).
+def mfcc(clip):
+    """Mel-frequency cepstral coefficients per frame of an ANALYSIS_RATE
+    clip, shape (frames, 13).
 
-    samples may also be an AudioClip at ANALYSIS_RATE; its kept spectrum is
-    used, so a clip's MFCC and sonogram share one STFT, and its mel energies
-    are one product.  Stacked rows are transformed and projected one row at
-    a time, so only one row's spectrum exists at once; the stacked product
-    gives each row the same bits.
+    The clip's kept spectrum is used, so a clip's MFCC and sonogram share
+    one STFT.
 
     Power spectrum -> triangular mel filterbank (0..Nyquist) -> log ->
     orthonormal DCT-II, keeping the first MFCC_COEFFS coefficients.
     """
-    if isinstance(samples, AudioClip):
-        mel = samples.spectrum @ _MEL_BANK.T
-    else:
-        lead = samples.shape[:-1]
-        mel = np.empty(lead + (_frame_count(samples, SPECTRUM_WINDOW),
-                               MFCC_FILTERS))
-        for row in np.ndindex(lead):
-            mel[row] = _stft_power(samples[row], SPECTRUM_WINDOW) @ _MEL_BANK.T
+    mel = clip.spectrum @ _MEL_BANK.T
     mel += 1e-20
     np.log(mel, out=mel)
-    return _dct2_ortho(mel)[..., :MFCC_COEFFS]
+    return _dct2_ortho(mel)[:, :MFCC_COEFFS]
 
 
 def _mel(f):
@@ -456,35 +442,32 @@ def _pitch_class_sums(power, out):
 
 
 def chroma(samples):
-    """Pitch-class energy profile per frame of the last axis of
-    ANALYSIS_RATE samples (A4 = 440 Hz reference).
+    """Pitch-class energy profile per frame of 1-D ANALYSIS_RATE samples
+    (A4 = 440 Hz reference).
 
-    Returns (values (..., frames, 12), significant (..., frames)): rows are
+    Returns (values (frames, 12), significant (frames,)): rows are
     normalized to sum 1; near-silent frames are uniform and flagged
     non-significant.  Pitch class 0 is C.
 
-    No whole power spectrum is made: each row is transformed
+    No whole power spectrum is made: the samples are transformed
     _block_frames(CHROMA_WINDOW) frames at a time, and each block is folded
     into its pitch-class sums before the next.  Each class's bins are added
     in bin order, except that the bins of an input of one frame in all are
     summed pairwise, as numpy sums one contiguous frame.
     """
-    lead = samples.shape[:-1]
     n_frames = _frame_count(samples, CHROMA_WINDOW)
-    values = np.empty(lead + (n_frames, 12))
-    if values.size == 12:
-        power = _stft_power(samples, CHROMA_WINDOW).reshape(-1)
-        values.flat = [power[bins].sum() for bins in _CHROMA_BINS]
+    values = np.empty((n_frames, 12))
+    if n_frames == 1:
+        power = _stft_power(samples, CHROMA_WINDOW)[0]
+        values[0] = [power[bins].sum() for bins in _CHROMA_BINS]
     else:
         step = _block_frames(CHROMA_WINDOW)
-        for row in np.ndindex(lead):
-            for f in range(0, n_frames, step):
-                block = samples[row][f * CHROMA_WINDOW:
-                                     (f + step) * CHROMA_WINDOW]
-                _pitch_class_sums(_stft_power(block, CHROMA_WINDOW),
-                                  values[row][f:f + step])
+        for f in range(0, n_frames, step):
+            block = samples[f * CHROMA_WINDOW:(f + step) * CHROMA_WINDOW]
+            _pitch_class_sums(_stft_power(block, CHROMA_WINDOW),
+                              values[f:f + step])
 
-    totals = values.sum(axis=-1)
+    totals = values.sum(axis=1)
     significant = totals > 1e-10
     values[significant] /= totals[significant][:, None]
     values[~significant] = 1.0 / 12.0
@@ -507,8 +490,6 @@ TRACK_FEATURES = {
     "mvd": (420, lambda clip: clip.rp_family["mvd"]),
     "tssd": (1176, lambda clip: clip.rp_family["tssd"]),
     "trh": (420, lambda clip: clip.rp_family["trh"]),
-    # the clip, not its samples: the MFCC and the sonogram share the
-    # clip's one spectrum
     "mfcc": (2 * MFCC_COEFFS, lambda clip: aggregate.moments(
         mfcc(clip), ("mean", "std"))),
     "chroma": (2 * len(PITCH_CLASS_NAMES), lambda clip: aggregate.moments(

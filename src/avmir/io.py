@@ -157,13 +157,15 @@ def read_frames(source, fps=25.0):
     """Open a frame source: raw-RGB24 file with JSON preamble, or a
     directory of PPM P6 files (consumed in name order).
 
-    Frames are yielded one at a time; nothing beyond the current frame is
-    buffered.  Short reads raise InputError naming the frame index.
+    fps is the frame rate of a PPM directory, and of a raw stream whose
+    preamble names none.  Frames are yielded one at a time; nothing beyond
+    the current frame is buffered.  Short reads raise InputError naming the
+    frame index.
     """
     source = Path(source)
     if source.is_dir():
         return _read_ppm_dir(source, fps)
-    return _read_raw_stream(source)
+    return _read_raw_stream(source, fps)
 
 
 def _read_ppm_dir(directory, fps):
@@ -181,15 +183,23 @@ def _read_ppm_dir(directory, fps):
                        _iterator=gen())
 
 
-def _read_raw_stream(path):
+# longest raw-stream preamble line read, newline included: a file without
+# a newline this early has no preamble and is not read to its end
+RAW_PREAMBLE_BYTES = 4096
+
+
+def _read_raw_stream(path, fps):
     with open(path, "rb") as fh:
-        header = fh.readline()
+        header = fh.readline(RAW_PREAMBLE_BYTES)
+    if len(header) == RAW_PREAMBLE_BYTES and not header.endswith(b"\n"):
+        raise InputError(f"bad raw-stream preamble in {path}: no newline in "
+                         f"the first {RAW_PREAMBLE_BYTES} bytes")
     try:
         meta = json.loads(header.decode("ascii"))
         if not isinstance(meta, dict):
             raise ValueError("not a JSON object")
         width, height = int(meta["width"]), int(meta["height"])
-        fps = float(meta.get("fps", 25.0))
+        fps = float(meta.get("fps", fps))
         if width < 1 or height < 1:
             raise ValueError(f"frame size {width}x{height} is not positive")
         if not (np.isfinite(fps) and fps > 0):
@@ -460,7 +470,7 @@ def _parse_data_rows(lines, path, first_ln, n_rows, n_features,
         if n_features:
             values, label = line.rsplit(",", 1)
             try:
-                row = _parse_cells(values)
+                row = np.array([float(c.strip()) for c in values.split(",")])
             except ValueError:
                 raise ArffFormatError(path, "non-numeric feature value",
                                       ln) from None
@@ -474,21 +484,6 @@ def _parse_data_rows(lines, path, first_ln, n_rows, n_features,
         matrix[len(labels)] = row
         labels.append(label)
     return matrix, labels
-
-
-def _parse_cells(values):
-    """The comma-separated cells as float64, each read as float(cell.strip())
-    reads it; ValueError when a cell is not a number.
-
-    numpy reads a str cell exactly as float() does.  str.strip() also removes
-    the information separators U+001C to U+001F, which float() rejects, so a
-    row that numpy rejects is read again cell by cell.
-    """
-    cells = values.split(",")
-    try:
-        return np.array(cells, dtype=np.float64)
-    except ValueError:
-        return np.array([float(c.strip()) for c in cells], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,8 @@ def chroma_oracle(samples):
 
 
 def mfcc_oracle(samples):
-    """Whole-power reference for audio.mfcc of stacked rows: the one-shot
-    power of every row and one stacked mel product."""
+    """Whole-power reference for audio.mfcc of a clip's samples: the
+    one-shot power and one mel product."""
     from avmir import audio
 
     power = stft_power_oracle(samples, audio.SPECTRUM_WINDOW)

@@ -259,6 +259,31 @@ class TestFrameStreams:
             avio.read_frames(path)
         assert str(path) in str(err.value)
 
+    def test_headerless_stream_raises_without_reading_it(self, tmp_path):
+        # 32 MiB of black RGB24 frames written without the preamble line
+        path = tmp_path / "headerless.rgb"
+        with open(path, "wb") as fh:
+            fh.truncate(32 * 1024 * 1024)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="no newline") as err:
+                avio.read_frames(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(path) in str(err.value)
+        assert peak < 1024 * 1024
+
+    def test_fps_is_the_rate_of_a_preamble_without_one(self, tmp_path):
+        path = tmp_path / "clip.rgb"
+        path.write_bytes(b'{"width": 2, "height": 2}\n' + bytes(12))
+        assert avio.read_frames(path, fps=30.0).fps == 30.0
+        assert avio.read_frames(path).fps == 25.0
+        # the preamble's fps wins
+        fileutil.write_raw_stream(path, [np.zeros((2, 2, 3), np.uint8)],
+                                  fps=24.0)
+        assert avio.read_frames(path, fps=30.0).fps == 24.0
+
     def test_pgm_roundtrip(self, tmp_path, rng):
         img = rng.integers(0, 256, size=(9, 7), dtype=np.uint8)
         fileutil.write_pgm(tmp_path / "x.pgm", img)
